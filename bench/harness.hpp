@@ -122,14 +122,37 @@ struct RunOutcome
     std::unique_ptr<sim::SimContext> ctx; ///< Full stats.
 };
 
+/** The problems runProblem accepts, as listed in error messages. */
+inline constexpr const char *valid_problems =
+    "tc | kcc-3..6 | ksc-3..6 | mc | si-4s | si-4s-L | cl-jac | "
+    "cl-ovr | cl-tot";
+
+/** Is @p problem one runProblem can run (see valid_problems)? */
+inline bool
+validProblem(const std::string &problem)
+{
+    if (problem == "tc" || problem == "mc" || problem == "si-4s" ||
+        problem == "si-4s-L" || problem == "cl-jac" ||
+        problem == "cl-ovr" || problem == "cl-tot")
+        return true;
+    return problem.size() == 5 &&
+           (problem.rfind("kcc-", 0) == 0 ||
+            problem.rfind("ksc-", 0) == 0) &&
+           problem[4] >= '3' && problem[4] <= '6';
+}
+
 /**
  * Run @p problem on @p graph under @p mode. Problems: tc, kcc-3..6,
- * ksc-3..6, mc, si-4s, si-4s-L, cl-jac, cl-ovr, cl-tot.
+ * ksc-3..6, mc, si-4s, si-4s-L, cl-jac, cl-ovr, cl-tot; any other
+ * name is fatal.
  */
 inline RunOutcome
 runProblem(const std::string &problem, const Graph &graph, Mode mode,
            const RunConfig &config)
 {
+    if (!validProblem(problem))
+        sisa_fatal("unknown problem '", problem, "' (", valid_problems,
+                   ")");
     RunOutcome outcome;
     outcome.ctx =
         std::make_unique<sim::SimContext>(config.threads);

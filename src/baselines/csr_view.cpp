@@ -10,10 +10,10 @@ CsrView::CsrView(const Graph &graph, sim::CpuModel &cpu)
     : graph_(&graph), cpu_(&cpu)
 {
     const std::uint64_t n = graph.numVertices();
-    offsets_ = space_.allocate("csr.offsets", (n + 1) * 8);
+    offsets_ = space_.allocate((n + 1) * 8);
     const std::uint64_t arcs =
         graph.directed() ? graph.numEdges() : 2 * graph.numEdges();
-    adj_ = space_.allocate("csr.adj", arcs * sizeof(VertexId));
+    adj_ = space_.allocate(arcs * sizeof(VertexId));
     offsetIndex_.assign(n + 1, 0);
     for (VertexId v = 0; v < n; ++v)
         offsetIndex_[v + 1] = offsetIndex_[v] + graph.degree(v);

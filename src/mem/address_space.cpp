@@ -5,14 +5,10 @@
 namespace sisa::mem {
 
 Region
-AddressSpace::allocate(const std::string &name, std::uint64_t bytes)
+AddressSpace::allocate(std::uint64_t bytes)
 {
-    Region region;
-    region.name = name;
-    region.base = next_;
-    region.bytes = bytes;
+    const Region region{next_, bytes};
     next_ += support::alignUp(bytes == 0 ? 1 : bytes, page_);
-    regions_.push_back(region);
     return region;
 }
 

@@ -12,18 +12,15 @@
 #define SISA_MEM_ADDRESS_SPACE_HPP
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 namespace sisa::mem {
 
 /** Synthetic virtual address. */
 using Addr = std::uint64_t;
 
-/** A named, page-aligned synthetic allocation. */
+/** A page-aligned synthetic allocation. */
 struct Region
 {
-    std::string name;
     Addr base = 0;
     std::uint64_t bytes = 0;
 
@@ -41,8 +38,8 @@ class AddressSpace
   public:
     AddressSpace() = default;
 
-    /** Allocate @p bytes (page aligned) under @p name. */
-    Region allocate(const std::string &name, std::uint64_t bytes);
+    /** Allocate @p bytes (page aligned). */
+    Region allocate(std::uint64_t bytes);
 
     /** Total bytes allocated so far. */
     std::uint64_t allocated() const { return next_ - base_; }
@@ -51,7 +48,6 @@ class AddressSpace
     static constexpr Addr base_ = 0x10000000ULL;
     static constexpr std::uint64_t page_ = 4096;
     Addr next_ = base_;
-    std::vector<Region> regions_;
 };
 
 } // namespace sisa::mem

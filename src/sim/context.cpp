@@ -1,10 +1,110 @@
 #include "sim/context.hpp"
 
 #include <algorithm>
+#include <deque>
+#include <functional>
+#include <mutex>
 
 #include "support/logging.hpp"
 
 namespace sisa::sim {
+
+namespace {
+
+/** Name <-> id tables behind one lock; names never move once added. */
+struct CounterRegistry
+{
+    std::mutex mutex;
+    std::map<std::string, CounterId, std::less<>> ids;
+    std::deque<std::string> names;
+};
+
+CounterRegistry &
+registry()
+{
+    static CounterRegistry instance;
+    return instance;
+}
+
+} // namespace
+
+CounterId
+internCounter(std::string_view name)
+{
+    CounterRegistry &reg = registry();
+    const std::lock_guard<std::mutex> lock(reg.mutex);
+    const auto it = reg.ids.find(name);
+    if (it != reg.ids.end())
+        return it->second;
+    const auto id = static_cast<CounterId>(reg.names.size());
+    reg.names.emplace_back(name);
+    reg.ids.emplace(reg.names.back(), id);
+    return id;
+}
+
+std::optional<CounterId>
+findCounter(std::string_view name)
+{
+    CounterRegistry &reg = registry();
+    const std::lock_guard<std::mutex> lock(reg.mutex);
+    const auto it = reg.ids.find(name);
+    if (it == reg.ids.end())
+        return std::nullopt;
+    return it->second;
+}
+
+const std::string &
+counterName(CounterId id)
+{
+    CounterRegistry &reg = registry();
+    const std::lock_guard<std::mutex> lock(reg.mutex);
+    sisa_assert(id < reg.names.size(), "unknown counter id");
+    return reg.names[id];
+}
+
+void
+CounterSet::grow(CounterId id)
+{
+    // Room for every name registered so far: a fresh context grows
+    // once, not once per new id it bumps.
+    std::size_t registered = 0;
+    {
+        CounterRegistry &reg = registry();
+        const std::lock_guard<std::mutex> lock(reg.mutex);
+        registered = reg.names.size();
+    }
+    slots_.resize(std::max({std::size_t{id} + 1, 2 * slots_.size(),
+                            registered}));
+}
+
+void
+CounterSet::absorb(const CounterSet &other)
+{
+    if (other.slots_.size() > slots_.size())
+        slots_.resize(other.slots_.size());
+    for (std::size_t id = 0; id < other.slots_.size(); ++id) {
+        if (other.slots_[id].touched) {
+            slots_[id].value += other.slots_[id].value;
+            slots_[id].touched = true;
+        }
+    }
+}
+
+void
+CounterSet::clear()
+{
+    std::fill(slots_.begin(), slots_.end(), Slot{});
+}
+
+void
+CounterSet::materialize(std::map<std::string, std::uint64_t> &out) const
+{
+    for (std::size_t id = 0; id < slots_.size(); ++id) {
+        if (slots_[id].touched)
+            out[counterName(static_cast<CounterId>(id))] =
+                slots_[id].value;
+    }
+}
 
 Range
 blockRange(std::uint64_t total, std::uint32_t num_threads, ThreadId tid)
@@ -26,38 +126,83 @@ SimContext::SimContext(std::uint32_t num_threads)
 }
 
 void
-SimContext::chargeBusy(ThreadId tid, Cycles cycles)
+SimContext::reset(std::uint32_t num_threads)
 {
-    busy_[tid] += cycles;
-    if (activeQuery_ != no_query)
-        queryAccounts_[activeQuery_].busy += cycles;
+    sisa_assert(num_threads >= 1, "need at least one simulated thread");
+    numThreads_ = num_threads;
+    busy_.assign(num_threads, 0);
+    stall_.assign(num_threads, 0);
+    patterns_.assign(num_threads, 0);
+    patternCutoff_ = 0;
+    traceEnabled_ = false;
+    traces_.clear();
+    counters_.clear();
+    activeQuery_ = no_query;
+    activeSlot_ = no_slot;
+    liveSlices_ = 0;
+    countersView_.clear();
+    accountsView_.clear();
 }
 
-void
-SimContext::chargeStall(ThreadId tid, Cycles cycles)
+std::size_t
+SimContext::findSlot(QueryId query) const
 {
-    stall_[tid] += cycles;
-    if (activeQuery_ != no_query)
-        queryAccounts_[activeQuery_].stall += cycles;
+    for (std::size_t i = 0; i < liveSlices_; ++i) {
+        if (slices_[i].query == query)
+            return i;
+    }
+    return no_slot;
+}
+
+std::size_t
+SimContext::sliceIndex(QueryId query)
+{
+    const std::size_t found = findSlot(query);
+    if (found != no_slot)
+        return found;
+    // A new slice reuses storage a reset() left behind.
+    if (liveSlices_ == slices_.size())
+        slices_.emplace_back();
+    QuerySlice &slice = slices_[liveSlices_];
+    slice.query = query;
+    slice.busy = 0;
+    slice.stall = 0;
+    slice.counters.clear();
+    return liveSlices_++;
 }
 
 const QueryAccount &
 SimContext::queryAccount(QueryId query) const
 {
     static const QueryAccount empty{};
-    auto it = queryAccounts_.find(query);
-    return it == queryAccounts_.end() ? empty : it->second;
+    const std::size_t slot = findSlot(query);
+    if (slot == no_slot)
+        return empty;
+    const QuerySlice &slice = slices_[slot];
+    QueryAccount &view = accountsView_[query];
+    view.busy = slice.busy;
+    view.stall = slice.stall;
+    slice.counters.materialize(view.counters);
+    return view;
+}
+
+const std::map<QueryId, QueryAccount> &
+SimContext::queryAccounts() const
+{
+    for (std::size_t i = 0; i < liveSlices_; ++i)
+        queryAccount(slices_[i].query);
+    return accountsView_;
 }
 
 void
 SimContext::absorbQueryAccounting(const SimContext &other)
 {
-    for (const auto &[query, account] : other.queryAccounts_) {
-        QueryAccount &mine = queryAccounts_[query];
-        mine.busy += account.busy;
-        mine.stall += account.stall;
-        for (const auto &[name, value] : account.counters)
-            mine.counters[name] += value;
+    for (std::size_t i = 0; i < other.liveSlices_; ++i) {
+        const QuerySlice &theirs = other.slices_[i];
+        QuerySlice &mine = slices_[sliceIndex(theirs.query)];
+        mine.busy += theirs.busy;
+        mine.stall += theirs.stall;
+        mine.counters.absorb(theirs.counters);
     }
 }
 
@@ -149,30 +294,28 @@ SimContext::totalPatterns() const
 }
 
 void
-SimContext::bumpCounter(const std::string &name, std::uint64_t delta)
-{
-    counters_[name] += delta;
-    if (activeQuery_ != no_query)
-        queryAccounts_[activeQuery_].counters[name] += delta;
-}
-
-void
 SimContext::absorbCounters(const SimContext &other)
 {
-    for (const auto &[name, value] : other.counters_)
-        counters_[name] += value;
-    for (const auto &[query, account] : other.queryAccounts_) {
-        QueryAccount &mine = queryAccounts_[query];
-        for (const auto &[name, value] : account.counters)
-            mine.counters[name] += value;
+    counters_.absorb(other.counters_);
+    for (std::size_t i = 0; i < other.liveSlices_; ++i) {
+        const QuerySlice &theirs = other.slices_[i];
+        slices_[sliceIndex(theirs.query)].counters.absorb(
+            theirs.counters);
     }
 }
 
 std::uint64_t
-SimContext::counter(const std::string &name) const
+SimContext::counter(std::string_view name) const
 {
-    auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second;
+    const std::optional<CounterId> id = findCounter(name);
+    return id ? counters_.get(*id) : 0;
+}
+
+const std::map<std::string, std::uint64_t> &
+SimContext::counters() const
+{
+    counters_.materialize(countersView_);
+    return countersView_;
 }
 
 } // namespace sisa::sim

@@ -13,9 +13,12 @@
 #ifndef SISA_SIM_CONTEXT_HPP
 #define SISA_SIM_CONTEXT_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "mem/pim.hpp"
@@ -39,6 +42,68 @@ using QueryId = std::uint32_t;
 /** Sentinel: charges are not attributed to any query. */
 inline constexpr QueryId no_query = ~QueryId{0};
 
+// --- Counter registry ------------------------------------------------------
+
+/** Dense id of an interned counter name (see internCounter). */
+using CounterId = std::uint32_t;
+
+/**
+ * Process-wide registry from counter name to dense CounterId,
+ * registering @p name on first use. Thread-safe. Hot call sites
+ * intern once (e.g. through a function-local static) and bump by id;
+ * names are resolved only when a context reports its counters.
+ */
+CounterId internCounter(std::string_view name);
+
+/** The id of @p name if it was ever interned (never registers it). */
+std::optional<CounterId> findCounter(std::string_view name);
+
+/** The name interned as @p id (a stable reference). */
+const std::string &counterName(CounterId id);
+
+/**
+ * Flat counter storage indexed by CounterId: a value and a touched
+ * flag per id, so a name reports iff it was bumped -- even by 0.
+ */
+class CounterSet
+{
+  public:
+    void
+    add(CounterId id, std::uint64_t delta)
+    {
+        if (id >= slots_.size())
+            grow(id);
+        slots_[id].value += delta;
+        slots_[id].touched = true;
+    }
+
+    std::uint64_t
+    get(CounterId id) const
+    {
+        return id < slots_.size() ? slots_[id].value : 0;
+    }
+
+    /** Add every touched counter of @p other (touching it here). */
+    void absorb(const CounterSet &other);
+
+    /** Zero and untouch every counter, keeping the storage. */
+    void clear();
+
+    /** Write every touched counter into @p out under its name. */
+    void materialize(std::map<std::string, std::uint64_t> &out) const;
+
+  private:
+    struct Slot
+    {
+        std::uint64_t value = 0;
+        bool touched = false;
+    };
+
+    void grow(CounterId id);
+
+    std::vector<Slot> slots_;
+};
+
 /** Half-open iteration range assigned to one simulated thread. */
 struct Range
 {
@@ -58,6 +123,8 @@ Range blockRange(std::uint64_t total, std::uint32_t num_threads,
  * counters charged while the context was bound to one QueryId. The
  * serving layer prices each tenant's SLO from these, and the
  * co-tenancy differentials compare them bit for bit solo vs. shared.
+ * This is the reporting view; the context stores flat slices and
+ * builds it when read.
  */
 struct QueryAccount
 {
@@ -85,17 +152,24 @@ class SimContext
      * invariant "sum of per-query accounts == sum of tagged charges"
      * holds by construction.
      */
-    void bindQuery(QueryId query) { activeQuery_ = query; }
+    void
+    bindQuery(QueryId query)
+    {
+        activeQuery_ = query;
+        activeSlot_ = no_slot; // Resolved by the first tagged charge.
+    }
 
     QueryId activeQuery() const { return activeQuery_; }
 
-    /** Account of @p query (zeroes if it never charged here). */
+    /**
+     * Account of @p query (zeroes if it never charged here). Built
+     * from the flat slice when read: the reference stays valid, but
+     * its values are a snapshot until the next read.
+     */
     const QueryAccount &queryAccount(QueryId query) const;
 
-    const std::map<QueryId, QueryAccount> &queryAccounts() const
-    {
-        return queryAccounts_;
-    }
+    /** Every query that charged here, built when read (as above). */
+    const std::map<QueryId, QueryAccount> &queryAccounts() const;
 
     /**
      * Merge @p other's per-query accounts (cycles AND counters) into
@@ -107,10 +181,22 @@ class SimContext
     void absorbQueryAccounting(const SimContext &other);
 
     /** Charge compute (non-stalled) cycles to thread @p tid. */
-    void chargeBusy(ThreadId tid, Cycles cycles);
+    void
+    chargeBusy(ThreadId tid, Cycles cycles)
+    {
+        busy_[tid] += cycles;
+        if (activeQuery_ != no_query)
+            activeSlice().busy += cycles;
+    }
 
     /** Charge memory-stall cycles to thread @p tid. */
-    void chargeStall(ThreadId tid, Cycles cycles);
+    void
+    chargeStall(ThreadId tid, Cycles cycles)
+    {
+        stall_[tid] += cycles;
+        if (activeQuery_ != no_query)
+            activeSlice().stall += cycles;
+    }
 
     /** Total cycles consumed by @p tid (busy + stall). */
     Cycles threadCycles(ThreadId tid) const;
@@ -168,10 +254,31 @@ class SimContext
     std::uint64_t patterns(ThreadId tid) const { return patterns_[tid]; }
     std::uint64_t totalPatterns() const;
 
+    /**
+     * Return to the freshly constructed state with @p num_threads
+     * threads, keeping allocations (the SCU's per-dispatch scratch
+     * contexts). Invalidates references from counters() and
+     * queryAccount(s)().
+     */
+    void reset(std::uint32_t num_threads);
+
     // --- Named counters ---------------------------------------------------
 
-    /** Accumulate a named statistic (e.g. "sisa.pum_ops"). */
-    void bumpCounter(const std::string &name, std::uint64_t delta = 1);
+    /** Accumulate an interned statistic (e.g. "scu.pum_ops"). */
+    void
+    bumpCounter(CounterId id, std::uint64_t delta = 1)
+    {
+        counters_.add(id, delta);
+        if (activeQuery_ != no_query)
+            activeSlice().counters.add(id, delta);
+    }
+
+    /** Accumulate a named statistic (interns @p name; off hot paths). */
+    void
+    bumpCounter(std::string_view name, std::uint64_t delta = 1)
+    {
+        bumpCounter(internCounter(name), delta);
+    }
 
     /**
      * Merge every named counter of @p other into this context -- the
@@ -184,14 +291,45 @@ class SimContext
      */
     void absorbCounters(const SimContext &other);
 
-    std::uint64_t counter(const std::string &name) const;
+    std::uint64_t counter(CounterId id) const { return counters_.get(id); }
 
-    const std::map<std::string, std::uint64_t> &counters() const
-    {
-        return counters_;
-    }
+    /** Value of @p name (0, without registering it, if never bumped). */
+    std::uint64_t counter(std::string_view name) const;
+
+    /**
+     * Every bumped counter by name, built when read. The map only
+     * grows between reads, so earlier references and iterators stay
+     * valid. Not safe to call concurrently on one context.
+     */
+    const std::map<std::string, std::uint64_t> &counters() const;
 
   private:
+    /** One query's flat account (see QueryAccount for the view). */
+    struct QuerySlice
+    {
+        QueryId query = no_query;
+        Cycles busy = 0;
+        Cycles stall = 0;
+        CounterSet counters;
+    };
+
+    static constexpr std::size_t no_slot = ~std::size_t{0};
+
+    /** The bound query's slice, found once per bindQuery. */
+    QuerySlice &
+    activeSlice()
+    {
+        if (activeSlot_ == no_slot)
+            activeSlot_ = sliceIndex(activeQuery_);
+        return slices_[activeSlot_];
+    }
+
+    /** Index of @p query's slice, or no_slot if it never charged. */
+    std::size_t findSlot(QueryId query) const;
+
+    /** Index of @p query's slice, creating it on first use. */
+    std::size_t sliceIndex(QueryId query);
+
     std::uint32_t numThreads_;
     std::vector<Cycles> busy_;
     std::vector<Cycles> stall_;
@@ -199,9 +337,16 @@ class SimContext
     std::uint64_t patternCutoff_ = 0;
     bool traceEnabled_ = false;
     std::vector<support::Histogram> traces_;
-    std::map<std::string, std::uint64_t> counters_;
+    CounterSet counters_;
     QueryId activeQuery_ = no_query;
-    std::map<QueryId, QueryAccount> queryAccounts_;
+    /** Index into slices_ (an index, so copies and moves stay valid). */
+    std::size_t activeSlot_ = no_slot;
+    /** Slices [0, liveSlices_) are live; the rest await reuse. */
+    std::vector<QuerySlice> slices_;
+    std::size_t liveSlices_ = 0;
+    // Reporting views, rebuilt in place when read.
+    mutable std::map<std::string, std::uint64_t> countersView_;
+    mutable std::map<QueryId, QueryAccount> accountsView_;
 };
 
 } // namespace sisa::sim

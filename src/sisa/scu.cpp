@@ -12,6 +12,61 @@ namespace sisa::isa {
 
 using sets::OpWork;
 
+namespace {
+
+using sim::CounterId;
+using sim::internCounter;
+
+/**
+ * Every counter the SCU bumps, interned once on first use: the hot
+ * paths add by id, and names are resolved only when a context
+ * reports (SimContext::counters).
+ */
+struct ScuCounters
+{
+    const CounterId analysisBatches = internCounter("scu.analysis_batches");
+    const CounterId analysisErrors = internCounter("scu.analysis_errors");
+    const CounterId analysisWarnings = internCounter("scu.analysis_warnings");
+    const CounterId asyncDispatches = internCounter("scu.async_dispatches");
+    const CounterId asyncDrains = internCounter("scu.async_drains");
+    const CounterId asyncSyncs = internCounter("scu.async_syncs");
+    const CounterId batchDispatches = internCounter("scu.batch_dispatches");
+    const CounterId batchOps = internCounter("scu.batch_ops");
+    const CounterId cancelDrains = internCounter("scu.cancel_drains");
+    const CounterId checksumVerifies = internCounter("scu.checksum_verifies");
+    const CounterId laneStalls = internCounter("scu.lane_stalls");
+    const CounterId migrations = internCounter("scu.migrations");
+    const CounterId pnmRandomOps = internCounter("scu.pnm_random_ops");
+    const CounterId pnmStreamOps = internCounter("scu.pnm_stream_ops");
+    const CounterId pumOps = internCounter("scu.pum_ops");
+    const CounterId quarantines = internCounter("scu.quarantines");
+    const CounterId retries = internCounter("scu.retries");
+    const CounterId shortCircuits = internCounter("scu.short_circuits");
+    const CounterId smDramLookups = internCounter("scu.sm_dram_lookups");
+    const CounterId smbHits = internCounter("scu.smb_hits");
+    const CounterId smbMisses = internCounter("scu.smb_misses");
+    const CounterId xvaultTransfers = internCounter("scu.xvault_transfers");
+    const CounterId cancelledCycles = internCounter("setops.cancelled_cycles");
+    const CounterId migrationBytes = internCounter("setops.migration_bytes");
+    const CounterId output = internCounter("setops.output");
+    const CounterId probes = internCounter("setops.probes");
+    const CounterId recoveryBytes = internCounter("setops.recovery_bytes");
+    const CounterId streamed = internCounter("setops.streamed");
+    const CounterId words = internCounter("setops.words");
+    const CounterId xvaultBytes = internCounter("setops.xvault_bytes");
+    const CounterId xvaultReduceBytes =
+        internCounter("setops.xvault_reduce_bytes");
+};
+
+const ScuCounters &
+ids()
+{
+    static const ScuCounters instance;
+    return instance;
+}
+
+} // namespace
+
 Scu::Scu(SetStore &store, const ScuConfig &config,
          std::uint32_t num_threads)
     : store_(store), config_(config)
@@ -40,7 +95,7 @@ Scu::chargeMetadata(sim::SimContext &ctx, sim::ThreadId tid, SetId id)
     if (!config_.smbEnabled) {
         // SM lives in memory: every lookup is a DRAM access.
         ctx.chargeBusy(tid, config_.pim.dramLatency);
-        ctx.bumpCounter("scu.sm_dram_lookups");
+        ctx.bumpCounter(ids().smDramLookups);
         return;
     }
     mem::Cache &smb = config_.smbShared ? *smbs_[0] : *smbs_[tid];
@@ -51,7 +106,7 @@ Scu::chargeMetadata(sim::SimContext &ctx, sim::ThreadId tid, SetId id)
     if (!hit)
         latency += config_.pim.dramLatency;
     ctx.chargeBusy(tid, latency);
-    ctx.bumpCounter(hit ? "scu.smb_hits" : "scu.smb_misses");
+    ctx.bumpCounter(hit ? ids().smbHits : ids().smbMisses);
 }
 
 // --- Section 8.3 cost predictors ------------------------------------------
@@ -112,7 +167,7 @@ Scu::chargePum(sim::SimContext &ctx, sim::ThreadId tid,
                std::uint64_t n_bits, std::uint32_t row_ops)
 {
     ctx.chargeBusy(tid, pumCost(n_bits, row_ops));
-    ctx.bumpCounter("scu.pum_ops");
+    ctx.bumpCounter(ids().pumOps);
     lastBackend_ = Backend::Pum;
 }
 
@@ -121,7 +176,7 @@ Scu::chargePnmStream(sim::SimContext &ctx, sim::ThreadId tid,
                      std::uint64_t max_elems)
 {
     ctx.chargeBusy(tid, streamCost(max_elems));
-    ctx.bumpCounter("scu.pnm_stream_ops");
+    ctx.bumpCounter(ids().pnmStreamOps);
     lastBackend_ = Backend::PnmStream;
 }
 
@@ -130,7 +185,7 @@ Scu::chargePnmRandom(sim::SimContext &ctx, sim::ThreadId tid,
                      std::uint64_t probes)
 {
     ctx.chargeBusy(tid, randomCost(probes));
-    ctx.bumpCounter("scu.pnm_random_ops");
+    ctx.bumpCounter(ids().pnmRandomOps);
     lastBackend_ = Backend::PnmRandom;
 }
 
@@ -141,8 +196,8 @@ Scu::chargeMixedProbe(sim::SimContext &ctx, sim::ThreadId tid,
     const MixedPlan plan = mixedProbePlan(array_size);
     ctx.chargeBusy(tid, plan.cycles);
     ctx.bumpCounter(plan.backend == Backend::PnmStream
-                        ? "scu.pnm_stream_ops"
-                        : "scu.pnm_random_ops");
+                        ? ids().pnmStreamOps
+                        : ids().pnmRandomOps);
     lastBackend_ = plan.backend;
 }
 
@@ -151,10 +206,10 @@ Scu::recordWork(sim::SimContext &ctx, const OpWork &work)
 {
     // Bulk counters from the kernel layer (one O(1) charge per set
     // operation; see the formula table in sets/operations.hpp).
-    ctx.bumpCounter("setops.streamed", work.streamedElements);
-    ctx.bumpCounter("setops.probes", work.probes);
-    ctx.bumpCounter("setops.words", work.bitvectorWords);
-    ctx.bumpCounter("setops.output", work.outputElements);
+    ctx.bumpCounter(ids().streamed, work.streamedElements);
+    ctx.bumpCounter(ids().probes, work.probes);
+    ctx.bumpCounter(ids().words, work.bitvectorWords);
+    ctx.bumpCounter(ids().output, work.outputElements);
 }
 
 bool
@@ -404,26 +459,26 @@ Scu::chargeOutcome(sim::SimContext &ctx, sim::ThreadId tid,
         ctx.chargeBusy(tid, charge.cycles);
         switch (charge.backend) {
           case Backend::Pum:
-            ctx.bumpCounter("scu.pum_ops");
+            ctx.bumpCounter(ids().pumOps);
             break;
           case Backend::PnmStream:
-            ctx.bumpCounter("scu.pnm_stream_ops");
+            ctx.bumpCounter(ids().pnmStreamOps);
             break;
           case Backend::PnmRandom:
-            ctx.bumpCounter("scu.pnm_random_ops");
+            ctx.bumpCounter(ids().pnmRandomOps);
             break;
           case Backend::None:
             break;
         }
     }
     if (outcome.shortCircuited)
-        ctx.bumpCounter("scu.short_circuits");
+        ctx.bumpCounter(ids().shortCircuits);
     if (outcome.faultRetries) {
         // The retry penalty executeOp accumulated (wasted executions,
         // failed verifies, backoff) lands on the lane that owns the
         // op -- pure delay, never extra setops.* work.
         ctx.chargeBusy(tid, outcome.faultCycles);
-        ctx.bumpCounter("scu.retries", outcome.faultRetries);
+        ctx.bumpCounter(ids().retries, outcome.faultRetries);
     }
     recordWork(ctx, outcome.work);
 }
@@ -653,7 +708,8 @@ Scu::vaultOf(SetId id) const
     // setPlacement guarantees the policy's width matches pim.vaults,
     // so no modulo folding is needed (the old defensive clamp
     // silently skewed mismatched policies).
-    const auto it = overlay_.find(id);
+    const auto it =
+        overlay_.empty() ? overlay_.end() : overlay_.find(id);
     const std::uint32_t vault =
         it != overlay_.end() ? it->second : placement_->vaultOf(id);
     // Quarantined vaults are out of service: every assignment that
@@ -844,7 +900,7 @@ Scu::admitDispatch(sim::SimContext &ctx, sim::ThreadId tid)
         return;
     cancelled_ = true;
     cancelVerdict_ = verdict;
-    ctx.bumpCounter("scu.cancel_drains");
+    ctx.bumpCounter(ids().cancelDrains);
     (void)tid; // The window's bound thread pays the drain.
     cancelWindow();
     throw QueryCancelledError(query_, verdict);
@@ -866,7 +922,7 @@ Scu::cancelWindow()
     const mem::Cycles now = nowV();
     if (maxCompletionV_ > now) {
         ctx.chargeStall(tid, maxCompletionV_ - now);
-        ctx.bumpCounter("setops.cancelled_cycles",
+        ctx.bumpCounter(ids().cancelledCycles,
                         maxCompletionV_ - now);
     }
     windowCtx_ = nullptr;
@@ -982,7 +1038,7 @@ Scu::quarantineVault(sim::SimContext &ctx, sim::ThreadId tid,
             evacuees.push_back(id);
     });
     quarantine_.add(vault); // Throws when no live vault would remain.
-    ctx.bumpCounter("scu.quarantines");
+    ctx.bumpCounter(ids().quarantines);
     const std::uint32_t target = quarantine_.remap(vault);
     for (const SetId id : evacuees) {
         // Emergency migration: the payload streams once over the
@@ -996,7 +1052,7 @@ Scu::quarantineVault(sim::SimContext &ctx, sim::ThreadId tid,
         if (bytes) {
             ctx.chargeBusy(tid,
                            mem::interconnectCycles(config_.pim, bytes));
-            ctx.bumpCounter("setops.recovery_bytes", bytes);
+            ctx.bumpCounter(ids().recoveryBytes, bytes);
         }
     }
 }
@@ -1252,8 +1308,8 @@ Scu::buildLanes(std::size_t n)
 
 void
 Scu::chargeLaneOp(sim::SimContext &wctx, sim::ThreadId lane_tid,
-                  std::unordered_set<SetId> &fetched, std::uint32_t l,
-                  std::uint32_t i, std::uint64_t dispatch_idx)
+                  FetchedSet &fetched, std::uint32_t l, std::uint32_t i,
+                  std::uint64_t dispatch_idx)
 {
     // The accounting half of op i on lane l, with `fetched` deduping
     // the lane's remote operand pulls (scope: one lane within one
@@ -1269,7 +1325,7 @@ Scu::chargeLaneOp(sim::SimContext &wctx, sim::ThreadId lane_tid,
     const bool reads_remote =
         route.remoteIsB ? outcome.readsB : outcome.readsA;
     if (route.bytes && reads_remote &&
-        fetched.insert(route.remote).second) {
+        fetched.insert(route.remote)) {
         if (faults_) {
             // Interconnect drops: every lost transfer pays its full
             // b_L crossing plus the retry backoff, then retransmits;
@@ -1292,20 +1348,20 @@ Scu::chargeLaneOp(sim::SimContext &wctx, sim::ThreadId lane_tid,
                     lane_tid,
                     mem::interconnectCycles(config_.pim, route.bytes) +
                         faults_->backoff(attempt));
-                wctx.bumpCounter("scu.retries");
-                wctx.bumpCounter("setops.recovery_bytes", route.bytes);
+                wctx.bumpCounter(ids().retries);
+                wctx.bumpCounter(ids().recoveryBytes, route.bytes);
                 ++attempt;
             }
         }
         wctx.chargeBusy(lane_tid, mem::interconnectCycles(
                                       config_.pim, route.bytes));
-        wctx.bumpCounter("scu.xvault_transfers");
-        wctx.bumpCounter("setops.xvault_bytes", route.bytes);
+        wctx.bumpCounter(ids().xvaultTransfers);
+        wctx.bumpCounter(ids().xvaultBytes, route.bytes);
         if (faults_ && faults_->config().verifyChecksums) {
             // Operand integrity: the receiving vault streams the
             // fetched payload once through its checksum unit.
             wctx.chargeBusy(lane_tid, verifyCycles(route.bytes));
-            wctx.bumpCounter("scu.checksum_verifies");
+            wctx.bumpCounter(ids().checksumVerifies);
         }
         if (dynamic_) {
             // Each lane has exactly one charging thread: no
@@ -1319,7 +1375,7 @@ Scu::chargeLaneOp(sim::SimContext &wctx, sim::ThreadId lane_tid,
             // A transient lane hiccup (queue arbitration glitch,
             // refresh collision): pure stall cycles, no work.
             wctx.chargeStall(lane_tid, stall);
-            wctx.bumpCounter("scu.lane_stalls");
+            wctx.bumpCounter(ids().laneStalls);
         }
     }
     chargeOutcome(wctx, lane_tid, outcome);
@@ -1328,7 +1384,7 @@ Scu::chargeLaneOp(sim::SimContext &wctx, sim::ThreadId lane_tid,
         // Result integrity: checksum the result as it streams out
         // of the vault (the SCU compares on adoption).
         wctx.chargeBusy(lane_tid, verifyCycles(resultBytes(outcome)));
-        wctx.bumpCounter("scu.checksum_verifies");
+        wctx.bumpCounter(ids().checksumVerifies);
     }
 }
 
@@ -1365,11 +1421,11 @@ Scu::dispatchBatch(sim::SimContext &ctx, sim::ThreadId tid,
         actx.vaultOf = [this](SetId id) { return vaultOf(id); };
         analysis::Report report =
             analysis::analyze(analysis::Program::fromBatch(batch), actx);
-        ctx.bumpCounter("scu.analysis_batches");
+        ctx.bumpCounter(ids().analysisBatches);
         if (report.errors > 0)
-            ctx.bumpCounter("scu.analysis_errors", report.errors);
+            ctx.bumpCounter(ids().analysisErrors, report.errors);
         if (report.warnings > 0)
-            ctx.bumpCounter("scu.analysis_warnings", report.warnings);
+            ctx.bumpCounter(ids().analysisWarnings, report.warnings);
         if (report.hasErrors()) {
             if (config_.analyze == AnalyzeMode::Strict) {
                 // The rejected batch never touches the scratch, but
@@ -1402,17 +1458,17 @@ Scu::dispatchBatch(sim::SimContext &ctx, sim::ThreadId tid,
     std::uint64_t base_recovery = 0;
     std::uint32_t base_dead = 0;
     if (faults_) {
-        base_retries = ctx.counter("scu.retries");
-        base_stalls = ctx.counter("scu.lane_stalls");
-        base_recovery = ctx.counter("setops.recovery_bytes");
+        base_retries = ctx.counter(ids().retries);
+        base_stalls = ctx.counter(ids().laneStalls);
+        base_recovery = ctx.counter(ids().recoveryBytes);
         base_dead = quarantine_.deadCount();
     }
 
     // One decode for the whole batch, then one serial metadata round
     // per operand on the SCU front end (the SMB is shared state).
     ctx.chargeBusy(tid, config_.pim.scuDelay);
-    ctx.bumpCounter("scu.batch_dispatches");
-    ctx.bumpCounter("scu.batch_ops", n);
+    ctx.bumpCounter(ids().batchDispatches);
+    ctx.bumpCounter(ids().batchOps, n);
     for (const BatchOp &op : batch.ops) {
         chargeMetadata(ctx, tid, op.a);
         chargeMetadata(ctx, tid, op.b);
@@ -1463,6 +1519,8 @@ Scu::dispatchBatch(sim::SimContext &ctx, sim::ThreadId tid,
     }
     const bool have_failures = !failedVaults_.empty();
     std::vector<char> lane_is_dead;
+    // Left empty (no pool predicate) unless a lane fail-stops.
+    std::function<bool(std::uint32_t)> lane_dead_fn;
     if (have_failures) {
         lane_is_dead.resize(lanes);
         for (std::uint32_t l = 0; l < lanes; ++l) {
@@ -1472,22 +1530,23 @@ Scu::dispatchBatch(sim::SimContext &ctx, sim::ThreadId tid,
                     ? 1
                     : 0;
         }
+        lane_dead_fn = [&](std::uint32_t l) {
+            return lane_is_dead[l] != 0;
+        };
     }
-    const std::function<bool(std::uint32_t)> lane_dead_fn =
-        [&](std::uint32_t l) { return lane_is_dead[l] != 0; };
 
     // Worker w executes lanes l with l % workers == w, charging
     // modeled cycles into its private SimContext (one logical thread
     // per lane) -- no shared mutable state until the barrier.
-    std::vector<sim::SimContext> worker_ctx;
-    worker_ctx.reserve(workers);
+    if (workerScratch_.size() < workers)
+        workerScratch_.resize(workers);
     for (std::uint32_t w = 0; w < workers; ++w) {
-        const std::uint32_t own =
-            (lanes - w + workers - 1) / workers;
-        worker_ctx.emplace_back(own);
+        WorkerScratch &ws = workerScratch_[w];
+        ws.ctx.reset((lanes - w + workers - 1) / workers);
         // Tag lane charges with the issuing context's query so the
         // barrier's absorbCounters lands them in its account.
-        worker_ctx.back().bindQuery(ctx.activeQuery());
+        ws.ctx.bindQuery(ctx.activeQuery());
+        ws.lane = UINT32_MAX;
     }
 
     std::vector<OpOutcome> &outcomes = outcomes_;
@@ -1508,25 +1567,19 @@ Scu::dispatchBatch(sim::SimContext &ctx, sim::ThreadId tid,
 
     // Worker wrapper: only the lane's owning worker charges, in
     // lane-op order, into its private SimContext -- deterministic no
-    // matter who executed the op. The per-worker `fetched` hash set
-    // dedups remote operands already pulled into the current lane
-    // (fetched once, reused by later ops; the batched_dispatch_
-    // 1vault_* bench row guards the large single-vault case). Owners
-    // visit their lanes in index order, so lane changes reset it.
-    struct LaneChargeState
-    {
-        std::unordered_set<SetId> fetched;
-        std::uint32_t lane = UINT32_MAX;
-    };
-    std::vector<LaneChargeState> charge_state(workers);
+    // matter who executed the op. The per-worker `fetched` set dedups
+    // remote operands already pulled into the current lane (fetched
+    // once, reused by later ops; the batched_dispatch_1vault_* bench
+    // row guards the large single-vault case). Owners visit their
+    // lanes in index order, so lane changes reset it.
     const auto charge_op = [&](std::uint32_t w, std::uint32_t l,
                                std::uint32_t pos) {
-        LaneChargeState &cs = charge_state[w];
-        if (cs.lane != l) {
-            cs.fetched.clear();
-            cs.lane = l;
+        WorkerScratch &ws = workerScratch_[w];
+        if (ws.lane != l) {
+            ws.fetched.clear();
+            ws.lane = l;
         }
-        chargeLaneOp(worker_ctx[w], l / workers, cs.fetched, l,
+        chargeLaneOp(ws.ctx, l / workers, ws.fetched, l,
                      lane_ops[l][pos], dispatch_idx);
     };
 
@@ -1551,17 +1604,14 @@ Scu::dispatchBatch(sim::SimContext &ctx, sim::ThreadId tid,
     // Barrier: vaults ran concurrently, so the issuing thread pays
     // the makespan of the slowest vault; work counters simply sum.
     mem::Cycles makespan = 0;
-    for (const sim::SimContext &wctx : worker_ctx) {
-        for (sim::ThreadId lane = 0; lane < wctx.numThreads(); ++lane)
-            makespan = std::max(makespan, wctx.threadCycles(lane));
-    }
+    for (std::uint32_t w = 0; w < workers; ++w)
+        makespan = std::max(makespan, workerScratch_[w].ctx.makespan());
     if (sched_) {
         // Shared-vault occupancy for the admission model: lane l ran
         // on worker l % workers as its modeled thread l / workers.
         for (std::uint32_t l = 0; l < lanes; ++l) {
-            noteVaultBusy(laneVault_[l],
-                          worker_ctx[l % workers].threadCycles(
-                              l / workers));
+            const sim::SimContext &wctx = workerScratch_[l % workers].ctx;
+            noteVaultBusy(laneVault_[l], wctx.threadCycles(l / workers));
         }
     }
 
@@ -1697,29 +1747,26 @@ Scu::dispatchBatch(sim::SimContext &ctx, sim::ThreadId tid,
             // phase starts after the watchdog fired, so its makespan
             // adds to the dispatch's.
             const std::uint32_t rec_lanes = total_lanes - lanes;
-            sim::SimContext rctx(rec_lanes);
+            sim::SimContext &rctx = serialCtx_;
+            rctx.reset(rec_lanes);
             rctx.bindQuery(ctx.activeQuery());
-            std::unordered_set<SetId> rec_fetched;
             for (std::uint32_t rl = 0; rl < rec_lanes; ++rl) {
                 const std::uint32_t l = lanes + rl;
-                rec_fetched.clear();
+                serialFetched_.clear();
                 for (const std::uint32_t i : laneOps_[l]) {
                     if (!balanced) {
                         outcomes_[i] =
                             executeOp(dispatch_idx, i, batch.ops[i]);
                     }
-                    chargeLaneOp(rctx, rl, rec_fetched, l, i,
+                    chargeLaneOp(rctx, rl, serialFetched_, l, i,
                                  dispatch_idx);
                 }
             }
-            mem::Cycles recovery_makespan = 0;
             for (sim::ThreadId rt = 0; rt < rec_lanes; ++rt) {
-                recovery_makespan =
-                    std::max(recovery_makespan, rctx.threadCycles(rt));
                 noteVaultBusy(laneVault_[lanes + rt],
                               rctx.threadCycles(rt));
             }
-            makespan += recovery_makespan;
+            makespan += rctx.makespan();
             ctx.absorbCounters(rctx);
         }
     }
@@ -1766,11 +1813,11 @@ Scu::dispatchBatch(sim::SimContext &ctx, sim::ThreadId tid,
             len = out;
             makespan += level;
         }
-        ctx.bumpCounter("setops.xvault_reduce_bytes", reduce_bytes);
+        ctx.bumpCounter(ids().xvaultReduceBytes, reduce_bytes);
     }
     ctx.chargeBusy(tid, makespan);
-    for (const sim::SimContext &wctx : worker_ctx)
-        ctx.absorbCounters(wctx);
+    for (std::uint32_t w = 0; w < workers; ++w)
+        ctx.absorbCounters(workerScratch_[w].ctx);
 
     // Dynamic re-placement closes the barrier: feed the observed
     // transfers to the policy and charge/apply its migrations.
@@ -1813,11 +1860,11 @@ Scu::dispatchBatch(sim::SimContext &ctx, sim::ThreadId tid,
                 op.b);
     }
     if (faults_) {
-        result.faults.retries = ctx.counter("scu.retries") - base_retries;
+        result.faults.retries = ctx.counter(ids().retries) - base_retries;
         result.faults.laneStalls =
-            ctx.counter("scu.lane_stalls") - base_stalls;
+            ctx.counter(ids().laneStalls) - base_stalls;
         result.faults.recoveryBytes =
-            ctx.counter("setops.recovery_bytes") - base_recovery;
+            ctx.counter(ids().recoveryBytes) - base_recovery;
         result.faults.quarantinedVaults =
             quarantine_.deadCount() - base_dead;
         // Draw the dispatch's recovery events against the query's
@@ -1863,8 +1910,8 @@ Scu::replaceAtBarrier(sim::SimContext &ctx, sim::ThreadId tid,
         overlay_[event.id] = to;
         ctx.chargeBusy(tid, mem::interconnectCycles(config_.pim,
                                                     event.bytes));
-        ctx.bumpCounter("scu.migrations");
-        ctx.bumpCounter("setops.migration_bytes", event.bytes);
+        ctx.bumpCounter(ids().migrations);
+        ctx.bumpCounter(ids().migrationBytes, event.bytes);
     }
 
     // Age the remaining heat AFTER this barrier's decisions, so the
@@ -1944,7 +1991,7 @@ Scu::drainWindow(sim::SimContext &, sim::ThreadId)
     const mem::Cycles now = nowV();
     if (maxCompletionV_ > now)
         ctx.chargeStall(tid, maxCompletionV_ - now);
-    ctx.bumpCounter("scu.async_drains");
+    ctx.bumpCounter(ids().asyncDrains);
     windowCtx_ = nullptr;
     pendingTickets_.clear();
     deps_.clear();
@@ -1969,7 +2016,7 @@ Scu::syncRead(sim::SimContext &ctx, sim::ThreadId tid, SetId id)
     const mem::Cycles now = nowV();
     if (def > now) {
         ctx.chargeStall(tid, def - now);
-        ctx.bumpCounter("scu.async_syncs");
+        ctx.bumpCounter(ids().asyncSyncs);
     }
 }
 
@@ -1988,7 +2035,7 @@ Scu::syncWrite(sim::SimContext &ctx, sim::ThreadId tid, SetId id)
     const mem::Cycles now = nowV();
     if (horizon > now) {
         ctx.chargeStall(tid, horizon - now);
-        ctx.bumpCounter("scu.async_syncs");
+        ctx.bumpCounter(ids().asyncSyncs);
     }
 }
 
@@ -2051,11 +2098,11 @@ Scu::dispatchAsync(sim::SimContext &ctx, sim::ThreadId tid,
         actx.vaultOf = [this](SetId id) { return vaultOf(id); };
         analysis::Report report =
             analysis::analyze(analysis::Program::fromBatch(batch), actx);
-        ctx.bumpCounter("scu.analysis_batches");
+        ctx.bumpCounter(ids().analysisBatches);
         if (report.errors > 0)
-            ctx.bumpCounter("scu.analysis_errors", report.errors);
+            ctx.bumpCounter(ids().analysisErrors, report.errors);
         if (report.warnings > 0)
-            ctx.bumpCounter("scu.analysis_warnings", report.warnings);
+            ctx.bumpCounter(ids().analysisWarnings, report.warnings);
         if (report.hasErrors()) {
             if (config_.analyze == AnalyzeMode::Strict) {
                 maybeShrinkScratch(0);
@@ -2093,9 +2140,9 @@ Scu::dispatchAsync(sim::SimContext &ctx, sim::ThreadId tid,
     std::uint64_t base_stalls = 0;
     std::uint64_t base_recovery = 0;
     if (faults_) {
-        base_retries = ctx.counter("scu.retries");
-        base_stalls = ctx.counter("scu.lane_stalls");
-        base_recovery = ctx.counter("setops.recovery_bytes");
+        base_retries = ctx.counter(ids().retries);
+        base_stalls = ctx.counter(ids().laneStalls);
+        base_recovery = ctx.counter(ids().recoveryBytes);
     }
 
     BatchResult result;
@@ -2105,8 +2152,8 @@ Scu::dispatchAsync(sim::SimContext &ctx, sim::ThreadId tid,
     // then one serial metadata round per operand on the SCU. These
     // charges advance real time (and therefore virtual "now").
     ctx.chargeBusy(tid, config_.pim.scuDelay);
-    ctx.bumpCounter("scu.batch_dispatches");
-    ctx.bumpCounter("scu.batch_ops", n);
+    ctx.bumpCounter(ids().batchDispatches);
+    ctx.bumpCounter(ids().batchOps, n);
     for (const BatchOp &op : batch.ops) {
         chargeMetadata(ctx, tid, op.a);
         chargeMetadata(ctx, tid, op.b);
@@ -2148,19 +2195,19 @@ Scu::dispatchAsync(sim::SimContext &ctx, sim::ThreadId tid,
     // window's batches, which is precisely where the overlap win
     // comes from. Counters merge into ctx below (absorbCounters), so
     // counter totals stay bit-identical to dispatchBatch.
-    sim::SimContext acct(1);
+    sim::SimContext &acct = serialCtx_;
+    acct.reset(1);
     acct.bindQuery(ctx.activeQuery());
-    std::unordered_set<SetId> fetched;
     mem::Cycles batch_end = issue_v;
     for (std::uint32_t l = 0; l < lanes; ++l) {
         const std::uint32_t vault = laneVault_[l];
-        fetched.clear();
+        serialFetched_.clear();
         const mem::Cycles lane_entry = acct.threadCycles(0);
         mem::Cycles lane_clock =
             std::max(laneClockV_[vault], issue_v);
         for (const std::uint32_t i : laneOps_[l]) {
             const mem::Cycles before = acct.threadCycles(0);
-            chargeLaneOp(acct, 0, fetched, l, i, dispatch_idx);
+            chargeLaneOp(acct, 0, serialFetched_, l, i, dispatch_idx);
             const mem::Cycles cost = acct.threadCycles(0) - before;
             const mem::Cycles start =
                 std::max<mem::Cycles>(lane_clock, ready[i]);
@@ -2217,7 +2264,7 @@ Scu::dispatchAsync(sim::SimContext &ctx, sim::ThreadId tid,
             len = out;
             completion += level;
         }
-        ctx.bumpCounter("setops.xvault_reduce_bytes", reduce_bytes);
+        ctx.bumpCounter(ids().xvaultReduceBytes, reduce_bytes);
         reduceEndV_ = completion;
     }
     maxCompletionV_ = std::max(maxCompletionV_, completion);
@@ -2270,11 +2317,11 @@ Scu::dispatchAsync(sim::SimContext &ctx, sim::ThreadId tid,
         // were fenced to the barriered dispatch above), so the
         // quarantine count can never move here.
         result.faults.retries =
-            ctx.counter("scu.retries") - base_retries;
+            ctx.counter(ids().retries) - base_retries;
         result.faults.laneStalls =
-            ctx.counter("scu.lane_stalls") - base_stalls;
+            ctx.counter(ids().laneStalls) - base_stalls;
         result.faults.recoveryBytes =
-            ctx.counter("setops.recovery_bytes") - base_recovery;
+            ctx.counter(ids().recoveryBytes) - base_recovery;
         if (sched_)
             demand_.faultEvents += result.faults.retries +
                                    result.faults.laneStalls;
@@ -2288,14 +2335,14 @@ Scu::dispatchAsync(sim::SimContext &ctx, sim::ThreadId tid,
     const std::uint64_t ticket = nextTicket_++;
     pendingResults_.emplace(ticket, std::move(result));
     pendingTickets_.emplace_back(ticket, completion);
-    ctx.bumpCounter("scu.async_dispatches");
+    ctx.bumpCounter(ids().asyncDispatches);
     while (pendingTickets_.size() > config_.asyncDepth) {
         const mem::Cycles retire = pendingTickets_.front().second;
         pendingTickets_.pop_front();
         const mem::Cycles now = nowV();
         if (retire > now) {
             ctx.chargeStall(tid, retire - now);
-            ctx.bumpCounter("scu.async_syncs");
+            ctx.bumpCounter(ids().asyncSyncs);
         }
     }
     reportDispatch(ctx);

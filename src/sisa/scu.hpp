@@ -20,6 +20,7 @@
 #ifndef SISA_SISA_SCU_HPP
 #define SISA_SISA_SCU_HPP
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -686,6 +687,51 @@ class Scu
     std::uint32_t buildLanes(std::size_t n);
 
     /**
+     * Remote operands already pulled into one lane this dispatch: an
+     * epoch stamp per SetId, so moving to the next lane is an O(1)
+     * clear() and a lookup is an indexed compare, not a hash probe.
+     */
+    class FetchedSet
+    {
+      public:
+        void
+        clear()
+        {
+            if (++epoch_ == 0) { // Wrapped: old stamps could alias.
+                for (auto &page : pages_) {
+                    if (page)
+                        std::fill_n(page.get(), page_size, 0);
+                }
+                epoch_ = 1;
+            }
+        }
+
+        /** Add @p id; true iff it was not yet in the set. */
+        bool
+        insert(SetId id)
+        {
+            const std::size_t p = id / page_size;
+            if (p >= pages_.size())
+                pages_.resize(p + 1);
+            if (!pages_[p])
+                pages_[p] = std::make_unique<std::uint32_t[]>(page_size);
+            std::uint32_t &stamp = pages_[p][id % page_size];
+            if (stamp == epoch_)
+                return false;
+            stamp = epoch_;
+            return true;
+        }
+
+      private:
+        // Paged, so growing never copies into a bigger block and
+        // frees the old one: on tc-hub a flat doubling vector left
+        // holes in the heap that cost up to ~10 MB of peak RSS.
+        static constexpr std::size_t page_size = 4096;
+        std::vector<std::unique_ptr<std::uint32_t[]>> pages_;
+        std::uint32_t epoch_ = 1;
+    };
+
+    /**
      * The accounting half of batched op @p i on lane @p l: remote
      * co-operand transfer (deduped per lane by @p fetched, drop/
      * retransmit and checksum fault hooks behind the faults_ gate),
@@ -696,9 +742,8 @@ class Scu
      * virtual-time accounting, so all three bill one rule.
      */
     void chargeLaneOp(sim::SimContext &wctx, sim::ThreadId lane_tid,
-                      std::unordered_set<SetId> &fetched,
-                      std::uint32_t l, std::uint32_t i,
-                      std::uint64_t dispatch_idx);
+                      FetchedSet &fetched, std::uint32_t l,
+                      std::uint32_t i, std::uint64_t dispatch_idx);
 
     // --- Async dispatch window (dispatchAsync) ------------------------
 
@@ -904,6 +949,25 @@ class Scu
      */
     std::vector<std::vector<std::pair<SetId, std::uint64_t>>>
         laneFetched_;
+    /**
+     * Per-worker lane accounting of dispatchBatch, reset per dispatch
+     * instead of rebuilt: a private context (one modeled thread per
+     * owned lane) and the fetched-operand set of the lane the worker
+     * is charging.
+     */
+    struct WorkerScratch
+    {
+        sim::SimContext ctx{1};
+        FetchedSet fetched;
+        std::uint32_t lane = UINT32_MAX;
+    };
+    std::vector<WorkerScratch> workerScratch_;
+    /**
+     * Serial lane accounting (async virtual time, recovery replay):
+     * a context reset per use and one fetched-operand set.
+     */
+    sim::SimContext serialCtx_{1};
+    FetchedSet serialFetched_;
     std::size_t scratchPeak_ = 0;       ///< Max batch size this window.
     std::uint32_t scratchDispatches_ = 0;
     static constexpr std::uint32_t scratch_window = 32;

@@ -62,7 +62,7 @@ SetStore::createFromSorted(std::vector<Element> elems, SetRepr repr)
     } else {
         payloads_[id] = DenseBitset::fromSorted(elems, universe_);
     }
-    metadata_[id].location = space_.allocate("set", bytes).base;
+    metadata_[id].location = space_.allocate(bytes).base;
     refreshMetadata(id);
     ++liveCount_;
     return id;
@@ -79,7 +79,7 @@ SetStore::createFull()
 {
     const SetId id = allocateSlot();
     payloads_[id] = DenseBitset::full(universe_);
-    metadata_[id].location = space_.allocate("set", denseBytes()).base;
+    metadata_[id].location = space_.allocate(denseBytes()).base;
     refreshMetadata(id);
     ++liveCount_;
     return id;
@@ -184,7 +184,7 @@ SetStore::adopt(SortedArraySet set)
 {
     const SetId id = allocateSlot();
     metadata_[id].location =
-        space_.allocate("set", set.size() * sizeof(Element)).base;
+        space_.allocate(set.size() * sizeof(Element)).base;
     payloads_[id] = std::move(set);
     refreshMetadata(id);
     ++liveCount_;
@@ -196,7 +196,7 @@ SetStore::adopt(DenseBitset set)
 {
     sisa_assert(set.universe() == universe_, "universe mismatch");
     const SetId id = allocateSlot();
-    metadata_[id].location = space_.allocate("set", denseBytes()).base;
+    metadata_[id].location = space_.allocate(denseBytes()).base;
     payloads_[id] = std::move(set);
     refreshMetadata(id);
     ++liveCount_;

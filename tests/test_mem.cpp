@@ -13,8 +13,8 @@ using namespace sisa::mem;
 TEST(AddressSpace, PageAlignedDisjointRegions)
 {
     AddressSpace space;
-    const Region a = space.allocate("a", 100);
-    const Region b = space.allocate("b", 5000);
+    const Region a = space.allocate(100);
+    const Region b = space.allocate(5000);
     EXPECT_EQ(a.base % 4096, 0u);
     EXPECT_EQ(b.base % 4096, 0u);
     EXPECT_GE(b.base, a.base + 4096);

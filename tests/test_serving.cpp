@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "algorithms/bron_kerbosch.hpp"
 #include "algorithms/kclique.hpp"
 #include "algorithms/triangle_count.hpp"
+#include "core/query_session.hpp"
 #include "core/sisa_engine.hpp"
 #include "graph/generators.hpp"
 #include "serve/scenario.hpp"
@@ -447,6 +449,108 @@ TEST(ServingScenario, MatchesPlainEngineRun)
     EXPECT_EQ(report.queries[0].account.busy, plain.busy);
     EXPECT_EQ(report.queries[0].account.stall, plain.stall);
     EXPECT_EQ(report.queries[0].account.counters, plain.counters);
+}
+
+TEST(ServingScenario, PerQueryAccountsConserveTaggedCharges)
+{
+    // sim/context.hpp's invariant: the sum of per-query accounts
+    // equals the sum of tagged charges, for cycles and for every
+    // counter. A session's ctx tags every charge with its query from
+    // construction, so its thread totals and counters ARE the tagged
+    // charges -- after a co-tenant run with worker and async scratch
+    // contexts folded in at every dispatch.
+    const graph::Graph graph = testGraph();
+    isa::ScuConfig scu;
+    scu.batchWorkers = 2;
+    scu.asyncDepth = 4;
+    isa::QueryScheduler sched(isa::SchedPolicy::Credit, 20000);
+    struct Tenant
+    {
+        std::unique_ptr<core::SisaEngine> engine;
+        std::unique_ptr<core::QuerySession> session;
+        std::unique_ptr<algorithms::OrientedSetGraph> osg;
+        std::unique_ptr<core::SetGraph> sg;
+    };
+    const std::vector<std::pair<std::string, std::uint64_t>> queries{
+        {"tc", 500}, {"mc", 40}, {"kcc-4", 150}};
+    std::vector<Tenant> tenants(queries.size());
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+        Tenant &t = tenants[i];
+        t.engine = std::make_unique<core::SisaEngine>(
+            graph.numVertices(), scu, /*num_threads=*/2);
+        if (i > 0) {
+            t.engine->scu().adoptPool(
+                tenants[0].engine->scu().sharedPool());
+        }
+        t.session = std::make_unique<core::QuerySession>(
+            queries[i].first, sched, /*threads=*/2);
+        t.session->ctx().setPatternCutoff(queries[i].second);
+        if (queries[i].first == "mc")
+            t.sg = std::make_unique<core::SetGraph>(graph, *t.engine);
+        else
+            t.osg = std::make_unique<algorithms::OrientedSetGraph>(
+                graph, *t.engine);
+    }
+    for (Tenant &t : tenants)
+        t.session->attach(*t.engine);
+    std::vector<std::thread> threads;
+    for (Tenant &t : tenants) {
+        threads.emplace_back([&t] {
+            core::QuerySession &session = *t.session;
+            if (session.label() == "tc")
+                algorithms::triangleCount(*t.osg, session);
+            else if (session.label() == "mc")
+                algorithms::maximalCliques(*t.sg, session);
+            else
+                algorithms::kCliqueCount(*t.osg, session, 4);
+            session.finish();
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+
+    mem::Cycles busy = 0;
+    mem::Cycles stall = 0;
+    std::map<std::string, std::uint64_t> counters;
+    sim::SimContext aggregate(1);
+    for (const Tenant &t : tenants) {
+        const sim::SimContext &ctx = t.session->ctx();
+        SCOPED_TRACE("problem=" + t.session->label());
+        mem::Cycles ctx_busy = 0;
+        mem::Cycles ctx_stall = 0;
+        for (sim::ThreadId tid = 0; tid < ctx.numThreads(); ++tid) {
+            ctx_busy += ctx.threadBusy(tid);
+            ctx_stall += ctx.threadStall(tid);
+        }
+        ASSERT_EQ(ctx.queryAccounts().size(), 1u);
+        const sim::QueryAccount &account =
+            ctx.queryAccount(t.session->id());
+        EXPECT_GT(account.cycles(), 0u);
+        EXPECT_EQ(account.busy, ctx_busy);
+        EXPECT_EQ(account.stall, ctx_stall);
+        EXPECT_EQ(account.counters, ctx.counters());
+        EXPECT_GT(account.counters.at("scu.batch_dispatches"), 0u);
+        busy += ctx_busy;
+        stall += ctx_stall;
+        for (const auto &[name, value] : ctx.counters())
+            counters[name] += value;
+        aggregate.absorbQueryAccounting(ctx);
+    }
+
+    // The serving aggregate's accounts partition the same totals.
+    mem::Cycles agg_busy = 0;
+    mem::Cycles agg_stall = 0;
+    std::map<std::string, std::uint64_t> agg_counters;
+    ASSERT_EQ(aggregate.queryAccounts().size(), tenants.size());
+    for (const auto &[query, account] : aggregate.queryAccounts()) {
+        agg_busy += account.busy;
+        agg_stall += account.stall;
+        for (const auto &[name, value] : account.counters)
+            agg_counters[name] += value;
+    }
+    EXPECT_EQ(agg_busy, busy);
+    EXPECT_EQ(agg_stall, stall);
+    EXPECT_EQ(agg_counters, counters);
 }
 
 TEST(ServingScenario, RejectsUnknownProblem)

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
+
 #include "sim/context.hpp"
 #include "sim/cpu_model.hpp"
 
@@ -110,6 +117,125 @@ TEST(Context, Counters)
     ctx.bumpCounter("x", 4);
     EXPECT_EQ(ctx.counter("x"), 5u);
     EXPECT_EQ(ctx.counter("missing"), 0u);
+}
+
+// --- Counter registry ------------------------------------------------------
+
+using Counters = std::map<std::string, std::uint64_t>;
+
+TEST(CounterRegistry, NameReportsIffBumpedEvenByZero)
+{
+    SimContext ctx(1);
+    ctx.bumpCounter("reg.zero", 0);
+    ctx.bumpCounter(internCounter("reg.one"));
+    internCounter("reg.interned_only"); // Registered, never bumped.
+    EXPECT_EQ(ctx.counters(),
+              (Counters{{"reg.one", 1}, {"reg.zero", 0}}));
+    EXPECT_EQ(ctx.counter(internCounter("reg.one")), 1u);
+    // Registration is process-wide; presence is per context.
+    EXPECT_TRUE(SimContext(1).counters().empty());
+}
+
+TEST(CounterRegistry, ReadingAnUnknownNameDoesNotRegisterIt)
+{
+    SimContext ctx(1);
+    EXPECT_FALSE(findCounter("reg.never-bumped").has_value());
+    EXPECT_EQ(ctx.counter("reg.never-bumped"), 0u);
+    EXPECT_FALSE(findCounter("reg.never-bumped").has_value());
+    EXPECT_TRUE(ctx.counters().empty());
+}
+
+TEST(CounterRegistry, AbsorbAndQuerySlicesEqualSummedBumps)
+{
+    SimContext a(1);
+    a.bindQuery(7);
+    a.bumpCounter("reg.x", 3);
+    a.chargeBusy(0, 10);
+    a.bindQuery(no_query);
+    a.bumpCounter("reg.x", 5); // Untagged: thread totals only.
+    a.bindQuery(9);
+    a.bumpCounter("reg.y", 2);
+    a.chargeStall(0, 4);
+
+    SimContext b(2);
+    b.bindQuery(7);
+    b.bumpCounter("reg.x", 11);
+    b.bumpCounter("reg.y", 0);
+    b.chargeBusy(1, 6);
+
+    // absorbCounters merges counters (thread and per-query), never
+    // cycles.
+    a.absorbCounters(b);
+    EXPECT_EQ(a.counters(), (Counters{{"reg.x", 19}, {"reg.y", 2}}));
+    EXPECT_EQ(a.queryAccount(7).counters,
+              (Counters{{"reg.x", 14}, {"reg.y", 0}}));
+    EXPECT_EQ(a.queryAccount(7).busy, 10u);
+    EXPECT_EQ(a.queryAccount(9).counters, (Counters{{"reg.y", 2}}));
+    EXPECT_EQ(a.queryAccount(9).stall, 4u);
+    EXPECT_EQ(a.queryAccounts().size(), 2u);
+    EXPECT_TRUE(a.queryAccount(8).counters.empty());
+
+    // absorbQueryAccounting merges whole accounts, cycles included,
+    // and leaves the thread-level counters alone.
+    SimContext agg(1);
+    agg.absorbQueryAccounting(a);
+    agg.absorbQueryAccounting(b);
+    EXPECT_EQ(agg.queryAccount(7).busy, 16u);
+    EXPECT_EQ(agg.queryAccount(7).counters,
+              (Counters{{"reg.x", 25}, {"reg.y", 0}}));
+    EXPECT_EQ(agg.queryAccount(9).cycles(), 4u);
+    EXPECT_TRUE(agg.counters().empty());
+
+    // reset() returns to the constructed state.
+    agg.reset(3);
+    EXPECT_EQ(agg.numThreads(), 3u);
+    EXPECT_TRUE(agg.queryAccounts().empty());
+    EXPECT_TRUE(agg.counters().empty());
+}
+
+TEST(CounterRegistry, BoundQuerySurvivesCopyAndMove)
+{
+    SimContext ctx(1);
+    ctx.bindQuery(3);
+    ctx.bumpCounter("reg.c");
+    SimContext copy = ctx;
+    copy.bumpCounter("reg.c", 2);
+    copy.chargeBusy(0, 5);
+    EXPECT_EQ(ctx.queryAccount(3).counters.at("reg.c"), 1u);
+    EXPECT_EQ(ctx.queryAccount(3).busy, 0u);
+    EXPECT_EQ(copy.queryAccount(3).counters.at("reg.c"), 3u);
+    SimContext moved = std::move(copy);
+    moved.bumpCounter("reg.c");
+    EXPECT_EQ(moved.queryAccount(3).counters.at("reg.c"), 4u);
+    EXPECT_EQ(moved.queryAccount(3).busy, 5u);
+}
+
+TEST(CounterRegistry, ConcurrentInterningGivesOneIdPerName)
+{
+    constexpr std::size_t threads = 4;
+    constexpr std::size_t names = 64;
+    std::vector<std::vector<CounterId>> ids(
+        threads, std::vector<CounterId>(names));
+    std::vector<std::thread> pool;
+    for (std::size_t t = 0; t < threads; ++t) {
+        pool.emplace_back([&ids, t] {
+            // Each thread walks the names in a different order.
+            for (std::size_t i = 0; i < names; ++i) {
+                const std::size_t k = (i + t * 17) % names;
+                ids[t][k] = internCounter("reg.concurrent." +
+                                          std::to_string(k));
+            }
+        });
+    }
+    for (std::thread &thread : pool)
+        thread.join();
+    for (std::size_t t = 1; t < threads; ++t)
+        EXPECT_EQ(ids[t], ids[0]);
+    EXPECT_EQ(std::set<CounterId>(ids[0].begin(), ids[0].end()).size(),
+              names);
+    for (std::size_t k = 0; k < names; ++k)
+        EXPECT_EQ(counterName(ids[0][k]),
+                  "reg.concurrent." + std::to_string(k));
 }
 
 // --- CPU model -------------------------------------------------------------

@@ -664,6 +664,11 @@ main(int argc, char **argv)
                              "serve= mode arguments\n");
         return usage(argv[0]);
     }
+    if (!have_serve && !validProblem(problem)) {
+        std::fprintf(stderr, "unknown problem '%s' (%s)\n",
+                     problem.c_str(), valid_problems);
+        return usage(argv[0]);
+    }
     isa::InstructionTrace trace;
     if (lint_trace)
         config.trace = &trace;
