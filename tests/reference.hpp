@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <set>
 #include <vector>
 
@@ -178,6 +179,38 @@ refStarEmbeddings(const Graph &g, std::uint32_t leaves)
         recurse(recurse, center);
     }
     return count;
+}
+
+/** A cap B over std::set: the oracle for the intersect instructions. */
+template <typename T>
+inline std::set<T>
+refIntersect(const std::set<T> &a, const std::set<T> &b)
+{
+    std::set<T> out;
+    std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
+                          std::inserter(out, out.end()));
+    return out;
+}
+
+/** A cup B over std::set. */
+template <typename T>
+inline std::set<T>
+refUnion(const std::set<T> &a, const std::set<T> &b)
+{
+    std::set<T> out = a;
+    out.insert(b.begin(), b.end());
+    return out;
+}
+
+/** A setminus B over std::set. */
+template <typename T>
+inline std::set<T>
+refDifference(const std::set<T> &a, const std::set<T> &b)
+{
+    std::set<T> out;
+    std::set_difference(a.begin(), a.end(), b.begin(), b.end(),
+                        std::inserter(out, out.end()));
+    return out;
 }
 
 } // namespace sisa::tests

@@ -5,19 +5,24 @@
  * {1,4} workers x {primary, min-bytes, balanced} routing x {hash,
  * locality} placement x faults on/off (values, result ids, payloads,
  * golden instruction traces, and every counter outside the
- * scu.async_* family), a strictly-lower-makespan pin for
- * Bron-Kerbosch on RMAT, window mechanics (depth-bounded retirement,
- * drain-on-rebind, strict rejection leaving the window intact,
- * serial-op synchronization stalls), the batched lastBackend
- * retention rule, and the scratch high-watermark release on empty
- * and strict-rejected dispatches.
+ * scu.async_* family) plus absolute cycle and counter pins per
+ * configuration, a seeded random-batch oracle against std::set
+ * across routing x depth x workers x faults, a strictly-lower-
+ * makespan pin for Bron-Kerbosch on RMAT, window mechanics
+ * (depth-bounded retirement, drain-on-rebind, strict rejection
+ * leaving the window intact, serial-op synchronization stalls), the
+ * batched lastBackend retention rule, and the scratch high-watermark
+ * release on empty and strict-rejected dispatches.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <iterator>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -33,6 +38,7 @@
 #include "sisa/scu.hpp"
 #include "sisa/set_store.hpp"
 #include "sisa/trace.hpp"
+#include "reference.hpp"
 
 namespace {
 
@@ -102,6 +108,8 @@ struct CampaignRun
     std::map<std::string, std::uint64_t> counters;
     std::vector<std::uint32_t> trace;
     mem::Cycles makespan = 0;
+    mem::Cycles busy = 0;  ///< Thread 0 busy cycles.
+    mem::Cycles stall = 0; ///< Thread 0 stall cycles.
 };
 
 /** Drop the scu.async_* family: window diagnostics, never work. */
@@ -166,10 +174,75 @@ runCampaign(const ScuConfig &config, bool locality,
     run.counters = ctx.counters();
     run.trace = trace.words();
     run.makespan = ctx.makespan();
+    run.busy = ctx.threadBusy(0);
+    run.stall = ctx.threadStall(0);
     return run;
 }
 
+/** FNV-1a over every (name, value) pair, in name order. */
+std::uint64_t
+counterHash(const std::map<std::string, std::uint64_t> &counters)
+{
+    std::uint64_t h = 14695981039346656037ull;
+    const auto mix = [&h](std::uint64_t byte) {
+        h = (h ^ byte) * 1099511628211ull;
+    };
+    for (const auto &[name, value] : counters) {
+        for (const char c : name)
+            mix(static_cast<unsigned char>(c));
+        mix(0);
+        for (int shift = 0; shift < 64; shift += 8)
+            mix((value >> shift) & 0xff);
+    }
+    return h;
+}
+
 // --- Bit-identity differential ---------------------------------------------
+
+/** Absolute modeled numbers of one differential configuration. */
+struct CampaignPin
+{
+    mem::Cycles barrieredMakespan;
+    mem::Cycles windowedMakespan;
+    mem::Cycles barrieredBusy;
+    mem::Cycles barrieredStall;
+    mem::Cycles windowedBusy;
+    mem::Cycles windowedStall;
+    std::uint64_t counterHash; ///< counterHash(nonAsyncCounters(...)).
+};
+
+/**
+ * Pins for WindowedMatchesBarrieredAcrossConfigs, in its loop order
+ * (routing, then workers, then locality, then faults). Recorded when
+ * the barriered and windowed paths were still separate code; they
+ * must never change.
+ */
+constexpr CampaignPin campaign_pins[] = {
+    {20463u, 14092u, 20463u, 0u, 2652u, 11440u, 0x656dae2f884b0832ull},
+    {31655u, 26943u, 31655u, 0u, 9535u, 17408u, 0xa97caa76d8d0efccull},
+    {25341u, 19634u, 25341u, 0u, 2652u, 16982u, 0x99d16ecbe6aad002ull},
+    {37538u, 32844u, 37538u, 0u, 11270u, 21574u, 0xf83d8b86e4995557ull},
+    {20463u, 14092u, 20463u, 0u, 2652u, 11440u, 0x656dae2f884b0832ull},
+    {31655u, 26943u, 31655u, 0u, 9535u, 17408u, 0xa97caa76d8d0efccull},
+    {25341u, 19634u, 25341u, 0u, 2652u, 16982u, 0x99d16ecbe6aad002ull},
+    {37538u, 32844u, 37538u, 0u, 11270u, 21574u, 0xf83d8b86e4995557ull},
+    {18355u, 11597u, 18355u, 0u, 2652u, 8945u, 0xa3b887de3f041a5aull},
+    {27274u, 22814u, 27274u, 0u, 9408u, 13406u, 0xc9e4e4e01fdfe08aull},
+    {25383u, 21415u, 25383u, 0u, 2652u, 18763u, 0x078dfc143d4a9089ull},
+    {38915u, 36589u, 38915u, 0u, 12520u, 24069u, 0x7e018927b3c57e1eull},
+    {18355u, 11597u, 18355u, 0u, 2652u, 8945u, 0xa3b887de3f041a5aull},
+    {27274u, 22814u, 27274u, 0u, 9408u, 13406u, 0xc9e4e4e01fdfe08aull},
+    {25383u, 21415u, 25383u, 0u, 2652u, 18763u, 0x078dfc143d4a9089ull},
+    {38915u, 36589u, 38915u, 0u, 12520u, 24069u, 0x7e018927b3c57e1eull},
+    {17185u, 10213u, 17185u, 0u, 2652u, 7561u, 0x2782bd9088868ed4ull},
+    {25252u, 20321u, 25252u, 0u, 8642u, 11679u, 0xcc0687e8880bc6edull},
+    {22174u, 18049u, 22174u, 0u, 2652u, 15397u, 0xe7759444e92781c1ull},
+    {33058u, 30482u, 33058u, 0u, 11314u, 19168u, 0xa2b6475f8076a806ull},
+    {17185u, 10213u, 17185u, 0u, 2652u, 7561u, 0x2782bd9088868ed4ull},
+    {25252u, 20321u, 25252u, 0u, 8642u, 11679u, 0xcc0687e8880bc6edull},
+    {22174u, 18049u, 22174u, 0u, 2652u, 15397u, 0xe7759444e92781c1ull},
+    {33058u, 30482u, 33058u, 0u, 11314u, 19168u, 0xa2b6475f8076a806ull},
+};
 
 TEST(AsyncDifferential, WindowedMatchesBarrieredAcrossConfigs)
 {
@@ -180,6 +253,11 @@ TEST(AsyncDifferential, WindowedMatchesBarrieredAcrossConfigs)
     // vault failure (which fences the failing dispatch back onto the
     // barriered path), with any routing, placement, and worker
     // count. Only modeled time may move, and never upward.
+    //
+    // Both sides run the same dispatch pipeline, so a drift moving
+    // both of them at once would pass the comparison above: the
+    // absolute pins below catch it.
+    std::size_t config = 0;
     for (const Routing routing :
          {Routing::Primary, Routing::MinBytes, Routing::Balanced}) {
         for (const std::uint32_t workers : {1u, 4u}) {
@@ -219,10 +297,25 @@ TEST(AsyncDifferential, WindowedMatchesBarrieredAcrossConfigs)
                               nonAsyncCounters(async.counters))
                         << what;
                     EXPECT_LE(async.makespan, base.makespan) << what;
+
+                    const CampaignPin &pin = campaign_pins[config++];
+                    EXPECT_EQ(base.makespan, pin.barrieredMakespan)
+                        << what;
+                    EXPECT_EQ(async.makespan, pin.windowedMakespan)
+                        << what;
+                    EXPECT_EQ(base.busy, pin.barrieredBusy) << what;
+                    EXPECT_EQ(base.stall, pin.barrieredStall) << what;
+                    EXPECT_EQ(async.busy, pin.windowedBusy) << what;
+                    EXPECT_EQ(async.stall, pin.windowedStall) << what;
+                    EXPECT_EQ(
+                        counterHash(nonAsyncCounters(base.counters)),
+                        pin.counterHash)
+                        << what;
                 }
             }
         }
     }
+    EXPECT_EQ(config, std::size(campaign_pins));
 }
 
 /** Run maximalCliques on a fixed RMAT graph at @p depth. */
@@ -272,6 +365,159 @@ TEST(AsyncDifferential, BronKerboschGoldenTraceAndLowerMakespan)
               nonAsyncCounters(windowed.counters));
     EXPECT_GT(windowed.counters.at("scu.async_dispatches"), 0u);
     EXPECT_LT(windowed.makespan, barriered.makespan);
+}
+
+// --- Seeded random-batch oracle -------------------------------------------
+
+/**
+ * One seeded campaign of random batches checked against std::set
+ * after every dispatch. Batches hold 0-48 ops of every kind and
+ * variant over empty, sorted-array and bitvector operands, with
+ * repeated operands (a op a, and whole ops issued twice), and later
+ * batches read earlier results -- under a window those are still
+ * pending defs.
+ */
+void
+checkOracleCampaign(const ScuConfig &config, std::uint64_t seed,
+                    const std::string &what)
+{
+    std::uint64_t state = seed;
+    const auto next = [&state] {
+        state = state * 6364136223846793005ull + 1442695040888963407ull;
+        return state >> 33;
+    };
+    constexpr Element universe = 1024;
+    SetStore store(universe);
+    Scu scu(store, config, 1);
+    SimContext ctx(1);
+    std::vector<SetId> ids;
+    std::vector<std::set<Element>> mirror;
+    for (int s = 0; s < 24; ++s) {
+        // Every fourth set is empty; the rest span sparse to dense.
+        const std::uint64_t size = s % 4 == 0 ? 0 : next() % 300;
+        std::set<Element> elems;
+        for (std::uint64_t e = 0; e < size; ++e)
+            elems.insert(static_cast<Element>(next() % universe));
+        ids.push_back(store.createFromSorted(
+            {elems.begin(), elems.end()},
+            next() % 2 ? SetRepr::DenseBitvector : SetRepr::SparseArray));
+        mirror.push_back(std::move(elems));
+    }
+
+    constexpr SisaOp intersect_variants[] = {
+        SisaOp::IntersectAuto, SisaOp::IntersectMerge,
+        SisaOp::IntersectGallop};
+    constexpr SisaOp union_variants[] = {
+        SisaOp::UnionAuto, SisaOp::UnionMerge, SisaOp::UnionGallop};
+    constexpr SisaOp difference_variants[] = {
+        SisaOp::DifferenceAuto, SisaOp::DifferenceMerge,
+        SisaOp::DifferenceGallop};
+    for (int b = 0; b < 8; ++b) {
+        BatchRequest req;
+        std::vector<std::pair<std::size_t, std::size_t>> operands;
+        const std::uint64_t count = next() % 49;
+        for (std::uint64_t i = 0; i < count; ++i) {
+            if (i > 0 && next() % 8 == 0) { // Issue an op twice.
+                req.ops.push_back(req.ops.back());
+                operands.push_back(operands.back());
+                continue;
+            }
+            const std::size_t x = next() % ids.size();
+            const std::size_t y =
+                next() % 6 == 0 ? x : next() % ids.size();
+            const SetId a = ids[x];
+            const SetId c = ids[y];
+            const std::uint64_t variant = next() % 3;
+            switch (next() % 5) {
+              case 0: req.intersect(a, c, intersect_variants[variant]); break;
+              case 1: req.setUnion(a, c, union_variants[variant]); break;
+              case 2: req.difference(a, c, difference_variants[variant]); break;
+              case 3: req.intersectCard(a, c, intersect_variants[variant]); break;
+              default: req.unionCard(a, c); break;
+            }
+            operands.emplace_back(x, y);
+        }
+        const BatchResult res =
+            scu.collectBatch(ctx, 0, scu.dispatchAsync(ctx, 0, req));
+        ASSERT_EQ(res.entries.size(), count) << what;
+        for (std::size_t i = 0; i < count; ++i) {
+            const auto [x, y] = operands[i];
+            const BatchEntry &entry = res.entries[i];
+            std::set<Element> expect;
+            switch (req.ops[i].kind) {
+              case BatchOpKind::Intersect:
+              case BatchOpKind::IntersectCard:
+                expect = tests::refIntersect(mirror[x], mirror[y]);
+                break;
+              case BatchOpKind::Union:
+              case BatchOpKind::UnionCard:
+                expect = tests::refUnion(mirror[x], mirror[y]);
+                break;
+              case BatchOpKind::Difference:
+                expect = tests::refDifference(mirror[x], mirror[y]);
+                break;
+            }
+            const std::string where = what + ", batch " +
+                                      std::to_string(b) + ", op " +
+                                      std::to_string(i);
+            EXPECT_EQ(entry.value, expect.size()) << where;
+            const BatchOpKind kind = req.ops[i].kind;
+            if (kind == BatchOpKind::IntersectCard ||
+                kind == BatchOpKind::UnionCard) {
+                EXPECT_EQ(entry.set, invalid_set) << where;
+                continue;
+            }
+            ASSERT_NE(entry.set, invalid_set) << where;
+            EXPECT_EQ(store.elementsOf(entry.set),
+                      std::vector<Element>(expect.begin(), expect.end()))
+                << where;
+            ids.push_back(entry.set);
+            mirror.push_back(std::move(expect));
+        }
+    }
+    scu.drainWindow(ctx, 0);
+    if (config.faults.enabled) {
+        // The campaign really ran the recovery paths it claims to.
+        EXPECT_TRUE(scu.vaultQuarantined(1)) << what;
+        EXPECT_GT(ctx.counter("scu.retries"), 0u) << what;
+    }
+}
+
+TEST(BatchOracle, RandomBatchesMatchStdSet)
+{
+    for (const Routing routing :
+         {Routing::Primary, Routing::MinBytes, Routing::Balanced}) {
+        for (const std::uint32_t depth : {0u, 3u}) {
+            for (const std::uint32_t workers : {1u, 3u}) {
+                for (const bool faults : {false, true}) {
+                    ScuConfig config;
+                    config.pim.vaults = 4;
+                    config.routing = routing;
+                    config.asyncDepth = depth;
+                    config.batchWorkers = workers;
+                    if (faults) {
+                        config.faults.enabled = true;
+                        config.faults.seed = 11;
+                        config.faults.corruptRate = 0.05;
+                        config.faults.stallRate = 0.02;
+                        config.faults.dropRate = 0.02;
+                        config.faults.vaultFailures.push_back({2, 1});
+                    }
+                    const std::string what =
+                        "routing " +
+                        std::to_string(static_cast<int>(routing)) +
+                        ", depth " + std::to_string(depth) +
+                        ", workers " + std::to_string(workers) +
+                        ", faults " + std::to_string(faults);
+                    for (const std::uint64_t seed : {3u, 17u, 29u}) {
+                        checkOracleCampaign(
+                            config, seed,
+                            what + ", seed " + std::to_string(seed));
+                    }
+                }
+            }
+        }
+    }
 }
 
 // --- Window mechanics ------------------------------------------------------
