@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "algorithms/bron_kerbosch.hpp"
@@ -74,12 +75,12 @@ struct RunConfig
      */
     std::string placement{};
     /**
-     * Execution-vault routing for Sisa mode: "primary" (default, the
+     * Execution-vault routing for Sisa mode: "primary" (the
      * a-operand's vault), "min-bytes" (run where the bigger operand
      * lives and move only the smaller co-operand), or "balanced"
      * (makespan-driven LPT batch scheduling against per-vault load,
-     * transfer-aware). Cycle charges and xvault counters only;
-     * results are invariant.
+     * transfer-aware); empty keeps scu.routing. Cycle charges and
+     * xvault counters only; results are invariant.
      */
     std::string routing{};
     /**
@@ -103,14 +104,14 @@ inline std::shared_ptr<isa::PlacementPolicy>
 makePlacement(const std::string &name, std::uint32_t vaults,
               const core::SetGraph &sg)
 {
-    if (name == "range")
-        return std::make_shared<isa::RangePlacement>(vaults);
-    if (name == "locality")
-        return isa::greedyLocalityPlacement(vaults,
-                                            core::placementArcs(sg));
-    sisa_assert(name.empty() || name == "hash",
-                "unknown placement policy (hash | range | locality)");
-    return std::make_shared<isa::HashPlacement>(vaults);
+    const std::optional<isa::PlacementKind> kind =
+        isa::parsePlacement(name);
+    if (!kind) {
+        sisa_fatal("unknown placement policy '", name, "' (",
+                   isa::placementNames(), ")");
+    }
+    return isa::makePlacement(*kind, vaults,
+                              [&] { return core::placementArcs(sg); });
 }
 
 /** Outcome of one run. */
@@ -225,15 +226,14 @@ runProblem(const std::string &problem, const Graph &graph, Mode mode,
         core::SisaEngine *sisa_engine = nullptr;
         if (mode == Mode::Sisa) {
             isa::ScuConfig scu_cfg = config.scu;
-            if (config.routing == "min-bytes") {
-                scu_cfg.routing = isa::Routing::MinBytes;
-            } else if (config.routing == "balanced") {
-                scu_cfg.routing = isa::Routing::Balanced;
-            } else {
-                sisa_assert(config.routing.empty() ||
-                                config.routing == "primary",
-                            "unknown routing rule "
-                            "(primary | min-bytes | balanced)");
+            if (!config.routing.empty()) {
+                const std::optional<isa::Routing> routing =
+                    isa::parseRouting(config.routing);
+                if (!routing) {
+                    sisa_fatal("unknown routing rule '", config.routing,
+                               "' (", isa::routingNames(), ")");
+                }
+                scu_cfg.routing = *routing;
             }
             auto sisa = std::make_unique<core::SisaEngine>(
                 g->numVertices(), scu_cfg, config.threads);

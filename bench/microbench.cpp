@@ -539,8 +539,8 @@ runKernelSweep(const std::string &json_path)
     // Remote-operand dedup guard: one vault serializing 512 ops whose
     // co-operands are all remote and distinct -- the worst case for
     // the per-lane fetched-set membership check (formerly an O(k)
-    // linear scan per op, now an epoch-stamped per-worker array
-    // indexed by SetId). Host wall-clock, serial vs batched.
+    // linear scan per op, now an epoch-stamped array indexed by
+    // SetId). Host wall-clock, serial vs batched.
     {
         const Element universe = 1u << 16;
         constexpr std::size_t ops = 512;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <exception>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -56,25 +57,21 @@ struct Tenant
     std::exception_ptr error;
 };
 
-/** The harness's placement menu, rebuilt here for serving runs. */
+/** Install the named placement policy over @p sg's traffic arcs. */
 void
 installPlacement(core::SisaEngine &engine, const std::string &name,
                  std::uint32_t vaults, const core::SetGraph &sg)
 {
-    if (name.empty() || name == "hash")
-        return; // Hash is the SCU's default placement.
-    std::shared_ptr<isa::PlacementPolicy> policy;
-    if (name == "range") {
-        policy = std::make_shared<isa::RangePlacement>(vaults);
-    } else if (name == "locality") {
-        policy = isa::greedyLocalityPlacement(
-            vaults, core::placementArcs(sg));
-    } else {
-        sisa_assert(false,
-                    "unknown placement policy "
-                    "(hash | range | locality)");
+    const std::optional<isa::PlacementKind> kind =
+        isa::parsePlacement(name);
+    if (!kind) {
+        sisa_fatal("unknown placement policy '", name, "' (",
+                   isa::placementNames(), ")");
     }
-    engine.scu().setPlacement(std::move(policy));
+    if (*kind == isa::PlacementKind::Hash)
+        return; // Hash is the SCU's default placement.
+    engine.scu().setPlacement(isa::makePlacement(
+        *kind, vaults, [&] { return core::placementArcs(sg); }));
 }
 
 std::uint64_t

@@ -8,7 +8,7 @@
  * bench/serving tail-latency harness sit on.
  *
  * Determinism: session setup (orientation, set materialization) runs
- * serially on the caller's thread -- the shared pool's runQueues is
+ * serially on the caller's thread -- the shared pool's parallelFor is
  * not reentrant and setup dispatches are not admission-gated -- and
  * the algorithm phase runs on K host threads under the scheduler's
  * lockstep grants, so the admission log and every per-query cycle

@@ -282,8 +282,8 @@ class SimContext
 
     /**
      * Merge every named counter of @p other into this context -- the
-     * barrier step of batched dispatch, where per-worker private
-     * contexts fold their tallies into the issuing thread's context.
+     * step of batched dispatch where the lane-accounting context
+     * folds its tallies into the issuing thread's context.
      * Cycles never merge (the caller charges the makespan instead).
      * Per-query COUNTER slices merge the same way; per-query cycles
      * do NOT (mirroring the thread rule -- the dispatch path charges

@@ -272,4 +272,37 @@ greedyLocalityPlacement(std::uint32_t vaults,
     return placement;
 }
 
+std::optional<PlacementKind>
+parsePlacement(std::string_view name)
+{
+    if (name.empty() || name == "hash")
+        return PlacementKind::Hash;
+    if (name == "range")
+        return PlacementKind::Range;
+    if (name == "locality")
+        return PlacementKind::Locality;
+    return std::nullopt;
+}
+
+std::string_view
+placementNames()
+{
+    return "hash | range | locality";
+}
+
+std::shared_ptr<PlacementPolicy>
+makePlacement(PlacementKind kind, std::uint32_t vaults,
+              const std::function<std::vector<TrafficArc>()> &arcs)
+{
+    switch (kind) {
+      case PlacementKind::Range:
+        return std::make_shared<RangePlacement>(vaults);
+      case PlacementKind::Locality:
+        return greedyLocalityPlacement(vaults, arcs());
+      case PlacementKind::Hash:
+        break;
+    }
+    return std::make_shared<HashPlacement>(vaults);
+}
+
 } // namespace sisa::isa

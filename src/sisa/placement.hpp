@@ -57,7 +57,10 @@
 #define SISA_SISA_PLACEMENT_HPP
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <optional>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -406,6 +409,26 @@ std::shared_ptr<LocalityPlacement>
 greedyLocalityPlacement(std::uint32_t vaults,
                         const std::vector<TrafficArc> &arcs,
                         double capacity_slack = 2.0);
+
+/** Placement policies selectable by name (configs, the CLI). */
+enum class PlacementKind : std::uint8_t { Hash, Range, Locality };
+
+/**
+ * The placement name table: "hash" (also ""), "range", "locality".
+ * std::nullopt for any other name -- report it with placementNames().
+ */
+std::optional<PlacementKind> parsePlacement(std::string_view name);
+
+/** The valid placement names, "hash | range | locality". */
+std::string_view placementNames();
+
+/**
+ * Build a @p kind policy over @p vaults. @p arcs supplies the
+ * workload's traffic and is called for Locality only.
+ */
+std::shared_ptr<PlacementPolicy>
+makePlacement(PlacementKind kind, std::uint32_t vaults,
+              const std::function<std::vector<TrafficArc>()> &arcs);
 
 } // namespace sisa::isa
 

@@ -1,6 +1,7 @@
 #include "sisa/scu.hpp"
 
 #include <algorithm>
+#include <ranges>
 #include <thread>
 #include <unordered_set>
 
@@ -65,7 +66,32 @@ ids()
     return instance;
 }
 
+/** One (vault, operand) transfer in the scheduler's dedup set. */
+std::uint64_t
+fetchKey(std::uint32_t vault, SetId id)
+{
+    return (static_cast<std::uint64_t>(vault) << 32) | id;
+}
+
 } // namespace
+
+std::optional<Routing>
+parseRouting(std::string_view name)
+{
+    if (name.empty() || name == "primary")
+        return Routing::Primary;
+    if (name == "min-bytes")
+        return Routing::MinBytes;
+    if (name == "balanced")
+        return Routing::Balanced;
+    return std::nullopt;
+}
+
+std::string_view
+routingNames()
+{
+    return "primary | min-bytes | balanced";
+}
 
 Scu::Scu(SetStore &store, const ScuConfig &config,
          std::uint32_t num_threads)
@@ -530,9 +556,9 @@ Scu::adoptOutcome(OpOutcome &&outcome)
 
 // --- Serial instruction issue ---------------------------------------------
 
-SetId
-Scu::intersect(sim::SimContext &ctx, sim::ThreadId tid, SetId a, SetId b,
-               SisaOp variant)
+Scu::OpOutcome
+Scu::issueSerial(sim::SimContext &ctx, sim::ThreadId tid,
+                 BatchOpKind kind, SetId a, SetId b, SisaOp variant)
 {
     syncRead(ctx, tid, a); // RAW edge into the async window.
     syncRead(ctx, tid, b);
@@ -541,12 +567,26 @@ Scu::intersect(sim::SimContext &ctx, sim::ThreadId tid, SetId a, SetId b,
     chargeMetadata(ctx, tid, b);
     ctx.recordSetSize(tid, store_.cardinality(a));
     ctx.recordSetSize(tid, store_.cardinality(b));
-
-    OpOutcome out = executeBinary(BatchOpKind::Intersect, a, b, variant);
+    OpOutcome out = executeBinary(kind, a, b, variant);
     applyOutcome(ctx, tid, out);
-    const SetId result = adoptPlacedOutcome(std::move(out), a, b);
+    return out;
+}
+
+SetId
+Scu::issueSetOp(sim::SimContext &ctx, sim::ThreadId tid,
+                BatchOpKind kind, SetId a, SetId b, SisaOp variant)
+{
+    const SetId result = adoptPlacedOutcome(
+        issueSerial(ctx, tid, kind, a, b, variant), a, b);
     traceOp(variant, result, a, b);
     return result;
+}
+
+SetId
+Scu::intersect(sim::SimContext &ctx, sim::ThreadId tid, SetId a, SetId b,
+               SisaOp variant)
+{
+    return issueSetOp(ctx, tid, BatchOpKind::Intersect, a, b, variant);
 }
 
 SetId
@@ -624,57 +664,25 @@ SetId
 Scu::setUnion(sim::SimContext &ctx, sim::ThreadId tid, SetId a, SetId b,
               SisaOp variant)
 {
-    syncRead(ctx, tid, a); // RAW edge into the async window.
-    syncRead(ctx, tid, b);
-    ctx.chargeBusy(tid, config_.pim.scuDelay);
-    chargeMetadata(ctx, tid, a);
-    chargeMetadata(ctx, tid, b);
-    ctx.recordSetSize(tid, store_.cardinality(a));
-    ctx.recordSetSize(tid, store_.cardinality(b));
-
-    OpOutcome out = executeBinary(BatchOpKind::Union, a, b, variant);
-    applyOutcome(ctx, tid, out);
-    const SetId result = adoptPlacedOutcome(std::move(out), a, b);
-    traceOp(variant, result, a, b);
-    return result;
+    return issueSetOp(ctx, tid, BatchOpKind::Union, a, b, variant);
 }
 
 SetId
 Scu::difference(sim::SimContext &ctx, sim::ThreadId tid, SetId a, SetId b,
                 SisaOp variant)
 {
-    syncRead(ctx, tid, a); // RAW edge into the async window.
-    syncRead(ctx, tid, b);
-    ctx.chargeBusy(tid, config_.pim.scuDelay);
-    chargeMetadata(ctx, tid, a);
-    chargeMetadata(ctx, tid, b);
-    ctx.recordSetSize(tid, store_.cardinality(a));
-    ctx.recordSetSize(tid, store_.cardinality(b));
-
-    OpOutcome out = executeBinary(BatchOpKind::Difference, a, b, variant);
-    applyOutcome(ctx, tid, out);
-    const SetId result = adoptPlacedOutcome(std::move(out), a, b);
-    traceOp(variant, result, a, b);
-    return result;
+    return issueSetOp(ctx, tid, BatchOpKind::Difference, a, b, variant);
 }
 
 std::uint64_t
 Scu::intersectCard(sim::SimContext &ctx, sim::ThreadId tid, SetId a,
                    SetId b, SisaOp variant)
 {
-    syncRead(ctx, tid, a); // RAW edge into the async window.
-    syncRead(ctx, tid, b);
-    ctx.chargeBusy(tid, config_.pim.scuDelay);
-    chargeMetadata(ctx, tid, a);
-    chargeMetadata(ctx, tid, b);
-    ctx.recordSetSize(tid, store_.cardinality(a));
-    ctx.recordSetSize(tid, store_.cardinality(b));
-
-    const OpOutcome out =
-        executeBinary(BatchOpKind::IntersectCard, a, b, variant);
-    applyOutcome(ctx, tid, out);
+    const std::uint64_t card =
+        issueSerial(ctx, tid, BatchOpKind::IntersectCard, a, b, variant)
+            .scalar;
     traceOp(SisaOp::IntersectCard, 0, a, b);
-    return out.scalar;
+    return card;
 }
 
 std::uint64_t
@@ -682,20 +690,12 @@ Scu::unionCard(sim::SimContext &ctx, sim::ThreadId tid, SetId a, SetId b)
 {
     // |A cup B| = |A| + |B| - |A cap B|: cardinalities are O(1)
     // metadata, so only the intersection cardinality costs cycles.
-    syncRead(ctx, tid, a); // RAW edge into the async window.
-    syncRead(ctx, tid, b);
-    ctx.chargeBusy(tid, config_.pim.scuDelay);
-    chargeMetadata(ctx, tid, a);
-    chargeMetadata(ctx, tid, b);
-    ctx.recordSetSize(tid, store_.cardinality(a));
-    ctx.recordSetSize(tid, store_.cardinality(b));
-
-    const OpOutcome out =
-        executeBinary(BatchOpKind::UnionCard, a, b,
-                      SisaOp::IntersectAuto);
-    applyOutcome(ctx, tid, out);
+    const std::uint64_t card =
+        issueSerial(ctx, tid, BatchOpKind::UnionCard, a, b,
+                    SisaOp::IntersectAuto)
+            .scalar;
     traceOp(SisaOp::UnionCard, 0, a, b);
-    return out.scalar;
+    return card;
 }
 
 // --- Batched dispatch ------------------------------------------------------
@@ -918,21 +918,8 @@ Scu::cancelWindow()
     // uncollected tickets' functional results die with the session's
     // store; only the timing ledger survives into the leave() tail.
     sim::SimContext &ctx = *windowCtx_;
-    const sim::ThreadId tid = windowTid_;
-    const mem::Cycles now = nowV();
-    if (maxCompletionV_ > now) {
-        ctx.chargeStall(tid, maxCompletionV_ - now);
-        ctx.bumpCounter(ids().cancelledCycles,
-                        maxCompletionV_ - now);
-    }
-    windowCtx_ = nullptr;
-    pendingTickets_.clear();
-    deps_.clear();
-    laneClockV_.clear();
-    maxCompletionV_ = 0;
-    reduceEndV_ = 0;
-    if (pool_)
-        pool_->setBeatAccumulation(false);
+    if (const mem::Cycles waited = closeWindow())
+        ctx.bumpCounter(ids().cancelledCycles, waited);
 }
 
 void
@@ -1062,74 +1049,43 @@ Scu::preExecuteOutcomes(const BatchRequest &batch,
                         std::uint64_t dispatch)
 {
     const std::size_t n = batch.size();
-    const auto chunks = static_cast<std::uint32_t>(
-        std::min<std::size_t>(batchWorkerCount(), n));
-    if (chunks <= 1) {
-        for (std::size_t i = 0; i < n; ++i) {
-            outcomes_[i] = executeOp(
-                dispatch, static_cast<std::uint32_t>(i), batch.ops[i]);
-        }
+    const auto execute = [&](std::size_t i) {
+        outcomes_[i] = executeOp(dispatch, static_cast<std::uint32_t>(i),
+                                 batch.ops[i]);
+    };
+    if (std::min<std::size_t>(batchWorkerCount(), n) <= 1) {
+        for (std::size_t i = 0; i < n; ++i)
+            execute(i);
         return;
     }
-    // One block-partitioned pseudo-queue per worker; stealing
-    // rebalances whatever the even split gets wrong (op costs are
-    // data-dependent). No charging happens here -- the scheduler
-    // has not assigned vaults yet.
-    laneSizes_.resize(chunks);
-    std::vector<std::size_t> base(chunks);
-    for (std::uint32_t j = 0; j < chunks; ++j) {
-        const std::size_t begin = j * n / chunks;
-        base[j] = begin;
-        laneSizes_[j] =
-            static_cast<std::uint32_t>((j + 1) * n / chunks - begin);
-    }
-    pool().runQueues(
-        laneSizes_, chunks,
-        [&](std::uint32_t chunk, std::uint32_t pos) {
-            const std::size_t i = base[chunk] + pos;
-            outcomes_[i] = executeOp(
-                dispatch, static_cast<std::uint32_t>(i), batch.ops[i]);
-        },
-        [](std::uint32_t, std::uint32_t, std::uint32_t) {},
-        /*steal=*/true);
+    // executeOp is pure (it reads the store and the stateless fault
+    // injector), so ops may run in any order on any worker; each
+    // writes only its own outcome slot. Nothing is charged here --
+    // lanes are laid out in modeled time afterwards, serially.
+    pool().parallelFor(n, execute);
 }
 
-void
-Scu::scheduleBalanced(const BatchRequest &batch)
+mem::Cycles
+Scu::routeLpt(const BatchRequest &batch,
+              std::vector<std::uint32_t> &order)
 {
-    const std::size_t n = batch.size();
-    schedLoads_.reset(std::max<std::uint32_t>(config_.pim.vaults, 1));
-    schedFetched_.clear();
-    schedOrder_.resize(n);
-    for (std::uint32_t i = 0; i < n; ++i)
-        schedOrder_[i] = i;
     // LPT order: most expensive operations choose their vault first
     // (stable, so equal-cost ops keep request order -- deterministic).
-    std::stable_sort(schedOrder_.begin(), schedOrder_.end(),
+    std::stable_sort(order.begin(), order.end(),
                      [&](std::uint32_t x, std::uint32_t y) {
                          return outcomeCycles(outcomes_[x]) >
                                 outcomeCycles(outcomes_[y]);
                      });
-
-    const auto fetch_key = [](std::uint32_t vault, SetId id) {
-        return (static_cast<std::uint64_t>(vault) << 32) | id;
-    };
-    // Pass 1 -- LPT list scheduling on completion time alone: each
-    // op goes to whichever operand vault finishes it first,
-    // lane_depth + exec + interconnect(co-operand left remote), with
-    // the once-per-(vault, operand) transfer dedup the charge path
-    // applies priced in (so the scheduled depths equal the billed
-    // lane cycles exactly). This pass only SIMULATES loads to
-    // establish the makespan M* a balanced schedule achieves; every
-    // route is written by pass 2, which re-runs the sweep with byte
-    // harvesting under the M*-derived cap.
-    for (const std::uint32_t i : schedOrder_) {
+    schedLoads_.reset(std::max<std::uint32_t>(config_.pim.vaults, 1));
+    schedFetched_.clear();
+    for (const std::uint32_t i : order) {
         const BatchOp &op = batch.ops[i];
         const OpOutcome &out = outcomes_[i];
         const mem::Cycles exec = outcomeCycles(out);
         const std::uint32_t va = vaultOf(op.a);
         const std::uint32_t vb = vaultOf(op.b);
         if (va == vb) {
+            routes_[i] = {va, invalid_set, 0, true};
             schedLoads_.add(va, exec);
             continue;
         }
@@ -1142,25 +1098,44 @@ Scu::scheduleBalanced(const BatchRequest &batch)
         const std::uint64_t bytes_a =
             out.readsA ? operandBytes(op.a) : 0;
         const mem::Cycles xfer_at_a =
-            bytes_b && !schedFetched_.count(fetch_key(va, op.b))
+            bytes_b && !schedFetched_.count(fetchKey(va, op.b))
                 ? mem::interconnectCycles(config_.pim, bytes_b)
                 : 0;
         const mem::Cycles xfer_at_b =
-            bytes_a && !schedFetched_.count(fetch_key(vb, op.a))
+            bytes_a && !schedFetched_.count(fetchKey(vb, op.a))
                 ? mem::interconnectCycles(config_.pim, bytes_a)
                 : 0;
         if (schedLoads_.of(vb) + exec + xfer_at_b <
             schedLoads_.of(va) + exec + xfer_at_a) {
+            routes_[i] = {vb, op.a, operandBytes(op.a), false};
             schedLoads_.add(vb, exec + xfer_at_b);
             if (xfer_at_b)
-                schedFetched_.insert(fetch_key(vb, op.a));
+                schedFetched_.insert(fetchKey(vb, op.a));
         } else {
+            routes_[i] = {va, op.b, operandBytes(op.b), true};
             schedLoads_.add(va, exec + xfer_at_a);
             if (xfer_at_a)
-                schedFetched_.insert(fetch_key(va, op.b));
+                schedFetched_.insert(fetchKey(va, op.b));
         }
     }
-    const mem::Cycles lpt_makespan = schedLoads_.max();
+    return schedLoads_.max();
+}
+
+void
+Scu::scheduleBalanced(const BatchRequest &batch)
+{
+    const std::size_t n = batch.size();
+    schedOrder_.resize(n);
+    for (std::uint32_t i = 0; i < n; ++i)
+        schedOrder_[i] = i;
+    // Pass 1 -- LPT list scheduling on completion time alone
+    // (routeLpt), with the once-per-(vault, operand) transfer dedup
+    // the charge path applies priced in (so the scheduled depths
+    // equal the billed lane cycles exactly). This pass only
+    // establishes the makespan M* a balanced schedule achieves;
+    // every route is rewritten by pass 2, which re-runs the sweep
+    // with byte harvesting under the M*-derived cap.
+    const mem::Cycles lpt_makespan = routeLpt(batch, schedOrder_);
 
     // Pass 2 -- transfer-aware byte harvesting: re-run the greedy
     // sweep, but among every candidate vault whose completion time
@@ -1186,7 +1161,7 @@ Scu::scheduleBalanced(const BatchRequest &batch)
     schedFetched_.clear();
     schedFetchedVaults_.clear();
     const auto pay_transfer = [&](std::uint32_t vault, SetId operand) {
-        if (schedFetched_.insert(fetch_key(vault, operand)).second)
+        if (schedFetched_.insert(fetchKey(vault, operand)).second)
             schedFetchedVaults_[operand].push_back(vault);
     };
     struct Candidate
@@ -1219,7 +1194,7 @@ Scu::scheduleBalanced(const BatchRequest &batch)
                 bool moved_is_b) -> Candidate {
             const mem::Cycles xfer =
                 moved_bytes &&
-                        !schedFetched_.count(fetch_key(vault, moved))
+                        !schedFetched_.count(fetchKey(vault, moved))
                     ? mem::interconnectCycles(config_.pim,
                                               moved_bytes)
                     : 0;
@@ -1273,18 +1248,20 @@ Scu::scheduleBalanced(const BatchRequest &batch)
     }
 }
 
-std::uint32_t
-Scu::buildLanes(std::size_t n)
+template <typename Ops>
+void
+Scu::appendLanes(const Ops &ops)
 {
-    // First-touch grouping of ops by execution vault. The scratch
-    // vault->lane table persists across dispatches; laneVault_ lists
-    // the entries to reset afterwards, so lane order (= order of
-    // first appearance) is deterministic and identical between the
-    // barriered and async paths.
+    // First-touch grouping of ops by execution vault: a new lane per
+    // vault first seen in this call, so lane order (= order of first
+    // appearance) is deterministic. The scratch vault->lane table
+    // persists across dispatches; the lanes created here reset their
+    // entries afterwards, which is also why recovery lanes never
+    // merge into a healthy lane on the same vault.
     vaultLane_.resize(std::max<std::uint32_t>(config_.pim.vaults, 1),
                       UINT32_MAX);
-    laneVault_.clear();
-    for (std::uint32_t i = 0; i < n; ++i) {
+    const auto first = static_cast<std::uint32_t>(laneVault_.size());
+    for (const std::uint32_t i : ops) {
         const std::uint32_t vault = routes_[i].vault;
         std::uint32_t lane = vaultLane_[vault];
         if (lane == UINT32_MAX) {
@@ -1300,32 +1277,29 @@ Scu::buildLanes(std::size_t n)
         }
         laneOps_[lane].push_back(i);
     }
-    // Lanes are fixed now: reset the table for the next dispatch.
-    for (const std::uint32_t vault : laneVault_)
-        vaultLane_[vault] = UINT32_MAX;
-    return static_cast<std::uint32_t>(laneVault_.size());
+    for (std::uint32_t l = first; l < laneVault_.size(); ++l)
+        vaultLane_[laneVault_[l]] = UINT32_MAX;
 }
 
-void
-Scu::chargeLaneOp(sim::SimContext &wctx, sim::ThreadId lane_tid,
-                  FetchedSet &fetched, std::uint32_t l, std::uint32_t i,
+mem::Cycles
+Scu::chargeLaneOp(std::uint32_t l, std::uint32_t i,
                   std::uint64_t dispatch_idx)
 {
-    // The accounting half of op i on lane l, with `fetched` deduping
-    // the lane's remote operand pulls (scope: one lane within one
-    // dispatch). Shared between the barriered worker charge path,
-    // the permanent-failure recovery replay, and the async window's
-    // virtual-time extraction, so every path bills one rule. The
-    // fault hooks (transfer-drop retransmits, operand/result
-    // checksum verifies, lane stalls) all sit behind the faults_
-    // gate -- with the injector off this body is bit-identical to
-    // the fault-free charge path.
+    // The accounting half of op i on lane l, billed into serialCtx_
+    // with serialFetched_ deduping the lane's remote operand pulls
+    // (scope: one lane within one dispatch). The fault hooks
+    // (transfer-drop retransmits, operand/result checksum verifies,
+    // lane stalls) all sit behind the faults_ gate -- with the
+    // injector off this body is bit-identical to the fault-free
+    // charge path.
+    sim::SimContext &wctx = serialCtx_;
+    const mem::Cycles before = wctx.threadCycles(0);
     const OpRoute &route = routes_[i];
     const OpOutcome &outcome = outcomes_[i];
     const bool reads_remote =
         route.remoteIsB ? outcome.readsB : outcome.readsA;
     if (route.bytes && reads_remote &&
-        fetched.insert(route.remote)) {
+        serialFetched_.insert(route.remote)) {
         if (faults_) {
             // Interconnect drops: every lost transfer pays its full
             // b_L crossing plus the retry backoff, then retransmits;
@@ -1345,75 +1319,252 @@ Scu::chargeLaneOp(sim::SimContext &wctx, sim::ThreadId lane_tid,
                         " dropped past the retry budget");
                 }
                 wctx.chargeBusy(
-                    lane_tid,
-                    mem::interconnectCycles(config_.pim, route.bytes) +
-                        faults_->backoff(attempt));
+                    0, mem::interconnectCycles(config_.pim, route.bytes) +
+                           faults_->backoff(attempt));
                 wctx.bumpCounter(ids().retries);
                 wctx.bumpCounter(ids().recoveryBytes, route.bytes);
                 ++attempt;
             }
         }
-        wctx.chargeBusy(lane_tid, mem::interconnectCycles(
-                                      config_.pim, route.bytes));
+        wctx.chargeBusy(0,
+                        mem::interconnectCycles(config_.pim, route.bytes));
         wctx.bumpCounter(ids().xvaultTransfers);
         wctx.bumpCounter(ids().xvaultBytes, route.bytes);
         if (faults_ && faults_->config().verifyChecksums) {
             // Operand integrity: the receiving vault streams the
             // fetched payload once through its checksum unit.
-            wctx.chargeBusy(lane_tid, verifyCycles(route.bytes));
+            wctx.chargeBusy(0, verifyCycles(route.bytes));
             wctx.bumpCounter(ids().checksumVerifies);
         }
-        if (dynamic_) {
-            // Each lane has exactly one charging thread: no
-            // contention on the lane's fetch log.
+        if (dynamic_)
             laneFetched_[l].emplace_back(route.remote, route.bytes);
-        }
     }
     if (faults_) {
         const mem::Cycles stall = faults_->stallCycles(dispatch_idx, i);
         if (stall) {
             // A transient lane hiccup (queue arbitration glitch,
             // refresh collision): pure stall cycles, no work.
-            wctx.chargeStall(lane_tid, stall);
+            wctx.chargeStall(0, stall);
             wctx.bumpCounter(ids().laneStalls);
         }
     }
-    chargeOutcome(wctx, lane_tid, outcome);
+    chargeOutcome(wctx, 0, outcome);
     if (faults_ && faults_->config().verifyChecksums &&
         outcome.numCharges) {
         // Result integrity: checksum the result as it streams out
         // of the vault (the SCU compares on adoption).
-        wctx.chargeBusy(lane_tid, verifyCycles(resultBytes(outcome)));
+        wctx.chargeBusy(0, verifyCycles(resultBytes(outcome)));
         wctx.bumpCounter(ids().checksumVerifies);
     }
+    return wctx.threadCycles(0) - before;
+}
+
+mem::Cycles
+Scu::layLanes(const BatchRequest &batch, std::uint32_t first,
+              mem::Cycles issue, const std::vector<std::uint64_t> *ready,
+              std::uint64_t dispatch_idx)
+{
+    // Lanes [first, end) run concurrently; a lane's ops serialize.
+    // Each op's exact cost comes back from chargeLaneOp, and starts
+    // at its lane's clock -- and, in a window (@p ready set), no
+    // earlier than its scoreboard ready time, on a lane clock that
+    // persists across the window's batches: precisely where the
+    // overlap win comes from. A barrier lays every lane from
+    // @p issue, so the latest lane end is issue + the makespan.
+    mem::Cycles end = issue;
+    for (std::uint32_t l = first; l < laneVault_.size(); ++l) {
+        const std::uint32_t vault = laneVault_[l];
+        serialFetched_.clear();
+        mem::Cycles clock =
+            ready ? std::max(laneClockV_[vault], issue) : issue;
+        mem::Cycles busy = 0;
+        for (const std::uint32_t i : laneOps_[l]) {
+            const mem::Cycles cost = chargeLaneOp(l, i, dispatch_idx);
+            busy += cost;
+            if (!ready) {
+                clock += cost;
+                continue;
+            }
+            clock = std::max<mem::Cycles>(clock, (*ready)[i]) + cost;
+            // Payload reads end when the op does: the WAR horizon
+            // for serial mutations of the operands.
+            if (outcomes_[i].readsA)
+                deps_.noteRead(batch.ops[i].a, clock);
+            if (outcomes_[i].readsB)
+                deps_.noteRead(batch.ops[i].b, clock);
+        }
+        if (ready)
+            laneClockV_[vault] = clock;
+        end = std::max(end, clock);
+        // Shared-vault occupancy for the admission model: the lane's
+        // busy time is its charge total.
+        noteVaultBusy(vault, busy);
+    }
+    return end;
+}
+
+mem::Cycles
+Scu::recoverStranded(sim::SimContext &ctx, sim::ThreadId tid,
+                     const BatchRequest &batch, mem::Cycles healthy_end,
+                     std::uint64_t dispatch_idx)
+{
+    // The dead vaults' lanes were dropped from the layout, so the
+    // SCU's watchdog detects the failures one heartbeat timeout after
+    // the healthy lanes finish; it then quarantines the vaults,
+    // emergency-migrates their resident sets, and replays the
+    // stranded operations on live vaults -- re-routed through the
+    // SAME placement/scheduling rules (vaultOf now remaps dead vaults
+    // away) and billed by the SAME chargeLaneOp, so a recovered
+    // dispatch is bit-identical to a fault-free one in results, ids,
+    // and setops.* work counters.
+    for (const std::uint32_t v : failedVaults_)
+        quarantineVault(ctx, tid, v);
+    if (config_.routing == Routing::Balanced) {
+        // The balanced scheduler's LPT pass over just the stranded
+        // ops, on fresh loads: the healthy lanes already drained.
+        routeLpt(batch, recoveredOps_);
+    } else {
+        // vaultOf already masks the quarantine, so the plain per-op
+        // rule lands every stranded op on a live vault.
+        for (const std::uint32_t i : recoveredOps_)
+            routes_[i] = resolveRoute(batch.ops[i].a, batch.ops[i].b);
+    }
+    // One recovery lane per replacement vault, laid out after the
+    // watchdog fired: the replay's makespan adds to the dispatch's.
+    const auto first = static_cast<std::uint32_t>(laneVault_.size());
+    appendLanes(recoveredOps_);
+    return layLanes(batch, first,
+                    healthy_end + faults_->config().heartbeatTimeout,
+                    nullptr, dispatch_idx);
+}
+
+mem::Cycles
+Scu::reduceResults(sim::SimContext &ctx, mem::Cycles batch_end,
+                   bool windowed)
+{
+    // Cross-vault result reduction: a multi-vault batch funnels its
+    // per-vault results back to the SCU as a binary tree over the b_L
+    // interconnect. Each level runs its transfers in parallel and
+    // costs the slowest sender; a sender's payload accumulates the
+    // results it already absorbed. Metadata-only outcomes (zero
+    // charges: the SCU front end proved them from the SM alone) have
+    // nothing in any vault to send, so only lanes that charged vault
+    // work participate -- degenerate copies DID materialize data and
+    // reduce like any other result. Lane order is the deterministic
+    // first-touch order. The SCU has ONE tree, so in a window it
+    // starts no earlier than the previous batch's reduction ended.
+    laneResultBytes_.clear();
+    for (std::uint32_t l = 0; l < laneVault_.size(); ++l) {
+        std::uint64_t bytes = 0;
+        bool executed = false;
+        for (const std::uint32_t i : laneOps_[l]) {
+            if (outcomes_[i].numCharges == 0)
+                continue;
+            executed = true;
+            bytes += resultBytes(outcomes_[i]);
+        }
+        if (executed)
+            laneResultBytes_.push_back(bytes);
+    }
+    if (laneResultBytes_.size() <= 1)
+        return batch_end;
+    mem::Cycles completion =
+        windowed ? std::max(batch_end, reduceEndV_) : batch_end;
+    std::uint64_t reduce_bytes = 0;
+    std::size_t len = laneResultBytes_.size();
+    while (len > 1) {
+        mem::Cycles level = 0;
+        std::size_t out = 0;
+        for (std::size_t i = 0; i + 1 < len; i += 2) {
+            level = std::max(level,
+                             mem::interconnectCycles(
+                                 config_.pim, laneResultBytes_[i + 1]));
+            reduce_bytes += laneResultBytes_[i + 1];
+            laneResultBytes_[out++] =
+                laneResultBytes_[i] + laneResultBytes_[i + 1];
+        }
+        if (len % 2)
+            laneResultBytes_[out++] = laneResultBytes_[len - 1];
+        len = out;
+        completion += level;
+    }
+    ctx.bumpCounter(ids().xvaultReduceBytes, reduce_bytes);
+    if (windowed)
+        reduceEndV_ = completion;
+    return completion;
 }
 
 BatchResult
 Scu::dispatchBatch(sim::SimContext &ctx, sim::ThreadId tid,
                    const BatchRequest &batch)
 {
-    // A barriered dispatch IS a barrier: close any async window first
-    // (charging its bound thread), so lane clocks and the scoreboard
-    // never leak between the two modes.
-    if (windowCtx_)
+    return dispatch(ctx, tid, batch, /*windowed=*/false);
+}
+
+BatchHandle
+Scu::dispatchAsync(sim::SimContext &ctx, sim::ThreadId tid,
+                   const BatchRequest &batch)
+{
+    BatchResult result = dispatch(ctx, tid, batch, config_.asyncDepth > 0);
+    const std::uint64_t ticket = nextTicket_++;
+    pendingResults_.emplace(ticket, std::move(result));
+    return BatchHandle{ticket};
+}
+
+BatchResult
+Scu::dispatch(sim::SimContext &ctx, sim::ThreadId tid,
+              const BatchRequest &batch, bool windowed)
+{
+    // A barrier closes any async window first (charging its bound
+    // thread), so lane clocks and the scoreboard never leak between
+    // the two retire rules; a windowed dispatch from a foreign
+    // (context, thread) drains it too.
+    if (windowed)
+        ensureWindowContext(ctx, tid);
+    else if (windowCtx_)
         drainWindow(*windowCtx_, windowTid_);
     BatchResult result;
     const std::size_t n = batch.size();
-    result.entries.resize(n);
     if (n == 0) {
-        // An empty dispatch is a size-0 use of the scratch: it must
+        // An empty dispatch takes no sequence number and charges
+        // nothing, but it is a size-0 use of the scratch: it must
         // advance the shrink window (and reset its peak), or a burst
         // followed by a quiet stream of empty dispatches would pin
-        // the burst's allocation forever.
+        // the burst's allocation forever. An open window stays open.
         maybeShrinkScratch(0);
         return result;
+    }
+
+    // --- Verify ----------------------------------------------------------
+    // Permanent vault failures at this dispatch's coordinate, peeked
+    // BEFORE the analyzer and the sequence number. Watchdog
+    // detection, quarantine, and replay are barrier-shaped, so a
+    // windowed dispatch that carries fail points drains the window
+    // and retires as a barrier -- at the SAME coordinate, so recovery
+    // is bit-identical to an always-barriered run.
+    failedVaults_.clear();
+    if (faults_) {
+        faults_->failuresAt(dispatchCounter_, failedVaults_);
+        std::erase_if(failedVaults_, [&](std::uint32_t v) {
+            // Out-of-range points are config typos; an already-
+            // quarantined vault failed at an earlier dispatch and
+            // routing no longer targets it.
+            return v >= quarantine_.vaults() || quarantine_.contains(v);
+        });
+    }
+    if (windowed && !failedVaults_.empty()) {
+        drainWindow(ctx, tid);
+        windowed = false;
     }
 
     // Static pre-execution verification (sisa/analysis.hpp). Sits
     // BEFORE the dispatch counter so a strict-rejected batch never
     // consumes a sequence number (fault coordinates stay stable when
-    // the offending batch is fixed and re-issued). Charges no
-    // modeled cycles; with analyze off this branch is the whole cost.
+    // the offending batch is fixed and re-issued), and leaves an
+    // open window intact -- pending batches retire normally after
+    // the throw (the batch.hpp CROSS-BATCH HAZARDS contract). Charges
+    // no modeled cycles; with analyze off this branch is the whole
+    // cost.
     if (config_.analyze != AnalyzeMode::Off) {
         analysis::AnalysisContext actx;
         actx.store = &store_;
@@ -1430,9 +1581,7 @@ Scu::dispatchBatch(sim::SimContext &ctx, sim::ThreadId tid,
             if (config_.analyze == AnalyzeMode::Strict) {
                 // The rejected batch never touches the scratch, but
                 // the dispatch attempt still advances the shrink
-                // window -- a burst followed by rejected batches must
-                // release the burst's allocation like any other quiet
-                // stream.
+                // window like any other quiet dispatch.
                 maybeShrinkScratch(0);
                 throw analysis::AnalysisError(std::move(report));
             }
@@ -1441,12 +1590,27 @@ Scu::dispatchBatch(sim::SimContext &ctx, sim::ThreadId tid,
         }
     }
 
+    // --- Admit -----------------------------------------------------------
     // Serving admission: block until the scheduler grants this query
     // a dispatch slot. Sits AFTER the analyzer (a strict reject must
     // not strand a grant) and before any charge, so co-tenant
     // dispatches interleave at whole-dispatch boundaries. A
-    // cancellation verdict throws QueryCancelledError from here.
+    // cancellation verdict cancel-drains the window and throws
+    // QueryCancelledError from here.
     admitDispatch(ctx, tid);
+
+    // Open the window lazily on the first overlapped dispatch.
+    // Modeled time inside it is virtual: cycles past windowBase_.
+    if (windowed && !windowCtx_) {
+        windowCtx_ = &ctx;
+        windowTid_ = tid;
+        windowBase_ = ctx.threadCycles(tid);
+        laneClockV_.assign(
+            std::max<std::uint32_t>(config_.pim.vaults, 1), 0);
+        maxCompletionV_ = 0;
+        reduceEndV_ = 0;
+        deps_.clear();
+    }
 
     // The dispatch coordinate fault points address; maintained even
     // with the injector off (an integer increment) so enabling faults
@@ -1464,8 +1628,9 @@ Scu::dispatchBatch(sim::SimContext &ctx, sim::ThreadId tid,
         base_dead = quarantine_.deadCount();
     }
 
-    // One decode for the whole batch, then one serial metadata round
-    // per operand on the SCU front end (the SMB is shared state).
+    // In-order front end: one decode for the whole batch, then one
+    // serial metadata round per operand on the SCU (the SMB is shared
+    // state). These charges advance real (and so virtual) time.
     ctx.chargeBusy(tid, config_.pim.scuDelay);
     ctx.bumpCounter(ids().batchDispatches);
     ctx.bumpCounter(ids().batchOps, n);
@@ -1476,353 +1641,82 @@ Scu::dispatchBatch(sim::SimContext &ctx, sim::ThreadId tid,
         ctx.recordSetSize(tid, store_.cardinality(op.b));
     }
 
-    // Route operations to their execution vaults and build one
-    // serial queue per touched vault ("lane"). Primary/MinBytes
-    // resolve each op independently from metadata (resolveRoute);
-    // Balanced executes the whole batch functionally first and runs
-    // the LPT scheduler over the exact cycle charges, so its routes
-    // reflect per-vault load. The scratch vault->lane table persists
-    // across dispatches; laneVault_ lists the entries to reset
-    // afterwards. Operations whose co-operand stayed in a different
-    // vault must first pull its bytes over the interconnect (charged
-    // once per (vault, operand) pair -- the vault buffers the remote
-    // operand for the dispatch's duration).
-    const bool balanced = config_.routing == Routing::Balanced;
+    // --- Execute functionally --------------------------------------------
+    // Eager and in program order as far as results go: every op runs
+    // up front, so each lane can be laid out from exact cycle costs
+    // and the Balanced scheduler can plan on the very charges that
+    // are later billed.
     if (outcomes_.size() < n)
         outcomes_.resize(n);
     if (routes_.size() < n)
         routes_.resize(n);
-    if (balanced) {
-        preExecuteOutcomes(batch, dispatch_idx);
+    preExecuteOutcomes(batch, dispatch_idx);
+
+    // --- Route -----------------------------------------------------------
+    // Primary/MinBytes resolve each op independently from metadata;
+    // Balanced runs the LPT scheduler over the exact cycle charges,
+    // so its routes reflect per-vault load. Then one serial queue
+    // ("lane") per touched vault. Operations whose co-operand stayed
+    // in a different vault first pull its bytes over the
+    // interconnect (charged once per (vault, operand) pair -- the
+    // vault buffers the remote operand for the dispatch's duration).
+    if (config_.routing == Routing::Balanced) {
         scheduleBalanced(batch);
     } else {
         for (std::uint32_t i = 0; i < n; ++i)
             routes_[i] = resolveRoute(batch.ops[i].a, batch.ops[i].b);
     }
-    const std::uint32_t lanes = buildLanes(n);
-    const std::vector<std::vector<std::uint32_t>> &lane_ops = laneOps_;
-    const std::uint32_t workers =
-        std::min(batchWorkerCount(), lanes);
-
-    // Permanent vault failures striking this dispatch: their lanes
-    // fail-stop (nobody executes or charges them; heartbeats stay at
-    // zero) and the recovery pass below re-routes the stranded ops.
-    failedVaults_.clear();
-    if (faults_) {
-        faults_->failuresAt(dispatch_idx, failedVaults_);
-        std::erase_if(failedVaults_, [&](std::uint32_t v) {
-            // Out-of-range points are config typos; an already-
-            // quarantined vault failed at an earlier dispatch and
-            // routing no longer targets it.
-            return v >= quarantine_.vaults() || quarantine_.contains(v);
-        });
-    }
-    const bool have_failures = !failedVaults_.empty();
-    std::vector<char> lane_is_dead;
-    // Left empty (no pool predicate) unless a lane fail-stops.
-    std::function<bool(std::uint32_t)> lane_dead_fn;
-    if (have_failures) {
-        lane_is_dead.resize(lanes);
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            lane_is_dead[l] =
-                std::binary_search(failedVaults_.begin(),
-                                   failedVaults_.end(), laneVault_[l])
-                    ? 1
-                    : 0;
-        }
-        lane_dead_fn = [&](std::uint32_t l) {
-            return lane_is_dead[l] != 0;
-        };
-    }
-
-    // Worker w executes lanes l with l % workers == w, charging
-    // modeled cycles into its private SimContext (one logical thread
-    // per lane) -- no shared mutable state until the barrier.
-    if (workerScratch_.size() < workers)
-        workerScratch_.resize(workers);
-    for (std::uint32_t w = 0; w < workers; ++w) {
-        WorkerScratch &ws = workerScratch_[w];
-        ws.ctx.reset((lanes - w + workers - 1) / workers);
-        // Tag lane charges with the issuing context's query so the
-        // barrier's absorbCounters lands them in its account.
-        ws.ctx.bindQuery(ctx.activeQuery());
-        ws.lane = UINT32_MAX;
-    }
-
-    std::vector<OpOutcome> &outcomes = outcomes_;
-    const std::vector<OpRoute> &routes = routes_;
-    laneSizes_.resize(lanes);
-    for (std::uint32_t l = 0; l < lanes; ++l)
-        laneSizes_[l] = static_cast<std::uint32_t>(lane_ops[l].size());
-
-    // The functional half of one op: any thread may run it (workers
-    // steal it from deep queues), it writes only the op's own outcome
-    // slot. Balanced batches were already executed by the scheduler.
-    const auto execute_op = [&](std::uint32_t l, std::uint32_t pos) {
-        if (balanced)
-            return;
-        const std::uint32_t i = lane_ops[l][pos];
-        outcomes[i] = executeOp(dispatch_idx, i, batch.ops[i]);
-    };
-
-    // Worker wrapper: only the lane's owning worker charges, in
-    // lane-op order, into its private SimContext -- deterministic no
-    // matter who executed the op. The per-worker `fetched` set dedups
-    // remote operands already pulled into the current lane (fetched
-    // once, reused by later ops; the batched_dispatch_1vault_* bench
-    // row guards the large single-vault case). Owners visit their
-    // lanes in index order, so lane changes reset it.
-    const auto charge_op = [&](std::uint32_t w, std::uint32_t l,
-                               std::uint32_t pos) {
-        WorkerScratch &ws = workerScratch_[w];
-        if (ws.lane != l) {
-            ws.fetched.clear();
-            ws.lane = l;
-        }
-        chargeLaneOp(ws.ctx, l / workers, ws.fetched, l,
-                     lane_ops[l][pos], dispatch_idx);
-    };
-
-    if (workers <= 1) {
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            if (have_failures && lane_is_dead[l])
-                continue;
-            for (std::uint32_t pos = 0; pos < laneSizes_[l]; ++pos) {
-                execute_op(l, pos);
-                charge_op(0, l, pos);
-            }
-        }
-    } else {
-        // Per-vault queues with work stealing: owners charge, idle
-        // workers execute ops from the deepest queue (no stealing
-        // when the batch is pre-executed -- charging can't move).
-        pool().runQueues(laneSizes_, workers, execute_op, charge_op,
-                         /*steal=*/!balanced,
-                         have_failures ? &lane_dead_fn : nullptr);
-    }
-
-    // Barrier: vaults ran concurrently, so the issuing thread pays
-    // the makespan of the slowest vault; work counters simply sum.
-    mem::Cycles makespan = 0;
-    for (std::uint32_t w = 0; w < workers; ++w)
-        makespan = std::max(makespan, workerScratch_[w].ctx.makespan());
-    if (sched_) {
-        // Shared-vault occupancy for the admission model: lane l ran
-        // on worker l % workers as its modeled thread l / workers.
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            const sim::SimContext &wctx = workerScratch_[l % workers].ctx;
-            noteVaultBusy(laneVault_[l], wctx.threadCycles(l / workers));
-        }
-    }
-
-    // Permanent-failure recovery. The dead vaults' lanes never beat
-    // (runQueues skipped them), so the SCU's watchdog detects the
-    // failures one heartbeat timeout after the healthy barrier; it
-    // then quarantines the vaults, emergency-migrates their resident
-    // sets, and replays the stranded operations on live vaults --
-    // re-routed through the SAME placement/scheduling rules (vaultOf
-    // now remaps dead vaults away) and billed by the SAME
-    // charge_lane_op, so a recovered dispatch is bit-identical to a
-    // fault-free one in results, ids, and setops.* work counters.
-    std::uint32_t total_lanes = lanes;
-    if (have_failures) {
-        makespan += faults_->config().heartbeatTimeout;
-        for (const std::uint32_t v : failedVaults_)
-            quarantineVault(ctx, tid, v);
-
-        // Strand list in deterministic lane/op order, then empty the
-        // dead lanes: downstream phases (reduction, adoption) walk
-        // the extended lane set and must not see an op twice.
-        recoveredOps_.clear();
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            if (!lane_is_dead[l])
-                continue;
-            for (const std::uint32_t i : laneOps_[l])
-                recoveredOps_.push_back(i);
+    laneVault_.clear();
+    appendLanes(std::views::iota(std::uint32_t{0},
+                                 static_cast<std::uint32_t>(n)));
+    // Lanes on a vault failing at this dispatch fail-stop: their ops
+    // are stranded (in lane/op order) for the recovery replay, and
+    // the emptied lanes drop out of the layout and the reduction.
+    recoveredOps_.clear();
+    for (std::uint32_t l = 0; l < laneVault_.size(); ++l) {
+        if (std::binary_search(failedVaults_.begin(), failedVaults_.end(),
+                               laneVault_[l])) {
+            recoveredOps_.insert(recoveredOps_.end(),
+                                 laneOps_[l].begin(), laneOps_[l].end());
             laneOps_[l].clear();
-            laneSizes_[l] = 0;
-        }
-
-        if (!recoveredOps_.empty()) {
-            if (balanced) {
-                // The balanced scheduler's LPT rule applied to just
-                // the recovery window: stranded ops in descending
-                // cost order, each to whichever operand vault (both
-                // remapped off the quarantine) finishes it first on
-                // fresh loads, transfer dedup priced in -- the
-                // recovery lanes start empty because the healthy
-                // lanes already drained at the barrier.
-                std::stable_sort(
-                    recoveredOps_.begin(), recoveredOps_.end(),
-                    [&](std::uint32_t x, std::uint32_t y) {
-                        return outcomeCycles(outcomes_[x]) >
-                               outcomeCycles(outcomes_[y]);
-                    });
-                schedLoads_.reset(
-                    std::max<std::uint32_t>(config_.pim.vaults, 1));
-                schedFetched_.clear();
-                const auto fetch_key = [](std::uint32_t vault,
-                                          SetId id) {
-                    return (static_cast<std::uint64_t>(vault) << 32) |
-                           id;
-                };
-                for (const std::uint32_t i : recoveredOps_) {
-                    const BatchOp &op = batch.ops[i];
-                    const OpOutcome &out = outcomes_[i];
-                    const mem::Cycles exec = outcomeCycles(out);
-                    const std::uint32_t va = vaultOf(op.a);
-                    const std::uint32_t vb = vaultOf(op.b);
-                    if (va == vb) {
-                        routes_[i] = {va, invalid_set, 0, true};
-                        schedLoads_.add(va, exec);
-                        continue;
-                    }
-                    const std::uint64_t bytes_b =
-                        out.readsB ? operandBytes(op.b) : 0;
-                    const std::uint64_t bytes_a =
-                        out.readsA ? operandBytes(op.a) : 0;
-                    const mem::Cycles xfer_at_a =
-                        bytes_b &&
-                                !schedFetched_.count(fetch_key(va, op.b))
-                            ? mem::interconnectCycles(config_.pim,
-                                                      bytes_b)
-                            : 0;
-                    const mem::Cycles xfer_at_b =
-                        bytes_a &&
-                                !schedFetched_.count(fetch_key(vb, op.a))
-                            ? mem::interconnectCycles(config_.pim,
-                                                      bytes_a)
-                            : 0;
-                    if (schedLoads_.of(vb) + exec + xfer_at_b <
-                        schedLoads_.of(va) + exec + xfer_at_a) {
-                        routes_[i] = {vb, op.a, operandBytes(op.a),
-                                      false};
-                        schedLoads_.add(vb, exec + xfer_at_b);
-                        if (xfer_at_b)
-                            schedFetched_.insert(fetch_key(vb, op.a));
-                    } else {
-                        routes_[i] = {va, op.b, operandBytes(op.b),
-                                      true};
-                        schedLoads_.add(va, exec + xfer_at_a);
-                        if (xfer_at_a)
-                            schedFetched_.insert(fetch_key(va, op.b));
-                    }
-                }
-            } else {
-                // vaultOf already masks the quarantine, so the plain
-                // per-op rule lands every stranded op on a live vault.
-                for (const std::uint32_t i : recoveredOps_) {
-                    routes_[i] =
-                        resolveRoute(batch.ops[i].a, batch.ops[i].b);
-                }
-            }
-
-            // Append one recovery lane per replacement vault (the
-            // same first-touch construction as the main lane build).
-            for (const std::uint32_t i : recoveredOps_) {
-                const std::uint32_t vault = routes_[i].vault;
-                std::uint32_t lane = vaultLane_[vault];
-                if (lane == UINT32_MAX) {
-                    lane = static_cast<std::uint32_t>(laneVault_.size());
-                    vaultLane_[vault] = lane;
-                    laneVault_.push_back(vault);
-                    if (laneOps_.size() <= lane)
-                        laneOps_.emplace_back();
-                    if (laneFetched_.size() <= lane)
-                        laneFetched_.emplace_back();
-                    laneOps_[lane].clear();
-                    laneFetched_[lane].clear();
-                }
-                laneOps_[lane].push_back(i);
-            }
-            total_lanes = static_cast<std::uint32_t>(laneVault_.size());
-            for (std::uint32_t l = lanes; l < total_lanes; ++l)
-                vaultLane_[laneVault_[l]] = UINT32_MAX;
-
-            // Replay the stranded ops: execute (non-balanced ops were
-            // never run -- their vault died first) and charge through
-            // the shared lane rule, one modeled thread per recovery
-            // lane (the replacement vaults run concurrently), serial
-            // on the host -- recovery is the rare path. The replay
-            // phase starts after the watchdog fired, so its makespan
-            // adds to the dispatch's.
-            const std::uint32_t rec_lanes = total_lanes - lanes;
-            sim::SimContext &rctx = serialCtx_;
-            rctx.reset(rec_lanes);
-            rctx.bindQuery(ctx.activeQuery());
-            for (std::uint32_t rl = 0; rl < rec_lanes; ++rl) {
-                const std::uint32_t l = lanes + rl;
-                serialFetched_.clear();
-                for (const std::uint32_t i : laneOps_[l]) {
-                    if (!balanced) {
-                        outcomes_[i] =
-                            executeOp(dispatch_idx, i, batch.ops[i]);
-                    }
-                    chargeLaneOp(rctx, rl, serialFetched_, l, i,
-                                 dispatch_idx);
-                }
-            }
-            for (sim::ThreadId rt = 0; rt < rec_lanes; ++rt) {
-                noteVaultBusy(laneVault_[lanes + rt],
-                              rctx.threadCycles(rt));
-            }
-            makespan += rctx.makespan();
-            ctx.absorbCounters(rctx);
         }
     }
 
-    // Cross-vault result reduction: a multi-vault batch funnels its
-    // per-vault results back to the SCU as a binary tree over the b_L
-    // interconnect. Each level runs its transfers in parallel and
-    // costs the slowest sender; a sender's payload accumulates the
-    // results it already absorbed. Metadata-only outcomes (zero
-    // charges: the SCU front end proved them from the SM alone) have
-    // nothing in any vault to send, so only lanes that charged vault
-    // work participate -- degenerate copies DID materialize data and
-    // reduce like any other result. Lane order is the deterministic
-    // first-touch order, so the charge is worker-count invariant.
-    laneResultBytes_.clear();
-    for (std::uint32_t l = 0; l < total_lanes; ++l) {
-        std::uint64_t bytes = 0;
-        bool executed = false;
-        for (const std::uint32_t i : lane_ops[l]) {
-            if (outcomes[i].numCharges == 0)
-                continue;
-            executed = true;
-            bytes += resultBytes(outcomes[i]);
-        }
-        if (executed)
-            laneResultBytes_.push_back(bytes);
-    }
-    if (laneResultBytes_.size() > 1) {
-        std::uint64_t reduce_bytes = 0;
-        std::size_t len = laneResultBytes_.size();
-        while (len > 1) {
-            mem::Cycles level = 0;
-            std::size_t out = 0;
-            for (std::size_t i = 0; i + 1 < len; i += 2) {
-                level = std::max(
-                    level, mem::interconnectCycles(
-                               config_.pim, laneResultBytes_[i + 1]));
-                reduce_bytes += laneResultBytes_[i + 1];
-                laneResultBytes_[out++] =
-                    laneResultBytes_[i] + laneResultBytes_[i + 1];
-            }
-            if (len % 2)
-                laneResultBytes_[out++] = laneResultBytes_[len - 1];
-            len = out;
-            makespan += level;
-        }
-        ctx.bumpCounter(ids().xvaultReduceBytes, reduce_bytes);
-    }
-    ctx.chargeBusy(tid, makespan);
-    for (std::uint32_t w = 0; w < workers; ++w)
-        ctx.absorbCounters(workerScratch_[w].ctx);
+    // --- Lay lanes out in modeled time -----------------------------------
+    // Every lane is billed serially into serialCtx_ (tagged with the
+    // issuing query); its counters merge into ctx below, so counter
+    // totals do not depend on the retire rule. A window issues at
+    // virtual now against its scoreboard (incremental cross-batch DAG
+    // join -- O(ops), not a rebuild); a barrier lays lanes from fresh
+    // clocks at 0.
+    sim::SimContext &acct = serialCtx_;
+    acct.reset(1);
+    acct.bindQuery(ctx.activeQuery());
+    const mem::Cycles issue = windowed ? nowV() : 0;
+    std::vector<std::uint64_t> ready;
+    if (windowed)
+        ready = deps_.joinBatch(analysis::Program::fromBatch(batch), issue);
+    mem::Cycles batch_end =
+        layLanes(batch, 0, issue, windowed ? &ready : nullptr, dispatch_idx);
+    if (!failedVaults_.empty())
+        batch_end = recoverStranded(ctx, tid, batch, batch_end, dispatch_idx);
 
-    // Dynamic re-placement closes the barrier: feed the observed
+    // --- Reduce ----------------------------------------------------------
+    const mem::Cycles completion = reduceResults(ctx, batch_end, windowed);
+    ctx.absorbCounters(acct);
+
+    // --- Retire ----------------------------------------------------------
+    // A barrier charges the issuing thread the whole span at once:
+    // the slowest lane's makespan plus the reduction tree. A window
+    // charges nothing yet; the ROB step below pays only real waits.
+    if (!windowed)
+        ctx.chargeBusy(tid, completion - issue);
+
+    // Dynamic re-placement closes every dispatch: feed the observed
     // transfers to the policy and charge/apply its migrations.
     if (dynamic_)
-        replaceAtBarrier(ctx, tid, total_lanes);
+        replaceAtBarrier(ctx, tid,
+                         static_cast<std::uint32_t>(laneVault_.size()));
 
     // lastBackend_ reports the last operation (in request = serial
     // order) that actually charged a backend; a batch whose tail ops
@@ -1830,8 +1724,8 @@ Scu::dispatchBatch(sim::SimContext &ctx, sim::ThreadId tid,
     // exactly as issuing them serially would (one shared rule:
     // retainOrUpdateLastBackend).
     for (std::uint32_t i = static_cast<std::uint32_t>(n); i-- > 0;) {
-        if (outcomes[i].numCharges) {
-            retainOrUpdateLastBackend(outcomes[i]);
+        if (outcomes_[i].numCharges) {
+            retainOrUpdateLastBackend(outcomes_[i]);
             break;
         }
     }
@@ -1840,16 +1734,22 @@ Scu::dispatchBatch(sim::SimContext &ctx, sim::ThreadId tid,
     // identical to a serial issue of the same operations). Adopted
     // results are pinned to the vault that produced them when the
     // policy places results, so recursion over intermediates stays
-    // local.
+    // local. In a window every materialized result is a pending def
+    // until the batch's reduction completes -- results ride the tree
+    // back to the SCU together, so one conservative def time covers
+    // the batch.
+    result.entries.resize(n);
     for (std::uint32_t i = 0; i < n; ++i) {
         const BatchOp &op = batch.ops[i];
         BatchEntry &entry = result.entries[i];
-        entry.value = outcomes[i].scalar;
+        entry.value = outcomes_[i].scalar;
         if (!std::holds_alternative<std::monostate>(
-                outcomes[i].payload)) {
-            entry.set = adoptOutcome(std::move(outcomes[i]));
+                outcomes_[i].payload)) {
+            entry.set = adoptOutcome(std::move(outcomes_[i]));
             entry.value = store_.cardinality(entry.set);
-            placeResult(entry.set, routes[i].vault);
+            placeResult(entry.set, routes_[i].vault);
+            if (windowed)
+                deps_.noteDef(entry.set, completion);
         }
         SisaOp traced = op.variant;
         if (op.kind == BatchOpKind::IntersectCard)
@@ -1875,6 +1775,25 @@ Scu::dispatchBatch(sim::SimContext &ctx, sim::ThreadId tid,
                                    result.faults.quarantinedVaults;
     }
     maybeShrinkScratch(n);
+
+    if (windowed) {
+        // Join the ROB, then retire its head past the window depth:
+        // the front end may run at most asyncDepth batches ahead, so
+        // the issuing thread stalls to the oldest pending completion
+        // first -- in-order retirement, exactly like a ROB.
+        maxCompletionV_ = std::max(maxCompletionV_, completion);
+        pendingCompletions_.push_back(completion);
+        ctx.bumpCounter(ids().asyncDispatches);
+        while (pendingCompletions_.size() > config_.asyncDepth) {
+            const mem::Cycles retire = pendingCompletions_.front();
+            pendingCompletions_.pop_front();
+            const mem::Cycles now = nowV();
+            if (retire > now) {
+                ctx.chargeStall(tid, retire - now);
+                ctx.bumpCounter(ids().asyncSyncs);
+            }
+        }
+    }
     reportDispatch(ctx);
     return result;
 }
@@ -1883,7 +1802,7 @@ void
 Scu::replaceAtBarrier(sim::SimContext &ctx, sim::ThreadId tid,
                       std::uint32_t lanes)
 {
-    // Feed the transfers the workers recorded (exactly the charged
+    // Feed the transfers the lanes recorded (exactly the charged
     // ones) to the policy in deterministic lane order: heat can
     // never drift from what was billed.
     for (std::uint32_t l = 0; l < lanes; ++l) {
@@ -1942,7 +1861,6 @@ Scu::maybeShrinkScratch(std::size_t n)
     shrink(routes_, scratchPeak_);
     shrink(schedOrder_, scratchPeak_);
     shrink(laneResultBytes_, scratchPeak_);
-    shrink(laneSizes_, scratchPeak_);
     shrink(laneVault_, scratchPeak_);
     for (auto &lane : laneOps_)
         shrink(lane, scratchPeak_);
@@ -1984,24 +1902,27 @@ Scu::drainWindow(sim::SimContext &, sim::ThreadId)
 {
     if (!windowCtx_)
         return;
+    windowCtx_->bumpCounter(ids().asyncDrains);
+    closeWindow();
+}
+
+mem::Cycles
+Scu::closeWindow()
+{
     // Charges land on the BOUND thread regardless of who forced the
-    // drain: the window's wait belongs to the thread that ran ahead.
-    sim::SimContext &ctx = *windowCtx_;
-    const sim::ThreadId tid = windowTid_;
+    // close: the window's wait belongs to the thread that ran ahead.
     const mem::Cycles now = nowV();
-    if (maxCompletionV_ > now)
-        ctx.chargeStall(tid, maxCompletionV_ - now);
-    ctx.bumpCounter(ids().asyncDrains);
+    const mem::Cycles wait =
+        maxCompletionV_ > now ? maxCompletionV_ - now : 0;
+    if (wait)
+        windowCtx_->chargeStall(windowTid_, wait);
     windowCtx_ = nullptr;
-    pendingTickets_.clear();
+    pendingCompletions_.clear();
     deps_.clear();
     laneClockV_.clear();
     maxCompletionV_ = 0;
     reduceEndV_ = 0;
-    // Heartbeat evidence spanned the window; the barriered contract
-    // (reset per runQueues) resumes, with counters cleared.
-    if (pool_)
-        pool_->setBeatAccumulation(false);
+    return wait;
 }
 
 void
@@ -2039,315 +1960,6 @@ Scu::syncWrite(sim::SimContext &ctx, sim::ThreadId tid, SetId id)
     }
 }
 
-BatchHandle
-Scu::dispatchAsync(sim::SimContext &ctx, sim::ThreadId tid,
-                   const BatchRequest &batch)
-{
-    if (config_.asyncDepth == 0) {
-        // Window disabled: barriered dispatch behind the async API,
-        // handed back as an immediately-retired ticket.
-        BatchResult barriered = dispatchBatch(ctx, tid, batch);
-        const std::uint64_t ticket = nextTicket_++;
-        pendingResults_.emplace(ticket, std::move(barriered));
-        return BatchHandle{ticket};
-    }
-
-    ensureWindowContext(ctx, tid);
-
-    const std::size_t n = batch.size();
-    if (n == 0) {
-        // Same contract as dispatchBatch's early return: no sequence
-        // number, no charges -- but the dispatch attempt advances the
-        // scratch shrink window. The async window stays intact.
-        maybeShrinkScratch(0);
-        BatchResult empty;
-        const std::uint64_t ticket = nextTicket_++;
-        pendingResults_.emplace(ticket, std::move(empty));
-        return BatchHandle{ticket};
-    }
-
-    // Permanent-failure fence, peeked BEFORE the analyzer and the
-    // sequence number: watchdog detection, quarantine, and replay
-    // are barrier-shaped, so a dispatch whose coordinate carries
-    // fail points drains the window and runs barriered -- the
-    // counter has not advanced, so the barriered path sees the SAME
-    // coordinate and recovery is bit-identical to always-barriered.
-    if (faults_) {
-        failedVaults_.clear();
-        faults_->failuresAt(dispatchCounter_, failedVaults_);
-        std::erase_if(failedVaults_, [&](std::uint32_t v) {
-            return v >= quarantine_.vaults() || quarantine_.contains(v);
-        });
-        if (!failedVaults_.empty()) {
-            drainWindow(ctx, tid);
-            BatchResult recovered = dispatchBatch(ctx, tid, batch);
-            const std::uint64_t ticket = nextTicket_++;
-            pendingResults_.emplace(ticket, std::move(recovered));
-            return BatchHandle{ticket};
-        }
-    }
-
-    // Static pre-execution verification: the exact dispatchBatch
-    // gate. A strict reject leaves the window intact -- pending
-    // batches retire normally after the throw (analyze=strict under
-    // overlap, per the batch.hpp CROSS-BATCH HAZARDS contract).
-    if (config_.analyze != AnalyzeMode::Off) {
-        analysis::AnalysisContext actx;
-        actx.store = &store_;
-        actx.vaults = config_.pim.vaults;
-        actx.vaultOf = [this](SetId id) { return vaultOf(id); };
-        analysis::Report report =
-            analysis::analyze(analysis::Program::fromBatch(batch), actx);
-        ctx.bumpCounter(ids().analysisBatches);
-        if (report.errors > 0)
-            ctx.bumpCounter(ids().analysisErrors, report.errors);
-        if (report.warnings > 0)
-            ctx.bumpCounter(ids().analysisWarnings, report.warnings);
-        if (report.hasErrors()) {
-            if (config_.analyze == AnalyzeMode::Strict) {
-                maybeShrinkScratch(0);
-                throw analysis::AnalysisError(std::move(report));
-            }
-            sisa_warn("batch analysis found hazards:\n",
-                      report.toString());
-        }
-    }
-
-    // Serving admission at the same point as the barriered path:
-    // after the fences and the analyzer, before any charge. A
-    // cancellation verdict cancel-drains the window and throws.
-    admitDispatch(ctx, tid);
-
-    // Open the window lazily on the first overlapped dispatch.
-    if (!windowCtx_) {
-        windowCtx_ = &ctx;
-        windowTid_ = tid;
-        windowBase_ = ctx.threadCycles(tid);
-        laneClockV_.assign(
-            std::max<std::uint32_t>(config_.pim.vaults, 1), 0);
-        maxCompletionV_ = 0;
-        reduceEndV_ = 0;
-        deps_.clear();
-        // Window-aware heartbeats: lanes accept operations from
-        // several in-flight batches, so watchdog evidence must
-        // accumulate until the drain.
-        if (batchWorkerCount() > 1)
-            pool().setBeatAccumulation(true);
-    }
-
-    const std::uint64_t dispatch_idx = dispatchCounter_++;
-    std::uint64_t base_retries = 0;
-    std::uint64_t base_stalls = 0;
-    std::uint64_t base_recovery = 0;
-    if (faults_) {
-        base_retries = ctx.counter(ids().retries);
-        base_stalls = ctx.counter(ids().laneStalls);
-        base_recovery = ctx.counter(ids().recoveryBytes);
-    }
-
-    BatchResult result;
-    result.entries.resize(n);
-
-    // In-order front end, identical to dispatchBatch: one decode,
-    // then one serial metadata round per operand on the SCU. These
-    // charges advance real time (and therefore virtual "now").
-    ctx.chargeBusy(tid, config_.pim.scuDelay);
-    ctx.bumpCounter(ids().batchDispatches);
-    ctx.bumpCounter(ids().batchOps, n);
-    for (const BatchOp &op : batch.ops) {
-        chargeMetadata(ctx, tid, op.a);
-        chargeMetadata(ctx, tid, op.b);
-        ctx.recordSetSize(tid, store_.cardinality(op.a));
-        ctx.recordSetSize(tid, store_.cardinality(op.b));
-    }
-
-    // Functional execution, EAGER and in program order -- the async
-    // front end only lets modeled time run ahead. Every routing mode
-    // pre-executes here (the virtual lane clocks need each op's
-    // exact cycle cost before any lane can be laid out); outcomes,
-    // routes, and lanes are bit-identical to the barriered path.
-    const bool balanced = config_.routing == Routing::Balanced;
-    if (outcomes_.size() < n)
-        outcomes_.resize(n);
-    if (routes_.size() < n)
-        routes_.resize(n);
-    preExecuteOutcomes(batch, dispatch_idx);
-    if (balanced) {
-        scheduleBalanced(batch);
-    } else {
-        for (std::uint32_t i = 0; i < n; ++i)
-            routes_[i] = resolveRoute(batch.ops[i].a, batch.ops[i].b);
-    }
-    const std::uint32_t lanes = buildLanes(n);
-
-    // Scoreboard join: per-op virtual ready times against the
-    // window's unretired defs (incremental cross-batch DAG join --
-    // O(ops), not a rebuild).
-    const mem::Cycles issue_v = nowV();
-    const std::vector<std::uint64_t> ready =
-        deps_.joinBatch(analysis::Program::fromBatch(batch), issue_v);
-
-    // Virtual-time lane accounting: the SAME charge rule as the
-    // barriered path (chargeLaneOp), billed serially into a scratch
-    // context so each op's exact cost reads back as a threadCycles
-    // delta. An op starts at max(its vault's lane clock, its
-    // scoreboard ready time); lane clocks persist across the
-    // window's batches, which is precisely where the overlap win
-    // comes from. Counters merge into ctx below (absorbCounters), so
-    // counter totals stay bit-identical to dispatchBatch.
-    sim::SimContext &acct = serialCtx_;
-    acct.reset(1);
-    acct.bindQuery(ctx.activeQuery());
-    mem::Cycles batch_end = issue_v;
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-        const std::uint32_t vault = laneVault_[l];
-        serialFetched_.clear();
-        const mem::Cycles lane_entry = acct.threadCycles(0);
-        mem::Cycles lane_clock =
-            std::max(laneClockV_[vault], issue_v);
-        for (const std::uint32_t i : laneOps_[l]) {
-            const mem::Cycles before = acct.threadCycles(0);
-            chargeLaneOp(acct, 0, serialFetched_, l, i, dispatch_idx);
-            const mem::Cycles cost = acct.threadCycles(0) - before;
-            const mem::Cycles start =
-                std::max<mem::Cycles>(lane_clock, ready[i]);
-            lane_clock = start + cost;
-            // Payload reads end when the op does: the WAR horizon
-            // for serial mutations of the operands.
-            if (outcomes_[i].readsA)
-                deps_.noteRead(batch.ops[i].a, lane_clock);
-            if (outcomes_[i].readsB)
-                deps_.noteRead(batch.ops[i].b, lane_clock);
-        }
-        laneClockV_[vault] = lane_clock;
-        batch_end = std::max(batch_end, lane_clock);
-        // Shared-vault occupancy for the admission model: the lane's
-        // busy time is its charge total, exactly as barriered.
-        noteVaultBusy(vault, acct.threadCycles(0) - lane_entry);
-    }
-
-    // Cross-vault result reduction: same lanes, bytes, and level
-    // structure as the barriered path, laid out in virtual time
-    // after the batch's slowest participating lane -- and after the
-    // previous batch's reduction, since the SCU has ONE tree.
-    laneResultBytes_.clear();
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-        std::uint64_t bytes = 0;
-        bool executed = false;
-        for (const std::uint32_t i : laneOps_[l]) {
-            if (outcomes_[i].numCharges == 0)
-                continue;
-            executed = true;
-            bytes += resultBytes(outcomes_[i]);
-        }
-        if (executed)
-            laneResultBytes_.push_back(bytes);
-    }
-    mem::Cycles completion = batch_end;
-    if (laneResultBytes_.size() > 1) {
-        completion = std::max(batch_end, reduceEndV_);
-        std::uint64_t reduce_bytes = 0;
-        std::size_t len = laneResultBytes_.size();
-        while (len > 1) {
-            mem::Cycles level = 0;
-            std::size_t out = 0;
-            for (std::size_t i = 0; i + 1 < len; i += 2) {
-                level = std::max(
-                    level, mem::interconnectCycles(
-                               config_.pim, laneResultBytes_[i + 1]));
-                reduce_bytes += laneResultBytes_[i + 1];
-                laneResultBytes_[out++] =
-                    laneResultBytes_[i] + laneResultBytes_[i + 1];
-            }
-            if (len % 2)
-                laneResultBytes_[out++] = laneResultBytes_[len - 1];
-            len = out;
-            completion += level;
-        }
-        ctx.bumpCounter(ids().xvaultReduceBytes, reduce_bytes);
-        reduceEndV_ = completion;
-    }
-    maxCompletionV_ = std::max(maxCompletionV_, completion);
-
-    // Merge the lane counters now; the cycles stay virtual and are
-    // paid only when something genuinely waits (retire/sync/drain).
-    ctx.absorbCounters(acct);
-
-    // Dynamic re-placement still closes every dispatch: identical
-    // observations (laneFetched_ is written by the same charge
-    // rule), identical migrations, identical decay cadence.
-    if (dynamic_)
-        replaceAtBarrier(ctx, tid, lanes);
-
-    // One shared lastBackend_ rule with serial issue and the
-    // barriered scan: the last op of the batch that charged.
-    for (std::uint32_t i = static_cast<std::uint32_t>(n); i-- > 0;) {
-        if (outcomes_[i].numCharges) {
-            retainOrUpdateLastBackend(outcomes_[i]);
-            break;
-        }
-    }
-
-    // Materialize results in request order (ids deterministic and
-    // identical to barriered dispatch). Every materialized result is
-    // a pending def until the batch's reduction completes -- results
-    // ride the tree back to the SCU together, so one conservative
-    // def time covers the batch.
-    for (std::uint32_t i = 0; i < n; ++i) {
-        const BatchOp &op = batch.ops[i];
-        BatchEntry &entry = result.entries[i];
-        entry.value = outcomes_[i].scalar;
-        if (!std::holds_alternative<std::monostate>(
-                outcomes_[i].payload)) {
-            entry.set = adoptOutcome(std::move(outcomes_[i]));
-            entry.value = store_.cardinality(entry.set);
-            placeResult(entry.set, routes_[i].vault);
-            deps_.noteDef(entry.set, completion);
-        }
-        SisaOp traced = op.variant;
-        if (op.kind == BatchOpKind::IntersectCard)
-            traced = SisaOp::IntersectCard;
-        else if (op.kind == BatchOpKind::UnionCard)
-            traced = SisaOp::UnionCard;
-        traceOp(traced, entry.set == invalid_set ? 0 : entry.set, op.a,
-                op.b);
-    }
-    if (faults_) {
-        // Transient faults only on this path (permanent failures
-        // were fenced to the barriered dispatch above), so the
-        // quarantine count can never move here.
-        result.faults.retries =
-            ctx.counter(ids().retries) - base_retries;
-        result.faults.laneStalls =
-            ctx.counter(ids().laneStalls) - base_stalls;
-        result.faults.recoveryBytes =
-            ctx.counter(ids().recoveryBytes) - base_recovery;
-        if (sched_)
-            demand_.faultEvents += result.faults.retries +
-                                   result.faults.laneStalls;
-    }
-    maybeShrinkScratch(n);
-
-    // Issue the ticket, then retire the ROB head past the window
-    // depth: the front end may run at most asyncDepth batches ahead,
-    // so the issuing thread stalls to the oldest pending completion
-    // first -- in-order retirement, exactly like a ROB.
-    const std::uint64_t ticket = nextTicket_++;
-    pendingResults_.emplace(ticket, std::move(result));
-    pendingTickets_.emplace_back(ticket, completion);
-    ctx.bumpCounter(ids().asyncDispatches);
-    while (pendingTickets_.size() > config_.asyncDepth) {
-        const mem::Cycles retire = pendingTickets_.front().second;
-        pendingTickets_.pop_front();
-        const mem::Cycles now = nowV();
-        if (retire > now) {
-            ctx.chargeStall(tid, retire - now);
-            ctx.bumpCounter(ids().asyncSyncs);
-        }
-    }
-    reportDispatch(ctx);
-    return BatchHandle{ticket};
-}
 
 BatchResult
 Scu::collectBatch(sim::SimContext &, sim::ThreadId, BatchHandle handle)

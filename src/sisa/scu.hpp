@@ -26,6 +26,8 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -76,6 +78,16 @@ namespace sisa::isa {
 enum class Routing : std::uint8_t { Primary, MinBytes, Balanced };
 
 /**
+ * The routing name table: "primary" (also ""), "min-bytes",
+ * "balanced". std::nullopt for any other name -- report it with
+ * routingNames().
+ */
+std::optional<Routing> parseRouting(std::string_view name);
+
+/** The valid routing names, "primary | min-bytes | balanced". */
+std::string_view routingNames();
+
+/**
  * Static batch verification mode (sisa/analysis.hpp). Off skips the
  * analyzer entirely -- dispatchBatch is instruction-identical to a
  * build without the analysis layer (the zero-overhead guarantee,
@@ -107,8 +119,8 @@ struct ScuConfig
      */
     double gallopThreshold = 0.0;
     /**
-     * Host worker threads executing batched dispatches (one worker
-     * serves vaults v with v % workers == worker id). 0 selects
+     * Host worker threads executing batched dispatches (workers
+     * claim a batch's ops one at a time). 0 selects
      * std::thread::hardware_concurrency(); 1 disables the pool and
      * runs batches inline on the calling thread.
      */
@@ -156,8 +168,9 @@ struct ScuConfig
      * batch whose operands have no RAW/WAR/WAW edge to a pending
      * result starts on idle vault lanes instead of waiting for the
      * previous batch's barrier. 0 (the default) disables the window
-     * -- dispatchAsync degenerates to dispatchBatch plus an
-     * immediately-retired ticket. Overlap moves cycle charges only:
+     * -- dispatchAsync retires every batch as a barrier and hands
+     * back an immediately-retired ticket. Overlap moves cycle charges
+     * only:
      * results, ids, traces, and functional counters stay
      * bit-identical to the barriered path (the batch.hpp CROSS-BATCH
      * HAZARDS contract).
@@ -220,13 +233,12 @@ class Scu
      * vault the LPT batch scheduler picks under Balanced -- see the
      * Routing enum); operations on the same vault serialize, vaults
      * run in parallel, and the calling simulated thread is charged
-     * the makespan of the slowest vault (merged at the barrier from
-     * per-worker SimContexts) plus the cross-vault result reduction
-     * tree. On the host, the per-vault queues run on the worker pool
-     * with work stealing (VaultWorkerPool::runQueues): idle workers
-     * execute ops of the deepest queue while the owner retains all
-     * cycle charging, so wall-clock tracks the balanced makespan
-     * without disturbing the deterministic modeled accounting.
+     * the makespan of the slowest vault plus the cross-vault result
+     * reduction tree. On the host, the batch's operations execute
+     * functionally up front on the worker pool
+     * (VaultWorkerPool::parallelFor); the lanes are then laid out in
+     * modeled time serially, so the accounting is deterministic and
+     * worker-count invariant.
      *
      * Cross-vault traffic model: when an operation's co-operand
      * resolves to a DIFFERENT vault than its execution vault, the
@@ -263,7 +275,9 @@ class Scu
 
     /**
      * dispatchBatch without the barrier (config().asyncDepth > 0):
-     * the batch executes functionally IN ORDER at dispatch -- same
+     * the same dispatch pipeline, retired through an in-flight
+     * window instead of at once. The batch executes functionally IN
+     * ORDER at dispatch -- same
      * results, result ids, traces, and functional counters as
      * dispatchBatch, bit for bit -- but its modeled completion joins
      * an in-flight window instead of stalling the issuing thread.
@@ -282,8 +296,10 @@ class Scu
      * or serial op from a different context/thread drains it first
      * (charging the bound thread). Permanent vault failures fence the
      * window: a dispatch whose sequence number carries fail points
-     * drains and delegates to dispatchBatch, so watchdog/quarantine/
-     * recovery semantics stay exactly barriered. Transient faults
+     * drains the window and retires as a barrier, so watchdog/
+     * quarantine/recovery semantics stay exactly barriered. With
+     * asyncDepth 0 every dispatch retires as a barrier. Transient
+     * faults
      * (corruption, drops, stalls) flow through unchanged -- same
      * dispatch coordinates, same charges, same BatchFaultSummary.
      *
@@ -307,8 +323,8 @@ class Scu
     /**
      * Retire every in-flight async dispatch: the bound thread is
      * charged the stall up to the latest pending modeled completion,
-     * the scoreboard and lane clocks reset, and heartbeat
-     * accumulation ends. A no-op when no window is active. Collected
+     * and the scoreboard and lane clocks reset. A no-op when no
+     * window is active. Collected
      * and uncollected results survive (collectBatch still works).
      */
     void drainWindow(sim::SimContext &ctx, sim::ThreadId tid);
@@ -323,7 +339,11 @@ class Scu
     void syncRead(sim::SimContext &ctx, sim::ThreadId tid, SetId id);
 
     /** In-flight async dispatches not yet retired (introspection). */
-    std::size_t asyncInFlight() const { return pendingTickets_.size(); }
+    std::size_t
+    asyncInFlight() const
+    {
+        return pendingCompletions_.size();
+    }
 
     /** Is an async window currently bound to a context? */
     bool asyncWindowActive() const { return windowCtx_ != nullptr; }
@@ -467,7 +487,7 @@ class Scu
     /**
      * Share one host worker pool among several SCUs -- the serving
      * layer's K sessions must not spawn K pools. Callers own the
-     * serialization guarantee (runQueues is not reentrant): the
+     * serialization guarantee (parallelFor is not reentrant): the
      * lockstep QueryScheduler provides exactly that, and the pool
      * must have been built for at least this SCU's batchWorkers.
      */
@@ -527,6 +547,19 @@ class Scu
     };
 
     /**
+     * Serial issue of one binary op: RAW edges into the async
+     * window, decode, the operands' metadata rounds and set sizes,
+     * then execute and charge the outcome on (@p ctx, @p tid).
+     */
+    OpOutcome issueSerial(sim::SimContext &ctx, sim::ThreadId tid,
+                          BatchOpKind kind, SetId a, SetId b,
+                          SisaOp variant);
+
+    /** issueSerial + adoption, result placement and trace. */
+    SetId issueSetOp(sim::SimContext &ctx, sim::ThreadId tid,
+                     BatchOpKind kind, SetId a, SetId b, SisaOp variant);
+
+    /**
      * Plan and execute one binary set operation (Section 8.2/8.3
      * dispatch rules; zero-cardinality operands short-circuit to a
      * metadata-only charge). Reads the store but never mutates it.
@@ -541,7 +574,7 @@ class Scu
      * the result disagrees with the one the SCU recomputes, and the
      * op re-executes after an exponential backoff -- the wasted
      * execution, the failed verify, and the backoff accumulate into
-     * the outcome's faultCycles (charged later by the owning lane).
+     * the outcome's faultCycles (charged later with the op's lane).
      * Because executeBinary is deterministic, the surviving clean
      * execution is bit-identical to the fault-free result and the
      * setops.* work counters are those of exactly one execution.
@@ -573,11 +606,7 @@ class Scu
     void quarantineVault(sim::SimContext &ctx, sim::ThreadId tid,
                          std::uint32_t vault);
 
-    /**
-     * Charge @p outcome's cycles and counters to (@p ctx, @p tid).
-     * Never mutates `this` -- batch workers call it concurrently on
-     * their private contexts.
-     */
+    /** Charge @p outcome's cycles and counters to (@p ctx, @p tid). */
     void chargeOutcome(sim::SimContext &ctx, sim::ThreadId tid,
                        const OpOutcome &outcome);
 
@@ -623,24 +652,46 @@ class Scu
     OpRoute resolveRoute(SetId a, SetId b) const;
 
     /**
-     * Balanced-routing phase 1: execute every batch operation
-     * functionally into outcomes_ (in parallel on the worker pool,
-     * with stealing) WITHOUT charging anything -- the scheduler needs
-     * the exact per-op cycle charges before it can assign vaults.
-     * @p dispatch is the dispatch sequence number (fault coordinate).
+     * The one batched-dispatch pipeline behind dispatchBatch and
+     * dispatchAsync: verify (fail-point peek, analyzer gate) ->
+     * admit -> execute functionally -> route -> lay lanes out in
+     * modeled time -> reduce -> retire. The two differ only in the
+     * retire rule: a barrier (@p windowed false) drains any open
+     * window, lays its lanes from fresh clocks and charges the
+     * issuing thread busy(completion - issue) at once; a windowed
+     * dispatch joins the scoreboard and the ROB. A windowed dispatch
+     * whose coordinate carries fail points retires as a barrier.
+     */
+    BatchResult dispatch(sim::SimContext &ctx, sim::ThreadId tid,
+                         const BatchRequest &batch, bool windowed);
+
+    /**
+     * Execute every batch operation functionally into outcomes_ (in
+     * parallel on the worker pool) WITHOUT charging anything -- lane
+     * layout and the Balanced scheduler need each op's exact cycle
+     * charges first. @p dispatch is the dispatch sequence number
+     * (fault coordinate).
      */
     void preExecuteOutcomes(const BatchRequest &batch,
                             std::uint64_t dispatch);
 
     /**
-     * Balanced-routing phase 2: LPT list scheduling over the cached
-     * outcomes. Operations are assigned in descending execution-cost
-     * order; each goes to whichever of its two operand vaults
-     * minimizes lane_depth + exec + interconnect(co-operand left
-     * remote), with the once-per-(vault, operand) transfer dedup the
-     * charge path applies priced in (so the scheduled lane depths
-     * equal the cycles later charged, exactly). Ties keep a's vault.
-     * Fills routes_ for the normal lane-building/charging path.
+     * LPT list scheduling over the cached outcomes of the ops in
+     * @p order (sorted here into descending cost, stably): each op
+     * goes to whichever of its two operand vaults minimizes
+     * lane_depth + exec + interconnect(co-operand left remote) on
+     * fresh loads, with the once-per-(vault, operand) transfer dedup
+     * the charge path applies priced in. Ties keep a's vault. Writes
+     * routes_ and returns the scheduled makespan. Balanced routing's
+     * pass 1 and its permanent-failure replay.
+     */
+    mem::Cycles routeLpt(const BatchRequest &batch,
+                         std::vector<std::uint32_t> &order);
+
+    /**
+     * Balanced routing: routeLpt establishes the makespan M*, then a
+     * byte-harvesting pass rewrites every route (see Routing), so
+     * the scheduled lane depths equal the cycles later charged.
      */
     void scheduleBalanced(const BatchRequest &batch);
 
@@ -659,7 +710,7 @@ class Scu
 
     /**
      * Barrier step of dynamic re-placement: feed the transfers the
-     * workers recorded in laneFetched_ (exactly the charged ones, in
+     * lanes recorded in laneFetched_ (exactly the charged ones, in
      * deterministic lane order) to the DynamicPlacement policy and
      * apply + charge the migrations it returns.
      */
@@ -678,13 +729,43 @@ class Scu
     void maybeShrinkScratch(std::size_t n);
 
     /**
-     * First-touch lane build: group ops 0..n-1 by routes_[i].vault
-     * into laneOps_/laneVault_ (lane order = order of first
-     * appearance, deterministic) and reset the vault->lane table.
-     * Returns the lane count. Shared by dispatchBatch and
-     * dispatchAsync so both walk identical lanes.
+     * First-touch lane build: append the op indices @p ops to lanes
+     * by routes_[i].vault, one new lane per vault first seen in this
+     * call (lane order = order of first appearance, deterministic).
      */
-    std::uint32_t buildLanes(std::size_t n);
+    template <typename Ops>
+    void appendLanes(const Ops &ops);
+
+    /**
+     * Lay lanes [@p first, end) out in modeled time from @p issue,
+     * billing every op through chargeLaneOp; returns the latest lane
+     * end. With @p ready (a window's scoreboard times) each op also
+     * waits for its operands and for the vault's persistent lane
+     * clock, and its payload reads are noted for WAR hazards.
+     */
+    mem::Cycles layLanes(const BatchRequest &batch, std::uint32_t first,
+                         mem::Cycles issue,
+                         const std::vector<std::uint64_t> *ready,
+                         std::uint64_t dispatch_idx);
+
+    /**
+     * Permanent-failure recovery (barrier only): quarantine
+     * failedVaults_, re-route the stranded recoveredOps_ and lay
+     * their lanes out one heartbeat timeout after @p healthy_end.
+     * Returns the replay's end.
+     */
+    mem::Cycles recoverStranded(sim::SimContext &ctx, sim::ThreadId tid,
+                                const BatchRequest &batch,
+                                mem::Cycles healthy_end,
+                                std::uint64_t dispatch_idx);
+
+    /**
+     * Lay the cross-vault result reduction tree out after
+     * @p batch_end (and, in a window, after the previous tree) and
+     * return the batch's completion; bumps xvault_reduce_bytes.
+     */
+    mem::Cycles reduceResults(sim::SimContext &ctx, mem::Cycles batch_end,
+                              bool windowed);
 
     /**
      * Remote operands already pulled into one lane this dispatch: an
@@ -733,17 +814,14 @@ class Scu
 
     /**
      * The accounting half of batched op @p i on lane @p l: remote
-     * co-operand transfer (deduped per lane by @p fetched, drop/
+     * co-operand transfer (deduped per lane by serialFetched_, drop/
      * retransmit and checksum fault hooks behind the faults_ gate),
      * injected lane stalls, the op's cached charges, and the result
-     * checksum verify -- charged to modeled thread @p lane_tid of
-     * @p wctx. Shared by the barriered worker charge path, the
-     * permanent-failure recovery replay, and the async window's
-     * virtual-time accounting, so all three bill one rule.
+     * checksum verify -- billed into serialCtx_. Returns the op's
+     * lane cycles, the cost layLanes lays out.
      */
-    void chargeLaneOp(sim::SimContext &wctx, sim::ThreadId lane_tid,
-                      FetchedSet &fetched, std::uint32_t l,
-                      std::uint32_t i, std::uint64_t dispatch_idx);
+    mem::Cycles chargeLaneOp(std::uint32_t l, std::uint32_t i,
+                             std::uint64_t dispatch_idx);
 
     // --- Async dispatch window (dispatchAsync) ------------------------
 
@@ -844,6 +922,13 @@ class Scu
      */
     void cancelWindow();
 
+    /**
+     * The settlement drainWindow and cancelWindow share: stall the
+     * bound thread to the latest pending completion and reset the
+     * window. Returns the stall charged (the caller books it).
+     */
+    mem::Cycles closeWindow();
+
     /** Close the grant: report the dispatch's demand (see bindQuery). */
     void reportDispatch(const sim::SimContext &ctx);
 
@@ -916,14 +1001,13 @@ class Scu
     std::vector<std::uint32_t> failedVaults_;  ///< Recovery scratch.
     std::vector<std::uint32_t> recoveredOps_;  ///< Recovery scratch.
 
-    // Scratch reused across dispatchBatch calls so a small batch does
+    // Scratch reused across dispatches so a small batch does
     // not pay fresh allocations (instruction issue on one SCU is not
     // reentrant, like the SMB state above). Bounded by the shrink-to-
     // high-watermark policy in maybeShrinkScratch.
     std::vector<std::uint32_t> vaultLane_; ///< vault -> lane or ~0u.
     std::vector<std::uint32_t> laneVault_; ///< lane -> vault (reset list).
     std::vector<std::vector<std::uint32_t>> laneOps_;
-    std::vector<std::uint32_t> laneSizes_; ///< lane -> op count.
     std::vector<OpOutcome> outcomes_;
     std::vector<OpRoute> routes_; ///< op -> routing decision.
     std::vector<std::uint64_t> laneResultBytes_;
@@ -941,30 +1025,17 @@ class Scu
     std::unordered_map<SetId, std::vector<std::uint32_t>>
         schedFetchedVaults_;
     /**
-     * Per-lane (remote operand, bytes) transfers the workers charged
-     * this dispatch, recorded only while a DynamicPlacement policy
-     * is installed -- the barrier feeds them to the policy verbatim,
-     * so heat can never drift from what was billed. Each lane is
-     * written by exactly one worker.
+     * Per-lane (remote operand, bytes) transfers charged this
+     * dispatch, recorded only while a DynamicPlacement policy is
+     * installed -- the barrier feeds them to the policy verbatim, so
+     * heat can never drift from what was billed.
      */
     std::vector<std::vector<std::pair<SetId, std::uint64_t>>>
         laneFetched_;
     /**
-     * Per-worker lane accounting of dispatchBatch, reset per dispatch
-     * instead of rebuilt: a private context (one modeled thread per
-     * owned lane) and the fetched-operand set of the lane the worker
-     * is charging.
-     */
-    struct WorkerScratch
-    {
-        sim::SimContext ctx{1};
-        FetchedSet fetched;
-        std::uint32_t lane = UINT32_MAX;
-    };
-    std::vector<WorkerScratch> workerScratch_;
-    /**
-     * Serial lane accounting (async virtual time, recovery replay):
-     * a context reset per use and one fetched-operand set.
+     * Lane accounting of every dispatch: a context reset per
+     * dispatch and the fetched-operand set of the lane being laid
+     * out.
      */
     sim::SimContext serialCtx_{1};
     FetchedSet serialFetched_;
@@ -973,7 +1044,7 @@ class Scu
     static constexpr std::uint32_t scratch_window = 32;
 
     // --- Async dispatch window state (all dead while windowCtx_ is
-    // null; dispatchAsync opens the window lazily and drainWindow /
+    // null; a windowed dispatch opens it lazily and drainWindow /
     // any foreign context / a barriered dispatch closes it). Modeled
     // time inside the window is VIRTUAL: cycles past windowBase_ on
     // the bound thread, so front-end charges, serial ops, and
@@ -988,8 +1059,8 @@ class Scu
     mem::Cycles reduceEndV_ = 0;
     /** RAW/WAR scoreboard over unretired defs and payload reads. */
     analysis::DependencyWindow deps_;
-    /** In-flight (ticket, completion) in dispatch order (the ROB). */
-    std::deque<std::pair<std::uint64_t, mem::Cycles>> pendingTickets_;
+    /** In-flight completions in dispatch order (the ROB). */
+    std::deque<mem::Cycles> pendingCompletions_;
     /** Dispatched-but-uncollected results (survive the drain). */
     std::unordered_map<std::uint64_t, BatchResult> pendingResults_;
     std::uint64_t nextTicket_ = 0;

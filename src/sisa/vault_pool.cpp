@@ -1,6 +1,7 @@
 #include "sisa/vault_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 namespace sisa::isa {
 
@@ -25,8 +26,14 @@ VaultWorkerPool::~VaultWorkerPool()
 }
 
 void
-VaultWorkerPool::run(const std::function<void(std::uint32_t)> &job)
+VaultWorkerPool::parallelFor(std::size_t count,
+                             const std::function<void(std::size_t)> &body)
 {
+    std::atomic<std::size_t> next{0};
+    const std::function<void(std::uint32_t)> job = [&](std::uint32_t) {
+        for (std::size_t i = next++; i < count; i = next++)
+            body(i);
+    };
     std::unique_lock<std::mutex> lock(mutex_);
     job_ = &job;
     remaining_ = size();
@@ -39,187 +46,6 @@ VaultWorkerPool::run(const std::function<void(std::uint32_t)> &job)
         if (err)
             std::rethrow_exception(err);
     }
-}
-
-void
-VaultWorkerPool::runQueues(
-    const std::vector<std::uint32_t> &lane_sizes, std::uint32_t owners,
-    const std::function<void(std::uint32_t, std::uint32_t)> &execute,
-    const std::function<void(std::uint32_t, std::uint32_t,
-                             std::uint32_t)> &charge,
-    bool steal,
-    const std::function<bool(std::uint32_t)> *lane_dead)
-{
-    const auto lanes = static_cast<std::uint32_t>(lane_sizes.size());
-    owners = std::min(std::max(owners, 1u), std::max(lanes, 1u));
-
-    {
-        const std::lock_guard<std::mutex> beat_lock(beatMutex_);
-        if (laneBeatsCapacity_ < lanes) {
-            auto grown =
-                std::make_unique<std::atomic<std::uint32_t>[]>(lanes);
-            if (accumulateBeats_) {
-                // Mid-window growth must not drop the evidence
-                // already gathered for the existing lanes.
-                for (std::size_t l = 0; l < laneBeatsCapacity_; ++l)
-                    grown[l].store(
-                        laneBeats_[l].load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-            }
-            laneBeats_ = std::move(grown);
-            laneBeatsCapacity_ = lanes;
-        }
-        if (!accumulateBeats_) {
-            for (std::uint32_t l = 0; l < lanes; ++l)
-                laneBeats_[l].store(0, std::memory_order_relaxed);
-        }
-    }
-
-    // A dead lane's vault fail-stopped: nobody executes or charges
-    // its operations and its heartbeat stays at zero (the watchdog's
-    // timeout evidence); the SCU re-routes them in its recovery pass.
-    const auto dead = [&](std::uint32_t l) {
-        return lane_dead && (*lane_dead)(l);
-    };
-
-    if (!steal) {
-        // No thieves means owners are the only claimants: the plain
-        // ordered walk needs no claim states at all (pre-executed
-        // balanced batches take this path on every dispatch).
-        run([&](std::uint32_t w) {
-            if (w >= owners)
-                return;
-            for (std::uint32_t l = w; l < lanes; l += owners) {
-                if (dead(l))
-                    continue;
-                for (std::uint32_t pos = 0; pos < lane_sizes[l];
-                     ++pos) {
-                    execute(l, pos);
-                    charge(w, l, pos);
-                    laneBeats_[l].fetch_add(
-                        1, std::memory_order_relaxed);
-                }
-            }
-        });
-        return;
-    }
-
-    queueOffsets_.resize(lanes);
-    std::size_t total = 0;
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-        queueOffsets_[l] = total;
-        total += lane_sizes[l];
-    }
-    if (opStateCapacity_ < total) {
-        opState_ = std::make_unique<std::atomic<std::uint8_t>[]>(total);
-        opStateCapacity_ = total;
-    }
-    for (std::size_t i = 0; i < total; ++i)
-        opState_[i].store(op_free, std::memory_order_relaxed);
-    if (laneClaimedCapacity_ < lanes) {
-        laneClaimed_ =
-            std::make_unique<std::atomic<std::uint32_t>[]>(lanes);
-        laneClaimedCapacity_ = lanes;
-    }
-    for (std::uint32_t l = 0; l < lanes; ++l)
-        laneClaimed_[l].store(0, std::memory_order_relaxed);
-
-    // Execute an op this thread just claimed and publish completion.
-    // The done flag is set even when execute throws: an owner may be
-    // spin-waiting on it, and the pool barrier rethrows afterwards --
-    // a missing flag would turn the exception into a deadlock.
-    const auto execute_claimed = [&](std::uint32_t lane,
-                                     std::uint32_t pos) {
-        std::atomic<std::uint8_t> &state =
-            opState_[queueOffsets_[lane] + pos];
-        laneClaimed_[lane].fetch_add(1, std::memory_order_relaxed);
-        try {
-            execute(lane, pos);
-        } catch (...) {
-            state.store(op_done, std::memory_order_release);
-            throw;
-        }
-        state.store(op_done, std::memory_order_release);
-    };
-
-    run([&](std::uint32_t w) {
-        if (w < owners) {
-            for (std::uint32_t l = w; l < lanes; l += owners) {
-                if (dead(l))
-                    continue;
-                for (std::uint32_t pos = 0; pos < lane_sizes[l];
-                     ++pos) {
-                    std::atomic<std::uint8_t> &state =
-                        opState_[queueOffsets_[l] + pos];
-                    std::uint8_t expected = op_free;
-                    if (state.compare_exchange_strong(
-                            expected, op_claimed,
-                            std::memory_order_acq_rel)) {
-                        execute_claimed(l, pos);
-                    } else {
-                        // A thief has it: wait for the result (its
-                        // write to the outcome slot is published by
-                        // the release store of op_done).
-                        while (state.load(std::memory_order_acquire) !=
-                               op_done)
-                            std::this_thread::yield();
-                    }
-                    charge(w, l, pos);
-                    laneBeats_[l].fetch_add(
-                        1, std::memory_order_relaxed);
-                }
-            }
-        }
-        // Out of owned work: steal single ops from the back of the
-        // deepest remaining queue until nothing is left to claim.
-        for (;;) {
-            std::uint32_t best = UINT32_MAX;
-            std::uint32_t best_left = 0;
-            for (std::uint32_t l = 0; l < lanes; ++l) {
-                if (dead(l))
-                    continue;
-                const std::uint32_t claimed = std::min(
-                    laneClaimed_[l].load(std::memory_order_relaxed),
-                    lane_sizes[l]);
-                const std::uint32_t left = lane_sizes[l] - claimed;
-                if (left > best_left) {
-                    best = l;
-                    best_left = left;
-                }
-            }
-            if (best == UINT32_MAX)
-                break;
-            bool stole = false;
-            for (std::uint32_t pos = lane_sizes[best]; pos-- > 0;) {
-                std::atomic<std::uint8_t> &state =
-                    opState_[queueOffsets_[best] + pos];
-                if (state.load(std::memory_order_relaxed) != op_free)
-                    continue;
-                std::uint8_t expected = op_free;
-                if (state.compare_exchange_strong(
-                        expected, op_claimed,
-                        std::memory_order_acq_rel)) {
-                    execute_claimed(best, pos);
-                    stole = true;
-                    break;
-                }
-            }
-            if (!stole) {
-                // The depth estimate lagged the claim counters; let
-                // them catch up instead of busy-rescanning.
-                std::this_thread::yield();
-            }
-        }
-    });
-}
-
-void
-VaultWorkerPool::setBeatAccumulation(bool accumulate)
-{
-    const std::lock_guard<std::mutex> lock(beatMutex_);
-    accumulateBeats_ = accumulate;
-    for (std::size_t l = 0; l < laneBeatsCapacity_; ++l)
-        laneBeats_[l].store(0, std::memory_order_relaxed);
 }
 
 void

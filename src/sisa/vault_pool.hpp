@@ -1,47 +1,36 @@
 /**
  * @file
  * Host-side worker pool backing the SCU's batched dispatch. The pool
- * owns a fixed set of std::thread workers. run() hands every worker
- * the same job and blocks at a barrier until all of them finish,
- * mirroring the SCU waiting for the slowest vault.
+ * owns a fixed set of std::thread workers. parallelFor() hands every
+ * worker the same index range and blocks until all of them finish;
+ * workers claim indices one at a time (self-scheduling), so a batch
+ * of uneven operations balances itself across the pool.
  *
- * runQueues() layers the SCU's per-vault ("lane") operation queues on
- * top with work stealing: lane l is OWNED by worker l % owners, and
- * the owner is the only thread that charges the lane's modeled cycles
- * -- in exact lane-op order, so per-lane accounting stays
- * deterministic no matter which thread executed an operation. Workers
- * that run out of owned work steal whole operations from the back of
- * the deepest remaining queue and execute them functionally; the
- * owner then only waits for the result instead of recomputing it.
- * Stealing therefore moves HOST work only: modeled cycles, counters,
- * and results are bit-identical with stealing on or off, and
- * invariant under the worker count.
- *
- * The pool is purely an execution vehicle for the host simulator; all
- * *modeled* parallelism (per-vault cycle accounting, cross-vault
- * transfer charges and byte counters, makespan merge) lives in
- * Scu::dispatchBatch. Each worker's private SimContext carries its
- * vaults' scu.xvault_transfers / setops.xvault_bytes tallies until
- * the barrier merges them into the issuing thread's context.
+ * The pool is purely an execution vehicle for the host simulator: it
+ * runs the functional half of a batch (Scu::preExecuteOutcomes),
+ * which is pure per operation. All *modeled* accounting (per-vault
+ * lane layout, cross-vault transfer charges, makespan, reduction)
+ * happens afterwards on the dispatching thread in Scu::dispatch, so
+ * modeled cycles, counters and results are invariant under the
+ * worker count.
  *
  * SHARING. One pool may back several SCUs (Scu::adoptPool): the
  * serving layer's K query sessions dispatch into one set of host
- * workers instead of spawning K pools. The pool itself stays
- * single-dispatch -- runQueues' claim/beat scratch is not reentrant
- * -- so sharers must serialize their dispatches. The serving layer's
- * lockstep QueryScheduler (sisa/serving.hpp) guarantees exactly that:
- * at most one session holds the dispatch grant at a time.
+ * workers instead of spawning K pools. The pool runs one parallelFor
+ * at a time, so sharers must serialize their dispatches. The serving
+ * layer's lockstep QueryScheduler (sisa/serving.hpp) guarantees
+ * exactly that: at most one session holds the dispatch grant at a
+ * time.
  */
 
 #ifndef SISA_SISA_VAULT_POOL_HPP
 #define SISA_SISA_VAULT_POOL_HPP
 
-#include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -70,86 +59,18 @@ class VaultWorkerPool
     }
 
     /**
-     * Execute @p job(w) on every worker w in [0, size()) and wait for
-     * all of them (the batch barrier). Exceptions thrown by a job are
-     * captured and rethrown here after the barrier.
+     * Run @p body(i) for every i in [0, @p count) across the workers
+     * and wait for all of them. Each index runs exactly once, on one
+     * worker; its effects are visible to the caller on return. An
+     * exception thrown by @p body stops that worker and is rethrown
+     * here once every worker has finished (the lowest-numbered
+     * failing worker's, if several threw).
      */
-    void run(const std::function<void(std::uint32_t)> &job);
-
-    /**
-     * Execute one dispatch's per-lane operation queues across the
-     * pool with work stealing. Lane l (of lane_sizes.size() lanes,
-     * lane_sizes[l] operations each) is owned by worker l % owners
-     * for owners = min(@p owners, lanes): the owner walks its lanes
-     * in index order and their operations front to back, calling
-     * @p execute(lane, pos) for each operation it claims and
-     * @p charge(worker, lane, pos) for EVERY operation of its lanes,
-     * in order, after that operation's execute() completed. Workers
-     * without owned work left (including pool workers beyond
-     * @p owners) steal: they claim single operations from the back
-     * of the queue with the most unclaimed operations and run only
-     * execute() -- the owner still does the charging, so per-lane
-     * accounting order is deterministic. Each operation's execute()
-     * runs exactly once, on exactly one thread, and its effects are
-     * visible to the charging owner (release/acquire on the per-op
-     * claim state).
-     *
-     * @p steal false disables thieving -- used when execute() is a
-     * no-op (pre-executed batches) and all remaining work is
-     * owner-side charging, which cannot be stolen.
-     *
-     * @p lane_dead (optional) is the fault model's fail-stop hook: a
-     * lane for which it returns true is on a dead vault -- nobody
-     * executes or charges its operations (the SCU re-routes them in
-     * its recovery pass) and its heartbeat counter stays at zero,
-     * which is exactly the evidence the watchdog's timeout charge
-     * models. nullptr (the fault-free case) changes nothing.
-     */
-    void runQueues(
-        const std::vector<std::uint32_t> &lane_sizes,
-        std::uint32_t owners,
-        const std::function<void(std::uint32_t lane, std::uint32_t pos)>
-            &execute,
-        const std::function<void(std::uint32_t worker,
-                                 std::uint32_t lane, std::uint32_t pos)>
-            &charge,
-        bool steal,
-        const std::function<bool(std::uint32_t lane)> *lane_dead =
-            nullptr);
-
-    /**
-     * Heartbeat of lane @p lane after the last runQueues: the number
-     * of operations its owner charged. A lane whose vault died shows
-     * zero beats -- the signal the SCU's heartbeat watchdog times out
-     * on (introspection for the fault tests).
-     */
-    std::uint32_t
-    laneBeats(std::uint32_t lane) const
-    {
-        const std::lock_guard<std::mutex> lock(beatMutex_);
-        return lane < laneBeatsCapacity_
-                   ? laneBeats_[lane].load(std::memory_order_relaxed)
-                   : 0;
-    }
-
-    /**
-     * Heartbeat accounting mode. Off (the default), every runQueues
-     * call resets the beat counters first, so laneBeats() reports the
-     * last dispatch only -- the barriered contract. The SCU's async
-     * window turns accumulation ON for the window's lifetime: lanes
-     * then accept operations from multiple in-flight batches, and the
-     * watchdog evidence must span all of them, so beats accumulate
-     * across runQueues calls until the mode is switched again. Either
-     * transition clears the counters (a window opens, or closes, with
-     * fresh evidence).
-     */
-    void setBeatAccumulation(bool accumulate);
+    void parallelFor(std::size_t count,
+                     const std::function<void(std::size_t)> &body);
 
   private:
     void workerLoop(std::uint32_t index);
-
-    /** Claim lifecycle of one queued operation. */
-    enum : std::uint8_t { op_free = 0, op_claimed = 1, op_done = 2 };
 
     std::vector<std::thread> threads_;
     std::mutex mutex_;
@@ -160,26 +81,6 @@ class VaultWorkerPool
     std::uint32_t remaining_ = 0;
     bool shutdown_ = false;
     std::vector<std::exception_ptr> errors_;
-
-    // runQueues scratch, reused across dispatches (runQueues is not
-    // reentrant -- one batch at a time, like the SCU that calls it).
-    std::vector<std::size_t> queueOffsets_; ///< lane -> flat op base.
-    std::unique_ptr<std::atomic<std::uint8_t>[]> opState_;
-    std::size_t opStateCapacity_ = 0;
-    /** Per-lane count of claimed ops (the thieves' depth estimate). */
-    std::unique_ptr<std::atomic<std::uint32_t>[]> laneClaimed_;
-    std::size_t laneClaimedCapacity_ = 0;
-    /**
-     * Per-lane charged-op heartbeats (see laneBeats). Guarded by
-     * beatMutex_ against the shared-pool case: a session draining its
-     * async window (setBeatAccumulation) may be host-concurrent with
-     * another session's granted runQueues growing the array.
-     */
-    std::unique_ptr<std::atomic<std::uint32_t>[]> laneBeats_;
-    std::size_t laneBeatsCapacity_ = 0;
-    /** Accumulate beats across runQueues calls (async window). */
-    bool accumulateBeats_ = false;
-    mutable std::mutex beatMutex_;
 };
 
 } // namespace sisa::isa

@@ -213,9 +213,8 @@ struct CampaignPin
 
 /**
  * Pins for WindowedMatchesBarrieredAcrossConfigs, in its loop order
- * (routing, then workers, then locality, then faults). Recorded when
- * the barriered and windowed paths were still separate code; they
- * must never change.
+ * (routing, then workers, then locality, then faults). They must
+ * never change: a new value means modeled time or a counter moved.
  */
 constexpr CampaignPin campaign_pins[] = {
     {20463u, 14092u, 20463u, 0u, 2652u, 11440u, 0x656dae2f884b0832ull},

@@ -10,7 +10,7 @@
  * the dispatch-scratch shrink policy. The differential suite runs
  * every policy x routing combination under forced 1-worker and
  * 2-vault configurations as well as the defaults (multi-worker runs
- * exercise the vault pool's work stealing).
+ * exercise the vault pool's parallel pre-execution).
  */
 
 #include <gtest/gtest.h>

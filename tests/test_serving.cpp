@@ -331,7 +331,7 @@ TEST(ServingScenario, IsolationUnderAsyncWindow)
 
 TEST(ServingScenario, IsolationUnderAsyncPlusFaults)
 {
-    // The TSan serving smoke's configuration: stealing pool, async
+    // The TSan serving smoke's configuration: shared pool, async
     // window, and fault injection all on at once.
     const graph::Graph graph = testGraph();
     serve::ScenarioConfig config = baseConfig();

@@ -87,6 +87,7 @@
 #include <charconv>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -242,10 +243,9 @@ runServe(const graph::Graph &g, const std::string &problems,
     sc.scu = config.scu;
     sc.placement = config.placement;
     sc.threads = config.threads;
-    if (config.routing == "min-bytes")
-        sc.scu.routing = isa::Routing::MinBytes;
-    else if (config.routing == "balanced")
-        sc.scu.routing = isa::Routing::Balanced;
+    if (const std::optional<isa::Routing> routing =
+            isa::parseRouting(config.routing))
+        sc.scu.routing = *routing; // Validated with the argv.
 
     for (std::size_t start = 0; start <= problems.size();) {
         std::size_t comma = problems.find(',', start);
@@ -395,9 +395,11 @@ main(int argc, char **argv)
     }
     if (argc > 6) {
         config.placement = argv[6];
-        if (config.placement != "hash" && config.placement != "range" &&
-            config.placement != "locality")
+        if (!isa::parsePlacement(config.placement)) {
+            std::fprintf(stderr, "unknown placement '%s' (%s)\n",
+                         argv[6], isa::placementNames().data());
             return usage(argv[0]);
+        }
         if (mode != Mode::Sisa) {
             std::fprintf(stderr,
                          "placement is only meaningful in sisa mode\n");
@@ -406,10 +408,11 @@ main(int argc, char **argv)
     }
     if (argc > 7) {
         config.routing = argv[7];
-        if (config.routing != "primary" &&
-            config.routing != "min-bytes" &&
-            config.routing != "balanced")
+        if (!isa::parseRouting(config.routing)) {
+            std::fprintf(stderr, "unknown routing '%s' (%s)\n", argv[7],
+                         isa::routingNames().data());
             return usage(argv[0]);
+        }
         if (mode != Mode::Sisa) {
             std::fprintf(stderr,
                          "routing is only meaningful in sisa mode\n");
