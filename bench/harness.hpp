@@ -68,28 +68,20 @@ struct RunConfig
     std::uint32_t labels = 0; ///< >0: attach random vertex labels.
     bool traceSetSizes = false;
     /**
-     * Vault placement for Sisa mode: "hash" (default), "range", or
-     * "locality" (greedy edge-locality seeded from the run's graph).
+     * Vault placement for Sisa mode: "hash" (default) or "locality"
+     * (greedy edge-locality seeded from the run's graph).
      * Placement moves cycle charges and setops.xvault_* counters
      * only; results are policy-invariant.
      */
     std::string placement{};
     /**
      * Execution-vault routing for Sisa mode: "primary" (the
-     * a-operand's vault), "min-bytes" (run where the bigger operand
-     * lives and move only the smaller co-operand), or "balanced"
-     * (makespan-driven LPT batch scheduling against per-vault load,
-     * transfer-aware); empty keeps scu.routing. Cycle charges and
-     * xvault counters only; results are invariant.
+     * a-operand's vault) or "balanced" (makespan-driven LPT batch
+     * scheduling against per-vault load, transfer-aware); empty
+     * keeps scu.routing. Cycle charges and xvault counters only;
+     * results are invariant.
      */
     std::string routing{};
-    /**
-     * Dynamic re-placement for Sisa mode: wrap the chosen placement
-     * in a DynamicPlacement that migrates sets observed being
-     * fetched into the same remote vault repeatedly (counters
-     * scu.migrations / setops.migration_bytes).
-     */
-    bool replace = false;
     /**
      * Record the run's full encoded SISA instruction stream (Sisa
      * mode): the caller-owned trace attaches to the SCU before any
@@ -248,16 +240,9 @@ runProblem(const std::string &problem, const Graph &graph, Mode mode,
         // Placement can only be seeded once the neighborhood sets
         // exist, so it installs right after SetGraph construction.
         const auto installPlacement = [&](const core::SetGraph &sg) {
-            if (sisa_engine &&
-                (!config.placement.empty() || config.replace)) {
-                auto policy =
-                    makePlacement(config.placement,
-                                  config.scu.pim.vaults, sg);
-                if (config.replace) {
-                    policy = std::make_shared<isa::DynamicPlacement>(
-                        std::move(policy));
-                }
-                sisa_engine->scu().setPlacement(std::move(policy));
+            if (sisa_engine && !config.placement.empty()) {
+                sisa_engine->scu().setPlacement(makePlacement(
+                    config.placement, config.scu.pim.vaults, sg));
             }
         };
         if (needs_orientation) {

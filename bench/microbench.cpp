@@ -391,7 +391,7 @@ runKernelSweep(const std::string &json_path)
         }
     }
 
-    // Placement / routing / re-placement sweep: cross-vault traffic
+    // Placement / routing sweep: cross-vault traffic
     // of a fixed-seed RMAT triangle count. These rows are NOT
     // nanoseconds (their unit field says so): "scalar" is the
     // baseline configuration's value, "vector" the tuned one's, and
@@ -403,77 +403,41 @@ runKernelSweep(const std::string &json_path)
         const graph::Graph g = graph::rmat(rmat_params, 42);
         struct PlacementRun
         {
-            std::uint64_t moved_bytes; ///< xvault + migration bytes.
+            std::uint64_t moved_bytes; ///< Cross-vault bytes.
             std::uint64_t cycles;
         };
         const auto run = [&](const char *placement,
-                             const char *routing, bool replace) {
+                             const char *routing) {
             bench::RunConfig rc;
             rc.threads = 4;
             rc.cutoff = 0;
             rc.placement = placement;
             rc.routing = routing;
-            rc.replace = replace;
             bench::RunOutcome out =
                 bench::runProblem("tc", g, bench::Mode::Sisa, rc);
-            return PlacementRun{
-                out.ctx->counter("setops.xvault_bytes") +
-                    out.ctx->counter("setops.migration_bytes"),
-                out.cycles};
+            return PlacementRun{out.ctx->counter("setops.xvault_bytes"),
+                                out.cycles};
         };
         // hash vs locality placement (primary routing): the PR 3 row.
-        const PlacementRun hash = run("hash", "primary", false);
-        const PlacementRun locality = run("locality", "primary", false);
+        const PlacementRun hash = run("hash", "primary");
+        const PlacementRun locality = run("locality", "primary");
         add("placement_tc_rmat9_xvault_bytes", g.numVertices(),
             static_cast<double>(hash.moved_bytes),
             static_cast<double>(locality.moved_bytes), "bytes");
         add("placement_tc_rmat9_cycles", g.numVertices(),
             static_cast<double>(hash.cycles),
             static_cast<double>(locality.cycles), "cycles");
-        // primary vs min-bytes routing, both on locality placement.
-        const PlacementRun minbytes =
-            run("locality", "min-bytes", false);
-        add("routing_tc_rmat9_xvault_bytes", g.numVertices(),
-            static_cast<double>(locality.moved_bytes),
-            static_cast<double>(minbytes.moved_bytes), "bytes");
-        add("routing_tc_rmat9_cycles", g.numVertices(),
-            static_cast<double>(locality.cycles),
-            static_cast<double>(minbytes.cycles), "cycles");
-        // The full tuned stack (locality + min-bytes + dynamic
-        // re-placement, migration traffic included) vs the PR 3
-        // locality baseline.
-        const PlacementRun dynamic =
-            run("locality", "min-bytes", true);
-        add("replace_tc_rmat9_xvault_bytes", g.numVertices(),
-            static_cast<double>(locality.moved_bytes),
-            static_cast<double>(dynamic.moved_bytes), "bytes");
-        add("replace_tc_rmat9_cycles", g.numVertices(),
-            static_cast<double>(locality.cycles),
-            static_cast<double>(dynamic.cycles), "cycles");
         // Makespan-driven balanced scheduling (LPT + rider-lane byte
         // harvesting) vs the same PR 3 locality/primary baseline:
-        // the sched_* acceptance rows. Balanced must hold most of
-        // min-bytes' byte cut while keeping cycles at primary level
-        // (erasing the PR 4 trade-off).
-        const PlacementRun balanced =
-            run("locality", "balanced", false);
+        // the sched_* acceptance rows. Balanced must cut bytes while
+        // keeping cycles at primary level.
+        const PlacementRun balanced = run("locality", "balanced");
         add("sched_tc_rmat9_xvault_bytes", g.numVertices(),
             static_cast<double>(locality.moved_bytes),
             static_cast<double>(balanced.moved_bytes), "bytes");
         add("sched_tc_rmat9_cycles", g.numVertices(),
             static_cast<double>(locality.cycles),
             static_cast<double>(balanced.cycles), "cycles");
-        // ... and composed with dynamic re-placement (migration
-        // traffic included), the full tuned stack.
-        const PlacementRun balanced_dynamic =
-            run("locality", "balanced", true);
-        add("sched_replace_tc_rmat9_xvault_bytes", g.numVertices(),
-            static_cast<double>(locality.moved_bytes),
-            static_cast<double>(balanced_dynamic.moved_bytes),
-            "bytes");
-        add("sched_replace_tc_rmat9_cycles", g.numVertices(),
-            static_cast<double>(locality.cycles),
-            static_cast<double>(balanced_dynamic.cycles), "cycles");
         // Fault-campaign rows: the same fixed-seed TC under the PR 6
         // fault model (transient corruption + stalls + drops + one
         // permanent vault failure at dispatch 5). "scalar" is the
@@ -499,7 +463,6 @@ runKernelSweep(const std::string &json_path)
                 bench::runProblem("tc", g, bench::Mode::Sisa, rc);
             return PlacementRun{
                 out.ctx->counter("setops.xvault_bytes") +
-                    out.ctx->counter("setops.migration_bytes") +
                     out.ctx->counter("setops.recovery_bytes"),
                 out.cycles};
         };

@@ -65,7 +65,7 @@ struct ScenarioConfig
      * scheduler, the modeled vault timeline.
      */
     isa::ScuConfig scu{};
-    /** Vault placement: "" / "hash" | "range" | "locality". */
+    /** Vault placement: "" / "hash" | "locality". */
     std::string placement{};
     /** Modeled threads per session (1 = one core per query). */
     std::uint32_t threads = 1;

@@ -86,19 +86,19 @@
  * results.
  *
  * Routing (ScuConfig.routing): Primary executes every op in the
- * vault the placement policy (sisa/placement.hpp) assigns operand A;
- * MinBytes executes where the LARGER operand (by footprint: SA 4 |S|
- * bytes, DB ceil(universe / 8) bytes) lives and moves only the
- * smaller co-operand, with ties keeping A's vault. Balanced
- * schedules the whole batch against per-vault load: operations are
- * executed functionally first (caching their exact charges), an LPT
- * sweep assigns each -- most expensive first -- to the candidate
+ * vault the placement policy (sisa/placement.hpp) assigns operand A.
+ * Balanced schedules the whole batch against per-vault load:
+ * operations are executed functionally first (caching their exact
+ * charges), an LPT sweep assigns each -- most expensive first -- to the candidate
  * vault minimizing lane_depth + exec + interconnect(moved
  * co-operand), and a second sweep re-routes ops to byte-lighter
  * candidates (including "rider" lanes that already fetched the
  * co-operand this dispatch) whenever completion stays under
- * LPT-makespan x (1 + balancedSlack). Scheduler-estimated vs charged
- * cycles: there is NO divergence by construction -- the scheduler
+ * LPT-makespan x 1.5. A one-op batch (and a serial op) executes
+ * where the LARGER operand (by footprint: SA 4 |S| bytes, DB
+ * ceil(universe / 8) bytes) lives and moves only the smaller
+ * co-operand, with ties keeping A's vault. Scheduler-estimated vs
+ * charged cycles: there is NO divergence by construction -- the scheduler
  * consumes the very OpOutcome charges the lanes later bill, and its
  * transfer dedup is the same once-per-(vault, operand) rule the
  * charge path applies, so the scheduled lane depths equal the
@@ -116,8 +116,8 @@
  *    Metadata-only short circuits (empty results, zero
  *    cardinalities) never touch the interconnect; a degenerate copy
  *    pays only for the operand it actually reads ({} cup B with a
- *    remote B streams B's bytes under Primary routing, and under
- *    MinBytes simply executes in B's vault). Counters:
+ *    remote B streams B's bytes under Primary routing, and a one-op
+ *    Balanced batch simply executes in B's vault). Counters:
  *    scu.xvault_transfers, setops.xvault_bytes.
  *  - Result reduction: a batch touching L > 1 vaults that charged
  *    vault work (metadata-only outcomes have nothing to send)
@@ -128,20 +128,14 @@
  *    results 4 |R| bytes, DB results ceil(universe / 8) bytes),
  *    added to the batch makespan. Counter:
  *    setops.xvault_reduce_bytes.
- *  - Migration: with a DynamicPlacement policy installed, each
- *    dispatch barrier migrates the sets whose observed remote
- *    traffic into one vault reached migrateFactor x footprint; a
- *    migration moves the set's footprint once at b_L, serialized on
- *    the issuing thread. Counters: scu.migrations,
- *    setops.migration_bytes.
  *
- * Result sets adopted under a result-placing policy (locality,
- * dynamic) are pinned to the vault that produced them (the SCU's
+ * Result sets adopted under a result-placing policy (locality) are
+ * pinned to the vault that produced them (the SCU's
  * placement overlay), so recursion over intermediates stays local
  * instead of falling back to the hash assignment.
  *
- * Placement, routing, and re-placement move only these cycle charges
- * and xvault/migration counters; results, result ids, the functional
+ * Placement and routing move only these cycle charges and xvault
+ * counters; results, result ids, the functional
  * setops.{streamed, probes, words, output} totals, and lastBackend()
  * are invariant (differential-tested per policy x routing in
  * tests/test_isa.cpp and tests/test_placement.cpp).

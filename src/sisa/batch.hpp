@@ -4,9 +4,9 @@
  * Sections 5-6). A BatchRequest carries N independent binary set
  * operations that the SCU decodes ONCE and executes concurrently
  * across its vaults: each operation is routed to an execution vault
- * by ScuConfig.routing (its primary operand's vault by default, the
- * bigger operand's vault under MinBytes, or the vault the
- * makespan-driven LPT batch scheduler picks under Balanced),
+ * by ScuConfig.routing (its primary operand's vault by default, or
+ * the vault the makespan-driven LPT batch scheduler picks under
+ * Balanced),
  * operations mapped to the same vault serialize, and the batch's
  * simulated cost is the makespan of the slowest vault -- exactly the
  * cross-vault load-balance behaviour the paper's evaluation studies. Engines expose this through
@@ -114,9 +114,8 @@ enum class BatchOpKind : std::uint8_t
  * wall-clock timing.
  *
  * Operand `a` is the PRIMARY operand: under Routing::Primary the SCU
- * routes the op to `a`'s vault (under Routing::MinBytes it runs
- * where the bigger operand lives, with ties keeping `a`'s vault),
- * and ops on the same vault serialize. When a loop batches many ops
+ * routes the op to `a`'s vault, and ops on the same vault
+ * serialize. When a loop batches many ops
  * against one shared set, pass the VARYING set as `a` (the symmetric
  * ops -- intersect*, union* -- don't care about order) so the batch
  * spreads across vaults instead of piling onto one. Routing::

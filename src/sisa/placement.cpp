@@ -53,12 +53,6 @@ HashPlacement::vaultOf(SetId id) const
 }
 
 std::uint32_t
-RangePlacement::vaultOf(SetId id) const
-{
-    return (id / blockSize_) % vaults_;
-}
-
-std::uint32_t
 LocalityPlacement::vaultOf(SetId id) const
 {
     const auto it = table_.find(id);
@@ -69,105 +63,6 @@ void
 LocalityPlacement::assign(SetId id, std::uint32_t vault)
 {
     table_[id] = vault % vaults_;
-}
-
-DynamicPlacement::DynamicPlacement(
-    std::shared_ptr<const PlacementPolicy> base,
-    DynamicPlacementConfig config)
-    : PlacementPolicy(base ? base->vaults() : 1),
-      base_(base ? std::move(base)
-                 : std::make_shared<HashPlacement>(1)),
-      config_(config)
-{
-    sisa_assert(config_.migrateFactor > 0.0,
-                "DynamicPlacement migrateFactor must be positive");
-}
-
-void
-DynamicPlacement::observe(SetId id, std::uint32_t from,
-                          std::uint32_t into, std::uint64_t bytes)
-{
-    Heat &heat = heat_[id];
-    heat.from = from;
-    heat.footprint = bytes;
-    for (auto &[vault, total] : heat.perVault) {
-        if (vault == into) {
-            total += bytes;
-            return;
-        }
-    }
-    heat.perVault.emplace_back(into, bytes);
-}
-
-std::vector<MigrationEvent>
-DynamicPlacement::collectMigrations()
-{
-    std::vector<MigrationEvent> events;
-    for (auto it = heat_.begin(); it != heat_.end();) {
-        const Heat &heat = it->second;
-        // The hottest destination wins; deterministic tie-break on
-        // the lower vault id (perVault order is insertion order, so
-        // an order-independent rule is needed).
-        std::uint32_t best = 0;
-        std::uint64_t best_bytes = 0;
-        for (const auto &[vault, total] : heat.perVault) {
-            if (total > best_bytes ||
-                (total == best_bytes && best_bytes > 0 &&
-                 vault < best)) {
-                best = vault;
-                best_bytes = total;
-            }
-        }
-        const auto threshold = static_cast<std::uint64_t>(
-            std::ceil(config_.migrateFactor *
-                      static_cast<double>(heat.footprint)));
-        if (best_bytes >= std::max<std::uint64_t>(threshold, 1) &&
-            best != heat.from) {
-            events.push_back(
-                {it->first, heat.from, best, heat.footprint});
-            it = heat_.erase(it);
-        } else {
-            ++it;
-        }
-    }
-    // Hash-map iteration order is unspecified: sort so the event
-    // stream (and any trace built on it) is reproducible.
-    std::sort(events.begin(), events.end(),
-              [](const MigrationEvent &a, const MigrationEvent &b) {
-                  return a.id < b.id;
-              });
-    return events;
-}
-
-void
-DynamicPlacement::decayBarrier()
-{
-    if (config_.decayHalfLife == 0)
-        return;
-    if (++barriersSinceDecay_ < config_.decayHalfLife)
-        return;
-    barriersSinceDecay_ = 0;
-    for (auto it = heat_.begin(); it != heat_.end();) {
-        Heat &heat = it->second;
-        for (auto &[vault, total] : heat.perVault)
-            total /= 2;
-        heat.perVault.erase(
-            std::remove_if(heat.perVault.begin(), heat.perVault.end(),
-                           [](const auto &entry) {
-                               return entry.second == 0;
-                           }),
-            heat.perVault.end());
-        if (heat.perVault.empty())
-            it = heat_.erase(it);
-        else
-            ++it;
-    }
-}
-
-void
-DynamicPlacement::forget(SetId id)
-{
-    heat_.erase(id);
 }
 
 std::shared_ptr<LocalityPlacement>
@@ -277,8 +172,6 @@ parsePlacement(std::string_view name)
 {
     if (name.empty() || name == "hash")
         return PlacementKind::Hash;
-    if (name == "range")
-        return PlacementKind::Range;
     if (name == "locality")
         return PlacementKind::Locality;
     return std::nullopt;
@@ -287,7 +180,7 @@ parsePlacement(std::string_view name)
 std::string_view
 placementNames()
 {
-    return "hash | range | locality";
+    return "hash | locality";
 }
 
 std::shared_ptr<PlacementPolicy>
@@ -295,8 +188,6 @@ makePlacement(PlacementKind kind, std::uint32_t vaults,
               const std::function<std::vector<TrafficArc>()> &arcs)
 {
     switch (kind) {
-      case PlacementKind::Range:
-        return std::make_shared<RangePlacement>(vaults);
       case PlacementKind::Locality:
         return greedyLocalityPlacement(vaults, arcs());
       case PlacementKind::Hash:

@@ -11,46 +11,23 @@
  *  - HashPlacement:     splitmix64 over the set id -- the default
  *                       "well-mixed" assignment the PNM design relies
  *                       on for load balance, blind to locality;
- *  - RangePlacement:    contiguous SetId blocks per vault -- ids
- *                       created together (e.g. consecutive vertex
- *                       neighborhoods) land together;
  *  - LocalityPlacement: an explicit per-set table, typically built by
  *                       greedyLocalityPlacement() from the traffic
  *                       arcs of the workload (co-locate each
  *                       neighborhood set with its highest-traffic
  *                       partners, seeded from the oriented graph's
- *                       arc structure);
- *  - DynamicPlacement:  a re-placement controller wrapping any base
- *                       policy: it ingests the observed cross-vault
- *                       transfers at each dispatch barrier and asks
- *                       the SCU to migrate sets that keep being
- *                       fetched into the same remote vault (the
- *                       migration itself is priced as an explicit
- *                       b_L transfer; counter scu.migrations). Heat
- *                       ages out: every decayHalfLife barriers the
- *                       accumulated observations halve, so stale
- *                       traffic cannot trigger migrations in long
- *                       runs whose access pattern has moved on.
+ *                       arc structure).
  *
  * Policies are pure functions of the set id (and their frozen build
  * state): deterministic, thread-safe after construction, and
  * functionally invisible -- placement only moves cycle charges and
  * the cross-vault byte counters, never results. The authoritative
- * set-to-vault map is Scu::vaultOf, which consults its result/
- * migration overlay first and falls back to the installed policy;
- * policies that return placesResults() == true additionally have
- * adopted result sets pinned (via that overlay) to the vault that
- * produced them, so recursion intermediates (BK, k-clique) stay
- * local instead of falling back to the hash assignment.
- *
- * DynamicPlacement is the one policy with mutable observation state,
- * and its barrier hooks (observe / collectMigrations / decayBarrier /
- * forget) are NON-const so the mutation is visible in the type system
- * -- the Scu keeps a separate non-const handle to the installed
- * DynamicPlacement for exactly those calls, while routing still goes
- * through the const vaultOf interface. All mutation happens on the
- * dispatching thread at batch barriers, so a policy instance must not
- * be shared between Scus.
+ * set-to-vault map is Scu::vaultOf, which consults its result overlay
+ * first and falls back to the installed policy; policies that return
+ * placesResults() == true additionally have adopted result sets
+ * pinned (via that overlay) to the vault that produced them, so
+ * recursion intermediates (BK, k-clique) stay local instead of
+ * falling back to the hash assignment.
  */
 
 #ifndef SISA_SISA_PLACEMENT_HPP
@@ -62,7 +39,6 @@
 #include <optional>
 #include <string_view>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "sisa/isa.hpp"
@@ -81,7 +57,7 @@ class PlacementPolicy
 
     virtual ~PlacementPolicy() = default;
 
-    /** Short policy name for reports ("hash" / "range" / ...). */
+    /** Short policy name for reports ("hash" / "locality"). */
     virtual const char *name() const = 0;
 
     /** Vault holding @p id; must return a value in [0, vaults()). */
@@ -119,29 +95,6 @@ class HashPlacement final : public PlacementPolicy
 };
 
 /**
- * Contiguous SetId blocks: ids [k * blockSize, (k+1) * blockSize)
- * share vault k % vaults. Sets created back-to-back (vertex
- * neighborhoods materialized in vertex order) stay together, at the
- * cost of hot id ranges piling onto one vault.
- */
-class RangePlacement final : public PlacementPolicy
-{
-  public:
-    RangePlacement(std::uint32_t vaults, std::uint32_t block_size = 64)
-        : PlacementPolicy(vaults),
-          blockSize_(block_size ? block_size : 1)
-    {
-    }
-
-    const char *name() const override { return "range"; }
-    std::uint32_t vaultOf(SetId id) const override;
-    std::uint32_t blockSize() const { return blockSize_; }
-
-  private:
-    std::uint32_t blockSize_;
-};
-
-/**
  * Explicit per-set placement table with hash fallback for unmapped
  * ids (dynamically created intermediates). Build one by hand with
  * assign(), or from workload traffic with greedyLocalityPlacement().
@@ -166,119 +119,6 @@ class LocalityPlacement final : public PlacementPolicy
   private:
     std::unordered_map<SetId, std::uint32_t> table_;
     HashPlacement fallback_;
-};
-
-/** Tuning knobs of DynamicPlacement's migration rule. */
-struct DynamicPlacementConfig
-{
-    /**
-     * Migrate a set once the bytes observed moving into one remote
-     * vault reach migrateFactor times the set's footprint. Moving
-     * costs one footprint transfer, so the default pays for itself
-     * by the first post-migration dispatch that would have fetched
-     * the set again.
-     */
-    double migrateFactor = 2.0;
-    /**
-     * Observation half-life in dispatch barriers: every
-     * decayHalfLife barriers all accumulated per-(set, vault) heat
-     * is halved (and zeroed records dropped), so traffic observed
-     * long ago stops counting toward the migration threshold. A
-     * long-running service whose access pattern drifts no longer
-     * migrates sets on the strength of stale heat -- only traffic
-     * sustained within a few half-lives can reach migrateFactor x
-     * footprint. 0 disables decay (heat accumulates forever, the
-     * pre-decay behavior).
-     */
-    std::uint32_t decayHalfLife = 64;
-};
-
-/** One migration decision: move @p id (at @p from) to @p to. */
-struct MigrationEvent
-{
-    SetId id = invalid_set;
-    std::uint32_t from = 0;
-    std::uint32_t to = 0;
-    std::uint64_t bytes = 0; ///< Footprint priced as one b_L transfer.
-};
-
-/**
- * Dynamic re-placement from observed cross-vault traffic. Wraps a
- * base policy (its vaultOf is the wrapped assignment -- the SCU's
- * overlay holds every deviation): at each dispatch barrier the SCU
- * feeds it the charged remote-operand transfers (observe) and then
- * collects the sets whose accumulated traffic into one vault crossed
- * the migrateFactor threshold (collectMigrations). The SCU applies
- * each migration to its overlay and charges the set's footprint as
- * an explicit b_L interconnect transfer (scu.migrations /
- * setops.migration_bytes).
- *
- * The observation hooks are non-const (see the file comment): the
- * SCU calls them through its dedicated DynamicPlacement handle, and
- * all mutation happens on the dispatching thread at barriers. Heat
- * resets on migration, so a set must earn another
- * migrateFactor x footprint of traffic before it moves again
- * (ping-pong damping). Deterministic: decisions depend only on the
- * observation sequence, never on hash iteration order.
- */
-class DynamicPlacement final : public PlacementPolicy
-{
-  public:
-    explicit DynamicPlacement(
-        std::shared_ptr<const PlacementPolicy> base,
-        DynamicPlacementConfig config = {});
-
-    const char *name() const override { return "dynamic"; }
-    std::uint32_t vaultOf(SetId id) const override
-    {
-        return base_->vaultOf(id);
-    }
-    bool placesResults() const override { return true; }
-
-    const PlacementPolicy &base() const { return *base_; }
-    const DynamicPlacementConfig &config() const { return config_; }
-
-    /**
-     * Record one charged remote-operand transfer: @p id (currently
-     * homed in @p from) was pulled into @p into, moving @p bytes.
-     */
-    void observe(SetId id, std::uint32_t from, std::uint32_t into,
-                 std::uint64_t bytes);
-
-    /**
-     * Drain the sets whose observed traffic crossed the migration
-     * threshold, sorted by id (deterministic order). Their heat
-     * records are erased.
-     */
-    std::vector<MigrationEvent> collectMigrations();
-
-    /**
-     * Close one dispatch barrier: after decayHalfLife barriers, halve
-     * every accumulated heat record and drop the ones that decayed to
-     * zero. Called by the SCU once per dispatch (after migrations are
-     * collected, so the barrier's own observations count in full).
-     */
-    void decayBarrier();
-
-    /** Drop all state for @p id (the set was destroyed/recycled). */
-    void forget(SetId id);
-
-    /** Number of sets currently carrying heat (introspection). */
-    std::uint64_t trackedSets() const { return heat_.size(); }
-
-  private:
-    struct Heat
-    {
-        std::uint32_t from = 0;      ///< Home vault at last observation.
-        std::uint64_t footprint = 0; ///< Bytes at last observation.
-        /** Observed bytes per destination vault (small, flat). */
-        std::vector<std::pair<std::uint32_t, std::uint64_t>> perVault;
-    };
-
-    std::shared_ptr<const PlacementPolicy> base_;
-    DynamicPlacementConfig config_;
-    std::unordered_map<SetId, Heat> heat_;
-    std::uint32_t barriersSinceDecay_ = 0;
 };
 
 /**
@@ -411,15 +251,15 @@ greedyLocalityPlacement(std::uint32_t vaults,
                         double capacity_slack = 2.0);
 
 /** Placement policies selectable by name (configs, the CLI). */
-enum class PlacementKind : std::uint8_t { Hash, Range, Locality };
+enum class PlacementKind : std::uint8_t { Hash, Locality };
 
 /**
- * The placement name table: "hash" (also ""), "range", "locality".
+ * The placement name table: "hash" (also "") and "locality".
  * std::nullopt for any other name -- report it with placementNames().
  */
 std::optional<PlacementKind> parsePlacement(std::string_view name);
 
-/** The valid placement names, "hash | range | locality". */
+/** The valid placement names, "hash | locality". */
 std::string_view placementNames();
 
 /**

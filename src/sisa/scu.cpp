@@ -36,7 +36,6 @@ struct ScuCounters
     const CounterId cancelDrains = internCounter("scu.cancel_drains");
     const CounterId checksumVerifies = internCounter("scu.checksum_verifies");
     const CounterId laneStalls = internCounter("scu.lane_stalls");
-    const CounterId migrations = internCounter("scu.migrations");
     const CounterId pnmRandomOps = internCounter("scu.pnm_random_ops");
     const CounterId pnmStreamOps = internCounter("scu.pnm_stream_ops");
     const CounterId pumOps = internCounter("scu.pum_ops");
@@ -48,7 +47,6 @@ struct ScuCounters
     const CounterId smbMisses = internCounter("scu.smb_misses");
     const CounterId xvaultTransfers = internCounter("scu.xvault_transfers");
     const CounterId cancelledCycles = internCounter("setops.cancelled_cycles");
-    const CounterId migrationBytes = internCounter("setops.migration_bytes");
     const CounterId output = internCounter("setops.output");
     const CounterId probes = internCounter("setops.probes");
     const CounterId recoveryBytes = internCounter("setops.recovery_bytes");
@@ -66,6 +64,14 @@ ids()
     return instance;
 }
 
+/**
+ * Balanced routing's bytes-vs-makespan slack: after the LPT pass
+ * establishes the best achievable batch makespan M*, the byte-
+ * harvesting pass may deepen a lane up to M* x (1 + balanced_slack)
+ * to keep an operation at its byte-lighter vault.
+ */
+constexpr double balanced_slack = 0.5;
+
 /** One (vault, operand) transfer in the scheduler's dedup set. */
 std::uint64_t
 fetchKey(std::uint32_t vault, SetId id)
@@ -80,8 +86,6 @@ parseRouting(std::string_view name)
 {
     if (name.empty() || name == "primary")
         return Routing::Primary;
-    if (name == "min-bytes")
-        return Routing::MinBytes;
     if (name == "balanced")
         return Routing::Balanced;
     return std::nullopt;
@@ -90,7 +94,7 @@ parseRouting(std::string_view name)
 std::string_view
 routingNames()
 {
-    return "primary | min-bytes | balanced";
+    return "primary | balanced";
 }
 
 Scu::Scu(SetStore &store, const ScuConfig &config,
@@ -703,8 +707,8 @@ Scu::unionCard(sim::SimContext &ctx, sim::ThreadId tid, SetId a, SetId b)
 std::uint32_t
 Scu::vaultOf(SetId id) const
 {
-    // Overlay first (results pinned where they materialized, sets
-    // moved by dynamic re-placement), then the installed policy.
+    // Overlay first (results pinned where they materialized), then
+    // the installed policy.
     // setPlacement guarantees the policy's width matches pim.vaults,
     // so no modulo folding is needed (the old defensive clamp
     // silently skewed mismatched policies).
@@ -714,9 +718,9 @@ Scu::vaultOf(SetId id) const
         it != overlay_.end() ? it->second : placement_->vaultOf(id);
     // Quarantined vaults are out of service: every assignment that
     // still resolves there (a policy hash, a stale overlay pin)
-    // deterministically remaps to the next live vault, so routing,
-    // the balanced scheduler, and migrations can never target a dead
-    // vault. A no-op (one counter test) while nothing is quarantined.
+    // deterministically remaps to the next live vault, so routing
+    // and the balanced scheduler can never target a dead vault. A
+    // no-op (one counter test) while nothing is quarantined.
     if (quarantine_.any())
         return quarantine_.remap(vault);
     return vault;
@@ -735,17 +739,18 @@ Scu::resolveRoute(SetId a, SetId b) const
     const std::uint32_t vault_b = vaultOf(b);
     if (vault_a == vault_b)
         return {vault_a, invalid_set, 0, true};
-    if (config_.routing != Routing::Primary) {
-        // MinBytes (and Balanced outside a batch context, where the
-        // LPT greedy over empty lanes reduces to exactly this rule):
-        // run where the bigger operand lives; only the smaller
-        // co-operand crosses the interconnect. Weights are the bytes
-        // the operand would actually move: a zero-cardinality
-        // operand is never read (every short-circuit copies the
-        // OTHER side), so it weighs nothing even as a dense
-        // bitvector with a full-row footprint -- {} cup B always
-        // executes in B's vault for free. Ties keep a's vault, so
-        // Primary behavior is the exact tie-break fallback.
+    if (config_.routing == Routing::Balanced) {
+        // Balanced outside a batch context (serial ops, result
+        // placement, one-op batches), where the LPT greedy over empty
+        // lanes reduces to exactly this rule: run where the bigger
+        // operand lives; only the smaller co-operand crosses the
+        // interconnect. Weights are the bytes the operand would
+        // actually move: a zero-cardinality operand is never read
+        // (every short-circuit copies the OTHER side), so it weighs
+        // nothing even as a dense bitvector with a full-row footprint
+        // -- {} cup B always executes in B's vault for free. Ties keep
+        // a's vault, so Primary behavior is the exact tie-break
+        // fallback.
         const std::uint64_t bytes_a =
             store_.cardinality(a) ? operandBytes(a) : 0;
         const std::uint64_t bytes_b =
@@ -757,7 +762,7 @@ Scu::resolveRoute(SetId a, SetId b) const
 }
 
 void
-Scu::setPlacement(std::shared_ptr<PlacementPolicy> policy)
+Scu::setPlacement(std::shared_ptr<const PlacementPolicy> policy)
 {
     const std::uint32_t vaults =
         std::max<std::uint32_t>(config_.pim.vaults, 1);
@@ -771,10 +776,6 @@ Scu::setPlacement(std::shared_ptr<PlacementPolicy> policy)
                   "-vault SCU; falling back to hash placement");
         policy = nullptr;
     }
-    // The non-const handle is taken BEFORE the policy is constified
-    // into the routing view: DynamicPlacement's barrier hooks mutate
-    // observation state, and the type system now says so.
-    dynamic_ = std::dynamic_pointer_cast<DynamicPlacement>(policy);
     placement_ = policy ? std::move(policy)
                         : std::make_shared<HashPlacement>(vaults);
     overlay_.clear();
@@ -795,8 +796,6 @@ void
 Scu::forgetPlacement(SetId id)
 {
     overlay_.erase(id);
-    if (dynamic_)
-        dynamic_->forget(id);
     // A destroyed (or recycled) id starts with a clean dependency
     // slate: the WAW rule of the async window's scoreboard.
     if (windowCtx_)
@@ -1031,9 +1030,8 @@ Scu::quarantineVault(sim::SimContext &ctx, sim::ThreadId tid,
         // Emergency migration: the payload streams once over the
         // interconnect to the remap target, serialized on the issuing
         // thread (the SCU drives the repair). The overlay pin makes
-        // the move explicit; vaultOf's remap would resolve the same
-        // vault, but dynamic re-placement heat stays coherent this
-        // way. Empty payloads move no bytes.
+        // the move explicit (vaultOf's remap would resolve the same
+        // vault). Empty payloads move no bytes.
         overlay_[id] = target;
         const std::uint64_t bytes = store_.payloadBytes(id);
         if (bytes) {
@@ -1139,24 +1137,23 @@ Scu::scheduleBalanced(const BatchRequest &batch)
 
     // Pass 2 -- transfer-aware byte harvesting: re-run the greedy
     // sweep, but among every candidate vault whose completion time
-    // stays under M* x (1 + balancedSlack), pick the one putting the
+    // stays under M* x (1 + balanced_slack), pick the one putting the
     // FEWEST new bytes on the interconnect (cost, then a-first order
-    // break remaining ties); only when no candidate fits the cap
-    // does pure completion time decide. Candidates are the two
-    // operand vaults plus every "rider" vault that is already paying
-    // the co-operand's transfer this dispatch: an op sharing set B
-    // can run in any lane B was fetched into, moving only its own
-    // (usually small) A -- that is how a batch full of ops against
-    // one shared set spreads across several lanes at MinBytes-grade
-    // traffic instead of serializing in B's home vault. Ops the cap
-    // rejects keep their completion-time-optimal vault, so the final
-    // makespan is at most max(cap, unavoidable single-op costs).
-    // Both passes reuse the cached outcomes; nothing re-executes,
-    // and the scheduled depths stay exactly the cycles the lanes
-    // later charge.
+    // break remaining ties); only when no candidate fits the cap does
+    // pure completion time decide. Candidates are the two operand
+    // vaults plus every "rider" vault that is already paying the
+    // co-operand's transfer this dispatch: an op sharing set B can run
+    // in any lane B was fetched into, moving only its own (usually
+    // small) A -- that is how a batch full of ops against one shared
+    // set spreads across several lanes at the traffic of the
+    // bigger-operand rule instead of serializing in B's home vault. Ops
+    // the cap rejects keep their completion-time-optimal vault, so the
+    // final makespan is at most max(cap, unavoidable single-op costs).
+    // Both passes reuse the cached outcomes; nothing re-executes, and
+    // the scheduled depths stay exactly the cycles the lanes later
+    // charge.
     const auto cap = static_cast<mem::Cycles>(
-        static_cast<double>(lpt_makespan) *
-        (1.0 + std::max(config_.balancedSlack, 0.0)));
+        static_cast<double>(lpt_makespan) * (1.0 + balanced_slack));
     schedLoads_.reset(std::max<std::uint32_t>(config_.pim.vaults, 1));
     schedFetched_.clear();
     schedFetchedVaults_.clear();
@@ -1205,7 +1202,7 @@ Scu::scheduleBalanced(const BatchRequest &batch)
         // rider vaults in first-fetch order. Selection prefers (in
         // lexicographic order) under-cap, fewer new bytes, lower
         // cost, earlier candidate -- so ties keep a's vault and a
-        // one-op batch reproduces the MinBytes rule exactly.
+        // one-op batch reproduces the bigger-operand rule exactly.
         const mem::Cycles cap_eff = std::max(cap, schedLoads_.max());
         Candidate best = make_candidate(va, op.b, bytes_b, true);
         bool best_under = best.cost <= cap_eff;
@@ -1270,10 +1267,7 @@ Scu::appendLanes(const Ops &ops)
             laneVault_.push_back(vault);
             if (laneOps_.size() <= lane)
                 laneOps_.emplace_back();
-            if (laneFetched_.size() <= lane)
-                laneFetched_.emplace_back();
             laneOps_[lane].clear();
-            laneFetched_[lane].clear();
         }
         laneOps_[lane].push_back(i);
     }
@@ -1336,8 +1330,6 @@ Scu::chargeLaneOp(std::uint32_t l, std::uint32_t i,
             wctx.chargeBusy(0, verifyCycles(route.bytes));
             wctx.bumpCounter(ids().checksumVerifies);
         }
-        if (dynamic_)
-            laneFetched_[l].emplace_back(route.remote, route.bytes);
     }
     if (faults_) {
         const mem::Cycles stall = faults_->stallCycles(dispatch_idx, i);
@@ -1653,7 +1645,7 @@ Scu::dispatch(sim::SimContext &ctx, sim::ThreadId tid,
     preExecuteOutcomes(batch, dispatch_idx);
 
     // --- Route -----------------------------------------------------------
-    // Primary/MinBytes resolve each op independently from metadata;
+    // Primary resolves each op independently from metadata;
     // Balanced runs the LPT scheduler over the exact cycle charges,
     // so its routes reflect per-vault load. Then one serial queue
     // ("lane") per touched vault. Operations whose co-operand stayed
@@ -1711,12 +1703,6 @@ Scu::dispatch(sim::SimContext &ctx, sim::ThreadId tid,
     // charges nothing yet; the ROB step below pays only real waits.
     if (!windowed)
         ctx.chargeBusy(tid, completion - issue);
-
-    // Dynamic re-placement closes every dispatch: feed the observed
-    // transfers to the policy and charge/apply its migrations.
-    if (dynamic_)
-        replaceAtBarrier(ctx, tid,
-                         static_cast<std::uint32_t>(laneVault_.size()));
 
     // lastBackend_ reports the last operation (in request = serial
     // order) that actually charged a backend; a batch whose tail ops
@@ -1799,47 +1785,6 @@ Scu::dispatch(sim::SimContext &ctx, sim::ThreadId tid,
 }
 
 void
-Scu::replaceAtBarrier(sim::SimContext &ctx, sim::ThreadId tid,
-                      std::uint32_t lanes)
-{
-    // Feed the transfers the lanes recorded (exactly the charged
-    // ones) to the policy in deterministic lane order: heat can
-    // never drift from what was billed.
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-        for (const auto &[remote, bytes] : laneFetched_[l]) {
-            dynamic_->observe(remote, vaultOf(remote), laneVault_[l],
-                              bytes);
-        }
-    }
-
-    // Each migration moves the set's footprint once over the
-    // interconnect, serialized on the issuing thread at the barrier
-    // (the SCU re-homes the set between dispatches), and re-pins the
-    // set in the overlay so subsequent routing finds it local.
-    for (const MigrationEvent &event : dynamic_->collectMigrations()) {
-        std::uint32_t to = event.to;
-        if (quarantine_.any()) {
-            // Never migrate onto a quarantined vault: remap the
-            // destination like any other assignment, and skip moves
-            // the remap collapses onto the set's current home.
-            to = quarantine_.remap(to);
-            if (to == vaultOf(event.id))
-                continue;
-        }
-        overlay_[event.id] = to;
-        ctx.chargeBusy(tid, mem::interconnectCycles(config_.pim,
-                                                    event.bytes));
-        ctx.bumpCounter(ids().migrations);
-        ctx.bumpCounter(ids().migrationBytes, event.bytes);
-    }
-
-    // Age the remaining heat AFTER this barrier's decisions, so the
-    // observations just fed in count in full and only genuinely
-    // stale traffic decays away.
-    dynamic_->decayBarrier();
-}
-
-void
 Scu::maybeShrinkScratch(std::size_t n)
 {
     scratchPeak_ = std::max(scratchPeak_, n);
@@ -1865,9 +1810,6 @@ Scu::maybeShrinkScratch(std::size_t n)
     for (auto &lane : laneOps_)
         shrink(lane, scratchPeak_);
     shrink(laneOps_, scratchPeak_);
-    for (auto &lane : laneFetched_)
-        shrink(lane, scratchPeak_);
-    shrink(laneFetched_, scratchPeak_);
     // The balanced scheduler's hash tables hold at most one entry
     // per op: clear() keeps their bucket arrays, so they need the
     // same burst release as the vectors (swap-with-fresh is the only

@@ -56,10 +56,6 @@ namespace sisa::isa {
  *  - Primary:  run every op in the vault of operand `a` (the
  *              historical behavior): a remote `b` crosses the
  *              interconnect regardless of how large it is.
- *  - MinBytes: run the op where the BIGGER operand (by footprint)
- *              lives and move only the smaller co-operand -- the
- *              data-movement-minimizing rule; ties keep `a`'s vault
- *              so Primary remains a strict subset of the behavior.
  *  - Balanced: makespan-driven batch scheduling. dispatchBatch first
  *              executes every operation functionally (caching the
  *              exact cycle charges), then runs an LPT list scheduler
@@ -69,22 +65,21 @@ namespace sisa::isa {
  *              lane_depth + exec + interconnect(co-operand left
  *              remote), with the once-per-(vault, operand) transfer
  *              dedup priced in. Ties keep `a`'s vault, so a single
- *              op degenerates to the MinBytes rule. Because the
- *              scheduler consumes the very charges that are later
- *              billed, estimate and charge can never diverge. This
- *              is the knob that erases MinBytes' lane-concentration
- *              cycle regression while keeping most of its byte cut.
+ *              op degenerates to the bigger-operand rule: run where
+ *              the larger operand (by footprint) lives and move only
+ *              the smaller co-operand. Because the scheduler
+ *              consumes the very charges that are later billed,
+ *              estimate and charge can never diverge.
  */
-enum class Routing : std::uint8_t { Primary, MinBytes, Balanced };
+enum class Routing : std::uint8_t { Primary, Balanced };
 
 /**
- * The routing name table: "primary" (also ""), "min-bytes",
- * "balanced". std::nullopt for any other name -- report it with
- * routingNames().
+ * The routing name table: "primary" (also "") and "balanced".
+ * std::nullopt for any other name -- report it with routingNames().
  */
 std::optional<Routing> parseRouting(std::string_view name);
 
-/** The valid routing names, "primary | min-bytes | balanced". */
+/** The valid routing names, "primary | balanced". */
 std::string_view routingNames();
 
 /**
@@ -132,23 +127,11 @@ struct ScuConfig
      * setPlacement rejects a mismatched policy (with a warning) and
      * rebuilds the hash fallback at the correct width instead of
      * silently folding out-of-range vaults by modulo, which skewed
-     * the placement distribution. Held non-const because the SCU
-     * drives DynamicPlacement's mutating barrier hooks (observe /
-     * collectMigrations / decayBarrier / forget) through it; plain
-     * policies are never mutated.
+     * the placement distribution.
      */
-    std::shared_ptr<PlacementPolicy> placement;
+    std::shared_ptr<const PlacementPolicy> placement;
     /** Execution-vault routing rule for batched dispatch. */
     Routing routing = Routing::Primary;
-    /**
-     * Balanced routing's bytes-vs-makespan knob: after the LPT pass
-     * establishes the best achievable batch makespan M*, the byte-
-     * harvesting pass may deepen a lane up to M* x (1 +
-     * balancedSlack) to keep an operation at its byte-lighter vault.
-     * 0 harvests only bytes that are strictly free; larger values
-     * approach MinBytes' byte cut at MinBytes' concentration cost.
-     */
-    double balancedSlack = 0.5;
     /**
      * Fault-injection and recovery model (sisa/faults.hpp). Disabled
      * by default; with faults.enabled false the SCU never constructs
@@ -226,14 +209,13 @@ class Scu
 
     /**
      * Execute every operation of @p batch as ONE dispatch: a single
-     * decode, one metadata round per operand, then concurrent
-     * execution across the vaults. Each operation is routed to an
-     * execution vault by the configured Routing rule (the primary
-     * operand's vault; the bigger operand's under MinBytes; the
-     * vault the LPT batch scheduler picks under Balanced -- see the
-     * Routing enum); operations on the same vault serialize, vaults
-     * run in parallel, and the calling simulated thread is charged
-     * the makespan of the slowest vault plus the cross-vault result
+     * decode, one metadata round per operand, then concurrent execution
+     * across the vaults. Each operation is routed to an execution vault
+     * by the configured Routing rule (the primary operand's vault, or
+     * the vault the LPT batch scheduler picks under Balanced -- see the
+     * Routing enum); operations on the same vault serialize, vaults run
+     * in parallel, and the calling simulated thread is charged the
+     * makespan of the slowest vault plus the cross-vault result
      * reduction tree. On the host, the batch's operations execute
      * functionally up front on the worker pool
      * (VaultWorkerPool::parallelFor); the lanes are then laid out in
@@ -253,16 +235,8 @@ class Scu
      * (empty results, zero cardinalities) never touch the
      * interconnect; a degenerate copy still moves the operand it
      * reads, so {} cup B with a remote B pays B's transfer (under
-     * MinBytes it instead executes in B's vault for free) and its
-     * result reduces.
-     *
-     * Dispatch barriers close with dynamic re-placement when a
-     * DynamicPlacement policy is installed: the charged transfers
-     * are fed to the policy as observations, and each migration it
-     * returns moves the set's footprint once over the interconnect
-     * (serialized on the issuing thread; counters scu.migrations,
-     * setops.migration_bytes) and repins the set in the placement
-     * overlay, so later dispatches find it local.
+     * Balanced a one-op batch instead executes in B's vault for
+     * free) and its result reduces.
      *
      * Functional results and total setops.{streamed,probes,words,
      * output} counters are identical to issuing the same operations
@@ -349,19 +323,19 @@ class Scu
     bool asyncWindowActive() const { return windowCtx_ != nullptr; }
 
     /**
-     * Simulated vault holding @p id: the result/migration overlay
-     * first, then the installed placement policy.
+     * Simulated vault holding @p id: the result overlay first, then
+     * the installed placement policy.
      */
     std::uint32_t vaultOf(SetId id) const;
 
     /**
      * Execution vault for one batched operation under the configured
-     * routing rule: vaultOf(a) for Routing::Primary, the vault of
-     * the larger-footprint operand (ties keep a's vault) for
-     * Routing::MinBytes. Routing::Balanced schedules whole batches
-     * against per-vault load, which a single-op query cannot see;
-     * with empty lanes its greedy choice IS the MinBytes rule, so
-     * that is what this (and serial issue) report for it.
+     * routing rule: vaultOf(a) for Routing::Primary. Routing::Balanced
+     * schedules whole batches against per-vault load, which a
+     * single-op query cannot see; with empty lanes its greedy choice
+     * IS the bigger-operand rule (the vault of the larger-footprint
+     * operand, ties keep a's vault), so that is what this (and
+     * serial issue) report for it.
      */
     std::uint32_t routeVault(const BatchOp &op) const;
 
@@ -373,13 +347,10 @@ class Scu
      * HashPlacement). A policy built for a different vault count
      * than config().pim.vaults is rejected with a warning and
      * replaced by a correct-width HashPlacement (never folded by
-     * modulo). Clears the result/migration overlay. Placement
-     * affects cycle charges and xvault counters only, never
-     * functional results. Taken non-const so the SCU can keep the
-     * mutating DynamicPlacement barrier-hook handle the type system
-     * now requires; routing still goes through a const view.
+     * modulo). Clears the result overlay. Placement affects cycle
+     * charges and xvault counters only, never functional results.
      */
-    void setPlacement(std::shared_ptr<PlacementPolicy> policy);
+    void setPlacement(std::shared_ptr<const PlacementPolicy> policy);
 
     /** |A| (O(1): a metadata lookup). */
     std::uint64_t cardinality(sim::SimContext &ctx, sim::ThreadId tid,
@@ -705,17 +676,8 @@ class Scu
      */
     void placeResult(SetId id, std::uint32_t vault);
 
-    /** Drop overlay/heat state for a recycled or destroyed id. */
+    /** Drop overlay state for a recycled or destroyed id. */
     void forgetPlacement(SetId id);
-
-    /**
-     * Barrier step of dynamic re-placement: feed the transfers the
-     * lanes recorded in laneFetched_ (exactly the charged ones, in
-     * deterministic lane order) to the DynamicPlacement policy and
-     * apply + charge the migrations it returns.
-     */
-    void replaceAtBarrier(sim::SimContext &ctx, sim::ThreadId tid,
-                          std::uint32_t lanes);
 
     /**
      * Shrink-to-high-watermark policy for the dispatch scratch:
@@ -955,21 +917,13 @@ class Scu
 
     SetStore &store_;
     ScuConfig config_;
-    /** Routing view of the installed policy (reads only). */
     std::shared_ptr<const PlacementPolicy> placement_;
     /**
-     * Non-null iff placement_ is a DynamicPlacement (same object),
-     * held non-const: the barrier hooks (observe/collectMigrations/
-     * decayBarrier/forget) mutate observation state, and since the
-     * placement.hpp const cleanup the type system says so.
-     */
-    std::shared_ptr<DynamicPlacement> dynamic_;
-    /**
-     * Result/migration overlay over the placement policy: adopted
-     * intermediates pinned to the vault that produced them (policies
-     * with placesResults()) and sets moved by dynamic re-placement.
-     * Consulted by vaultOf before the policy; entries die with their
-     * set (destroy) or the policy (setPlacement).
+     * Result overlay over the placement policy: adopted intermediates
+     * pinned to the vault that produced them (policies with
+     * placesResults()). Consulted by vaultOf before the policy;
+     * entries die with their set (destroy) or the policy
+     * (setPlacement).
      */
     std::unordered_map<SetId, std::uint32_t> overlay_;
     std::vector<std::unique_ptr<mem::Cache>> smbs_;
@@ -1025,14 +979,6 @@ class Scu
     std::unordered_map<SetId, std::vector<std::uint32_t>>
         schedFetchedVaults_;
     /**
-     * Per-lane (remote operand, bytes) transfers charged this
-     * dispatch, recorded only while a DynamicPlacement policy is
-     * installed -- the barrier feeds them to the policy verbatim, so
-     * heat can never drift from what was billed.
-     */
-    std::vector<std::vector<std::pair<SetId, std::uint64_t>>>
-        laneFetched_;
-    /**
      * Lane accounting of every dispatch: a context reset per
      * dispatch and the fetched-operand set of the lane being laid
      * out.
@@ -1047,8 +993,8 @@ class Scu
     // null; a windowed dispatch opens it lazily and drainWindow /
     // any foreign context / a barriered dispatch closes it). Modeled
     // time inside the window is VIRTUAL: cycles past windowBase_ on
-    // the bound thread, so front-end charges, serial ops, and
-    // migrations keep advancing "now" while lane clocks run ahead.
+    // the bound thread, so front-end charges and serial ops keep
+    // advancing "now" while lane clocks run ahead.
     sim::SimContext *windowCtx_ = nullptr; ///< Bound context or null.
     sim::ThreadId windowTid_ = 0;          ///< Bound modeled thread.
     mem::Cycles windowBase_ = 0;  ///< Bound thread cycles at open.

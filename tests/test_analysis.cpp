@@ -525,9 +525,10 @@ struct GridCase
 };
 
 const GridCase grid[] = {
-    {false, Routing::Primary},  {false, Routing::MinBytes},
-    {false, Routing::Balanced}, {true, Routing::Primary},
-    {true, Routing::MinBytes},  {true, Routing::Balanced},
+    {false, Routing::Primary},
+    {false, Routing::Balanced},
+    {true, Routing::Primary},
+    {true, Routing::Balanced},
 };
 
 /**

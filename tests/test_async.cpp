@@ -2,7 +2,7 @@
  * @file
  * Async-dispatch suites (the `async` CTest label): bit-identity of
  * the in-flight batch window against the per-batch barrier across
- * {1,4} workers x {primary, min-bytes, balanced} routing x {hash,
+ * {1,4} workers x {primary, balanced} routing x {hash,
  * locality} placement x faults on/off (values, result ids, payloads,
  * golden instruction traces, and every counter outside the
  * scu.async_* family) plus absolute cycle and counter pins per
@@ -225,14 +225,6 @@ constexpr CampaignPin campaign_pins[] = {
     {31655u, 26943u, 31655u, 0u, 9535u, 17408u, 0xa97caa76d8d0efccull},
     {25341u, 19634u, 25341u, 0u, 2652u, 16982u, 0x99d16ecbe6aad002ull},
     {37538u, 32844u, 37538u, 0u, 11270u, 21574u, 0xf83d8b86e4995557ull},
-    {18355u, 11597u, 18355u, 0u, 2652u, 8945u, 0xa3b887de3f041a5aull},
-    {27274u, 22814u, 27274u, 0u, 9408u, 13406u, 0xc9e4e4e01fdfe08aull},
-    {25383u, 21415u, 25383u, 0u, 2652u, 18763u, 0x078dfc143d4a9089ull},
-    {38915u, 36589u, 38915u, 0u, 12520u, 24069u, 0x7e018927b3c57e1eull},
-    {18355u, 11597u, 18355u, 0u, 2652u, 8945u, 0xa3b887de3f041a5aull},
-    {27274u, 22814u, 27274u, 0u, 9408u, 13406u, 0xc9e4e4e01fdfe08aull},
-    {25383u, 21415u, 25383u, 0u, 2652u, 18763u, 0x078dfc143d4a9089ull},
-    {38915u, 36589u, 38915u, 0u, 12520u, 24069u, 0x7e018927b3c57e1eull},
     {17185u, 10213u, 17185u, 0u, 2652u, 7561u, 0x2782bd9088868ed4ull},
     {25252u, 20321u, 25252u, 0u, 8642u, 11679u, 0xcc0687e8880bc6edull},
     {22174u, 18049u, 22174u, 0u, 2652u, 15397u, 0xe7759444e92781c1ull},
@@ -258,7 +250,7 @@ TEST(AsyncDifferential, WindowedMatchesBarrieredAcrossConfigs)
     // absolute pins below catch it.
     std::size_t config = 0;
     for (const Routing routing :
-         {Routing::Primary, Routing::MinBytes, Routing::Balanced}) {
+         {Routing::Primary, Routing::Balanced}) {
         for (const std::uint32_t workers : {1u, 4u}) {
             for (const bool locality : {false, true}) {
                 for (const bool faults : {false, true}) {
@@ -485,7 +477,7 @@ checkOracleCampaign(const ScuConfig &config, std::uint64_t seed,
 TEST(BatchOracle, RandomBatchesMatchStdSet)
 {
     for (const Routing routing :
-         {Routing::Primary, Routing::MinBytes, Routing::Balanced}) {
+         {Routing::Primary, Routing::Balanced}) {
         for (const std::uint32_t depth : {0u, 3u}) {
             for (const std::uint32_t workers : {1u, 3u}) {
                 for (const bool faults : {false, true}) {

@@ -6,7 +6,7 @@
  * verifies, retry backoff, transfer retransmits, quarantine
  * evacuation), recovery determinism (seeded fault campaigns and
  * permanent vault failures across {1,4} workers x {primary,
- * min-bytes, balanced} routing, bit-identical to fault-free in
+ * balanced} routing, bit-identical to fault-free in
  * results, ids, and functional setops.* totals), unrecoverable-fault
  * propagation through the worker-pool barrier, and an RMAT-9
  * triangle-count acceptance campaign.
@@ -509,7 +509,7 @@ TEST(Recovery, DeadVaultDifferentialAcrossWorkersAndRoutings)
     // ids, payloads, and the functional setops.* totals -- the fault
     // moves only cycles and recovery counters.
     for (const Routing routing :
-         {Routing::Primary, Routing::MinBytes, Routing::Balanced}) {
+         {Routing::Primary, Routing::Balanced}) {
         for (const std::uint32_t workers : {1u, 4u}) {
             ScuConfig clean_cfg;
             clean_cfg.pim.vaults = 8; // Every vault hosts sets.
@@ -547,7 +547,7 @@ TEST(Recovery, SeededCampaignIsWorkerCountInvariantAndLossless)
     // and cycle charge, and both must be functionally identical to
     // the fault-free twin.
     for (const Routing routing :
-         {Routing::Primary, Routing::MinBytes, Routing::Balanced}) {
+         {Routing::Primary, Routing::Balanced}) {
         ScuConfig clean_cfg;
         clean_cfg.pim.vaults = 8;
         clean_cfg.routing = routing;

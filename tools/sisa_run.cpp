@@ -5,7 +5,7 @@
  * and print the simulated outcome plus the hardware counters.
  *
  *   sisa_run <problem> <dataset> <mode> [threads] [cutoff]
- *            [placement] [routing] [replace] [faults=SPEC]
+ *            [placement] [routing] [faults=SPEC]
  *            [analyze=MODE] [async=SPEC]
  *
  *   problem:   tc | kcc-3..6 | ksc-3..6 | mc | si-4s | si-4s-L |
@@ -13,20 +13,14 @@
  *   dataset:   any registry name (see --list), or file:PATH to load
  *              a plain-text edge list
  *   mode:      non-set | set-based | sisa
- *   placement: hash | range | locality (sisa mode; default hash) --
+ *   placement: hash | locality (sisa mode; default hash) --
  *              cross-vault traffic lands in the scu.xvault_transfers /
  *              setops.xvault_bytes / setops.xvault_reduce_bytes
  *              counters printed below.
- *   routing:   primary | min-bytes | balanced (sisa mode; default
- *              primary) -- min-bytes runs each batched op where the
- *              bigger operand lives and moves only the smaller
- *              co-operand; balanced schedules each batch with a
- *              makespan-driven LPT rule against per-vault load
- *              (transfer-aware, exact-cost).
- *   replace:   none | dynamic (sisa mode; default none) -- dynamic
- *              re-placement migrates sets that keep being fetched
- *              into the same remote vault (scu.migrations /
- *              setops.migration_bytes).
+ *   routing:   primary | balanced (sisa mode; default primary) --
+ *              balanced schedules each batch with a makespan-driven
+ *              LPT rule against per-vault load (transfer-aware,
+ *              exact-cost).
  *   faults:    faults=key=val,... (sisa mode) -- deterministic fault
  *              injection (sisa/faults.hpp): e.g.
  *              faults=seed=7,corrupt=0.02,fail=3@2 corrupts ~2% of op
@@ -140,13 +134,11 @@ constexpr ArgDoc kPositionalDocs[] = {
     {"cutoff", "[cutoff]",
      "per-thread pattern cutoff (default per problem)"},
     {"placement", "[placement]",
-     "hash | range | locality (sisa mode only)"},
-    {"routing", "[routing]",
-     "primary | min-bytes | balanced (sisa mode only)"},
-    {"replace", "[replace]", "none | dynamic (sisa mode only)"},
+     "hash | locality (sisa mode only)"},
+    {"routing", "[routing]", "primary | balanced (sisa mode only)"},
 };
 
-/** Order-flexible key=value specs (argv[9]..), in synopsis order. */
+/** Order-flexible key=value specs (argv[8]..), in synopsis order. */
 constexpr ArgDoc kKeyArgDocs[] = {
     {"faults", "[faults=SPEC]",
      "faults=key=val,... e.g. faults=seed=7,corrupt=0.02,fail=3@2 "
@@ -419,17 +411,6 @@ main(int argc, char **argv)
             return usage(argv[0]);
         }
     }
-    if (argc > 8) {
-        const std::string replace = argv[8];
-        if (replace != "none" && replace != "dynamic")
-            return usage(argv[0]);
-        config.replace = replace == "dynamic";
-        if (config.replace && mode != Mode::Sisa) {
-            std::fprintf(stderr,
-                         "replace is only meaningful in sisa mode\n");
-            return usage(argv[0]);
-        }
-    }
     // Trailing arguments are order-flexible key=value specs.
     bool have_faults = false;
     bool have_analyze = false;
@@ -441,7 +422,7 @@ main(int argc, char **argv)
     bool lint_trace = false;
     ServeOptions serve_opts;
     std::string trace_json;
-    for (int i = 9; i < argc; ++i) {
+    for (int i = 8; i < argc; ++i) {
         const std::string spec = argv[i];
         if (spec.rfind("faults=", 0) == 0) {
             if (have_faults) {
@@ -657,9 +638,8 @@ main(int argc, char **argv)
             return usage(argv[0]);
         }
     }
-    if (have_serve && (have_analyze || config.replace)) {
-        std::fprintf(stderr, "serve= does not combine with analyze= "
-                             "or dynamic re-placement\n");
+    if (have_serve && have_analyze) {
+        std::fprintf(stderr, "serve= does not combine with analyze=\n");
         return usage(argv[0]);
     }
     if ((have_deadline || have_arrive || have_shed) && !have_serve) {
@@ -704,7 +684,7 @@ main(int argc, char **argv)
                         serve_opts, argv[0]);
     }
     std::printf("running %s in %s mode, T=%u, cutoff=%llu, "
-                "placement=%s, routing=%s, replace=%s\n",
+                "placement=%s, routing=%s\n",
                 problem.c_str(), modeName(mode), config.threads,
                 static_cast<unsigned long long>(config.cutoff),
                 mode != Mode::Sisa ? "n/a"
@@ -712,10 +692,7 @@ main(int argc, char **argv)
                                            : config.placement.c_str(),
                 mode != Mode::Sisa ? "n/a"
                 : config.routing.empty() ? "primary"
-                                         : config.routing.c_str(),
-                mode != Mode::Sisa      ? "n/a"
-                : config.replace        ? "dynamic"
-                                        : "none");
+                                         : config.routing.c_str());
 
     RunOutcome outcome;
     try {
