@@ -549,6 +549,113 @@ TEST(ServingScenario, PerQueryAccountsConserveTaggedCharges)
     EXPECT_EQ(agg_counters, counters);
 }
 
+/** FNV-1a over a sequence of small integers. */
+template <typename Seq, typename Fn>
+std::uint64_t
+fnvDigest(const Seq &seq, Fn &&word)
+{
+    std::uint64_t fnv = 1469598103934665603ull;
+    for (const auto &item : seq) {
+        fnv ^= static_cast<std::uint64_t>(word(item));
+        fnv *= 1099511628211ull;
+    }
+    return fnv;
+}
+
+/**
+ * K = 32 open-loop co-tenants (tc / kcc-4 / mc / cl-jac in rotation)
+ * under Credit + EDF with a four-slot admission queue and a deadline
+ * tight enough that ten of them time out. Pins the admission and
+ * lifecycle logs and every query's (value, own cycles, completion,
+ * state): together they guard the scheduler's wake protocol and the
+ * graph preparation behind every tenant.
+ */
+TEST(ServingScenario, MixedK32CreditEdfPinned)
+{
+    const graph::Graph graph = testGraph();
+    serve::ScenarioConfig config;
+    config.policy = isa::SchedPolicy::Credit;
+    config.shed = isa::ShedPolicy::Edf;
+    config.admitCapacity = 4;
+    config.scu.asyncDepth = 8;
+    const char *const problems[] = {"tc", "kcc-4", "mc", "cl-jac"};
+    const std::vector<mem::Cycles> arrivals =
+        serve::poissonArrivals(11, 3000.0, 32);
+    for (std::size_t i = 0; i < arrivals.size(); ++i) {
+        config.queries.push_back({.problem = problems[i % 4],
+                                  .arrival = arrivals[i],
+                                  .deadline = arrivals[i] + 150000});
+    }
+    const serve::ScenarioReport report =
+        serve::serveMixedWorkload(graph, config);
+
+    struct Pin
+    {
+        std::uint64_t value;
+        mem::Cycles own;
+        mem::Cycles completion;
+        isa::QueryState state;
+    };
+    constexpr auto C = isa::QueryState::Completed;
+    constexpr auto T = isa::QueryState::TimedOut;
+    const std::vector<Pin> pins = {
+        {1427, 18926, 20066, C},
+        {300, 29588, 31641, C},
+        {60, 102132, 107234, C},
+        {507, 50967, 124798, C},
+        {1427, 18926, 122800, C},
+        {300, 29588, 124492, C},
+        {60, 102132, 127402, C},
+        {507, 50967, 150094, C},
+        {1427, 18926, 143585, C},
+        {300, 29588, 145277, C},
+        {60, 102132, 152698, C},
+        {507, 50967, 175390, C},
+        {1427, 18926, 170404, C},
+        {300, 29588, 175612, C},
+        {60, 102132, 177994, C},
+        {507, 50967, 200686, C},
+        {1427, 18926, 201698, C},
+        {300, 29588, 206906, C},
+        {60, 102132, 208642, C},
+        {0, 31717, 225982, T},
+        {0, 16041, 224164, T},
+        {0, 29311, 229372, T},
+        {60, 102132, 231108, C},
+        {0, 31717, 251278, T},
+        {0, 5525, 238715, T},
+        {300, 29588, 243923, C},
+        {0, 63748, 252580, T},
+        {0, 31717, 275272, T},
+        {0, 14299, 258143, T},
+        {300, 29588, 263351, C},
+        {0, 25759, 275706, T},
+        {0, 31717, 298398, T}};
+    ASSERT_EQ(report.queries.size(), pins.size());
+    std::size_t cancelled = 0;
+    for (std::size_t i = 0; i < pins.size(); ++i) {
+        const serve::QueryReport &qr = report.queries[i];
+        SCOPED_TRACE("query=" + std::to_string(i) + " " + qr.problem);
+        EXPECT_EQ(qr.value, pins[i].value);
+        EXPECT_EQ(qr.ownCycles, pins[i].own);
+        EXPECT_EQ(qr.completion, pins[i].completion);
+        EXPECT_EQ(qr.state, pins[i].state);
+        cancelled += qr.state != C;
+    }
+    EXPECT_GT(cancelled, 0u);
+    ASSERT_EQ(report.admissionLog.size(), 1868u);
+    EXPECT_EQ(fnvDigest(report.admissionLog,
+                        [](sim::QueryId q) { return q; }),
+              7772529653049729597ull);
+    ASSERT_EQ(report.lifecycleLog.size(), 96u);
+    EXPECT_EQ(fnvDigest(report.lifecycleLog,
+                        [](const isa::ServingModel::LifecycleEvent &e) {
+                            return (std::uint64_t{e.query} << 8) |
+                                   static_cast<std::uint64_t>(e.state);
+                        }),
+              15356044410013272873ull);
+}
+
 TEST(ServingScenario, RejectsUnknownProblem)
 {
     EXPECT_FALSE(serve::validServeProblem("pagerank"));
