@@ -32,6 +32,10 @@
  *   serve_overload_rmat9_p99_cycles_2x     unit "cycles": p99
  *       completion of survivors, no-shed vs edf at 2x load
  *
+ * Every printed row also shows the host seconds of the
+ * serveMixedWorkload call behind each side (printed only; the JSON
+ * rows stay modeled).
+ *
  * With --kernels-json=FILE the rows are merged into an existing
  * BENCH_kernels.json written by bench_microbench --kernels-only:
  * stale serve_* rows are dropped and the fresh ones appended, so CI
@@ -39,6 +43,7 @@
  * tools/check_bench_json.py (which requires both rows).
  */
 
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -53,6 +58,20 @@
 using namespace sisa;
 
 namespace {
+
+/** serveMixedWorkload, timing the call on the host into @p host_s. */
+serve::ScenarioReport
+timedServe(const graph::Graph &graph, const serve::ScenarioConfig &config,
+           double &host_s)
+{
+    const auto start = std::chrono::steady_clock::now();
+    serve::ScenarioReport report =
+        serve::serveMixedWorkload(graph, config);
+    host_s = std::chrono::duration<double>(
+                 std::chrono::steady_clock::now() - start)
+                 .count();
+    return report;
+}
 
 /** The mixed scenario: 1 batched straggler + 99 lighter queries. */
 serve::ScenarioConfig
@@ -78,10 +97,11 @@ mixedWorkload(isa::SchedPolicy policy)
 }
 
 std::vector<double>
-completions(const graph::Graph &graph, isa::SchedPolicy policy)
+completions(const graph::Graph &graph, isa::SchedPolicy policy,
+            double &host_s)
 {
     const serve::ScenarioReport report =
-        serve::serveMixedWorkload(graph, mixedWorkload(policy));
+        timedServe(graph, mixedWorkload(policy), host_s);
     std::vector<double> out;
     out.reserve(report.queries.size());
     for (const serve::QueryReport &qr : report.queries)
@@ -96,6 +116,8 @@ struct Row
     double fcfs;
     double credit;
     const char *unit = "cycles";
+    double fcfsHostS = 0.0;   ///< Host seconds of the scalar side's call.
+    double creditHostS = 0.0; ///< Host seconds of the vector side's call.
 };
 
 std::string
@@ -152,14 +174,17 @@ struct OverloadOutcome
     double goodput = 0.0;   ///< Completed within deadline.
     double survivors = 0.0; ///< Completed at all.
     double p99 = 0.0;       ///< p99 completion of the survivors.
+    double hostS = 0.0;     ///< Host seconds of the call.
 };
 
 OverloadOutcome
 runOverload(const graph::Graph &graph, isa::ShedPolicy shed,
             double inter_arrival, mem::Cycles rel_deadline)
 {
-    const serve::ScenarioReport report = serve::serveMixedWorkload(
-        graph, overloadWorkload(shed, inter_arrival, rel_deadline));
+    OverloadOutcome out;
+    const serve::ScenarioReport report = timedServe(
+        graph, overloadWorkload(shed, inter_arrival, rel_deadline),
+        out.hostS);
     std::vector<double> completions;
     std::vector<double> deadlines;
     for (const serve::QueryReport &qr : report.queries) {
@@ -168,7 +193,6 @@ runOverload(const graph::Graph &graph, isa::ShedPolicy shed,
         completions.push_back(static_cast<double>(qr.completion));
         deadlines.push_back(static_cast<double>(qr.deadline));
     }
-    OverloadOutcome out;
     out.goodput = support::goodput(completions, deadlines, 0.0);
     out.survivors = static_cast<double>(completions.size());
     out.p99 = support::p99(completions);
@@ -260,16 +284,20 @@ main(int argc, char **argv)
     std::printf("serving bench: %s, 1 kcc-6 + 1 mc + 98 tc\n",
                 g.describe().c_str());
 
+    double fcfs_s = 0.0;
+    double credit_s = 0.0;
     const std::vector<double> fcfs =
-        completions(g, isa::SchedPolicy::Fcfs);
+        completions(g, isa::SchedPolicy::Fcfs, fcfs_s);
     const std::vector<double> credit =
-        completions(g, isa::SchedPolicy::Credit);
+        completions(g, isa::SchedPolicy::Credit, credit_s);
 
     std::vector<Row> rows = {
         {"serve_tail_rmat9_p50_cycles", g.numVertices(),
-         support::p50(fcfs), support::p50(credit)},
+         support::p50(fcfs), support::p50(credit), "cycles", fcfs_s,
+         credit_s},
         {"serve_tail_rmat9_p99_cycles", g.numVertices(),
-         support::p99(fcfs), support::p99(credit)},
+         support::p99(fcfs), support::p99(credit), "cycles", fcfs_s,
+         credit_s},
     };
 
     // Overload sweep. Capacity is set by the serialized resource --
@@ -320,21 +348,27 @@ main(int argc, char **argv)
                                     "shed_rate_") +
                             tag,
                         g.numVertices(), 16.0, edf.survivors,
-                        "queries"});
+                        "queries", none.hostS, edf.hostS});
         std::printf("  load %-4s goodput none=%2.0f edf=%2.0f, "
-                    "edf survivors %2.0f/16\n",
-                    tag, none.goodput, edf.goodput, edf.survivors);
+                    "edf survivors %2.0f/16, p99 none=%.0f edf=%.0f "
+                    "cycles, host none=%.3f s edf=%.3f s\n",
+                    tag, none.goodput, edf.goodput, edf.survivors,
+                    none.p99, edf.p99, none.hostS, edf.hostS);
     }
     rows.push_back({"serve_overload_rmat9_goodput_2x",
                     g.numVertices(), none2x.goodput, edf2x.goodput,
-                    "queries"});
+                    "queries", none2x.hostS, edf2x.hostS});
     rows.push_back({"serve_overload_rmat9_p99_cycles_2x",
-                    g.numVertices(), none2x.p99, edf2x.p99});
+                    g.numVertices(), none2x.p99, edf2x.p99, "cycles",
+                    none2x.hostS, edf2x.hostS});
 
+    // Host seconds per serveMixedWorkload call beside each modeled
+    // row: the simulator's own cost of producing that tail number.
     for (const Row &r : rows) {
-        std::printf("  %-36s %12.0f %s -> %12.0f %s (%.2fx)\n",
+        std::printf("  %-36s %12.0f %s -> %12.0f %s (%.2fx)  "
+                    "host %.3f s -> %.3f s per call\n",
                     r.name.c_str(), r.fcfs, r.unit, r.credit, r.unit,
-                    r.fcfs / r.credit);
+                    r.fcfs / r.credit, r.fcfsHostS, r.creditHostS);
     }
 
     if (!json_path.empty())

@@ -111,14 +111,15 @@ struct BkTask
 } // namespace
 
 MaximalCliqueResult
-maximalCliques(SetGraph &sg, sim::SimContext &ctx,
+maximalCliques(SetGraph &sg, const graph::DegeneracyResult &deg,
+               sim::SimContext &ctx,
                const std::function<void(const std::vector<VertexId> &)>
                    &on_clique)
 {
     SetEngine &eng = sg.engine();
     const VertexId n = sg.numVertices();
-    const graph::DegeneracyResult deg =
-        graph::exactDegeneracyOrder(sg.graph());
+    sisa_assert(deg.rank.size() == n,
+                "maximalCliques: order is not of the set graph's graph");
 
     MaximalCliqueResult result;
     // Outer loop over the degeneracy order (Eppstein et al.): for the
@@ -146,14 +147,33 @@ maximalCliques(SetGraph &sg, sim::SimContext &ctx,
 }
 
 MaximalCliqueResult
-maximalCliques(SetGraph &sg, QuerySession &session,
+maximalCliques(SetGraph &sg, sim::SimContext &ctx,
+               const std::function<void(const std::vector<VertexId> &)>
+                   &on_clique)
+{
+    return maximalCliques(sg, graph::exactDegeneracyOrder(sg.graph()),
+                          ctx, on_clique);
+}
+
+MaximalCliqueResult
+maximalCliques(SetGraph &sg, const graph::DegeneracyResult &deg,
+               QuerySession &session,
                const std::function<void(const std::vector<VertexId> &)>
                    &on_clique)
 {
     sisa_assert(&sg.engine() == &session.engine(),
                 "maximalCliques: session is bound to a different "
                 "engine than the graph's");
-    return maximalCliques(sg, session.ctx(), on_clique);
+    return maximalCliques(sg, deg, session.ctx(), on_clique);
+}
+
+MaximalCliqueResult
+maximalCliques(SetGraph &sg, QuerySession &session,
+               const std::function<void(const std::vector<VertexId> &)>
+                   &on_clique)
+{
+    return maximalCliques(sg, graph::exactDegeneracyOrder(sg.graph()),
+                          session, on_clique);
 }
 
 } // namespace sisa::algorithms

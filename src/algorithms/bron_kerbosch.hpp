@@ -27,18 +27,34 @@ struct MaximalCliqueResult
 };
 
 /**
- * List maximal cliques. The outer loop follows the degeneracy order
- * (each thread owns a contiguous block of it); per-thread pattern
- * cutoffs bound the simulated work exactly like the paper's runs.
+ * List maximal cliques. The outer loop follows @p deg, an exact
+ * degeneracy order of `sg.graph()` (each thread owns a contiguous
+ * block of it); per-thread pattern cutoffs bound the simulated work
+ * exactly like the paper's runs. The order is host-side
+ * preprocessing: callers on one graph may share it.
  *
  * @param on_clique Optional callback receiving each maximal clique.
  */
+MaximalCliqueResult maximalCliques(
+    SetGraph &sg, const graph::DegeneracyResult &deg,
+    sim::SimContext &ctx,
+    const std::function<void(const std::vector<VertexId> &)> &on_clique =
+        nullptr);
+
+/** As above, computing the degeneracy order of `sg.graph()` first. */
 MaximalCliqueResult maximalCliques(
     SetGraph &sg, sim::SimContext &ctx,
     const std::function<void(const std::vector<VertexId> &)> &on_clique =
         nullptr);
 
 /** Serving form: run as @p session's query (see triangle_count.hpp). */
+MaximalCliqueResult maximalCliques(
+    SetGraph &sg, const graph::DegeneracyResult &deg,
+    QuerySession &session,
+    const std::function<void(const std::vector<VertexId> &)> &on_clique =
+        nullptr);
+
+/** Serving form computing the degeneracy order first. */
 MaximalCliqueResult maximalCliques(
     SetGraph &sg, QuerySession &session,
     const std::function<void(const std::vector<VertexId> &)> &on_clique =

@@ -12,12 +12,14 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <utility>
 
 #include "core/query_session.hpp"
 #include "core/set_engine.hpp"
 #include "core/set_graph.hpp"
 #include "graph/degeneracy.hpp"
 #include "graph/graph.hpp"
+#include "support/logging.hpp"
 
 namespace sisa::algorithms {
 
@@ -28,23 +30,59 @@ using graph::Graph;
 using graph::VertexId;
 
 /**
+ * The graph-only half of the oriented preprocessing: an exact
+ * degeneracy order of an undirected graph and the graph oriented by
+ * it. Both depend on the graph alone, so one instance can back the
+ * OrientedSetGraphs of any number of engines, read-only.
+ */
+struct DegeneracyOrientation
+{
+    std::shared_ptr<const graph::DegeneracyResult> degeneracy;
+    std::shared_ptr<const Graph> oriented; ///< Arcs follow the order.
+};
+
+/** Compute @p graph's exact degeneracy order and orient it by it. */
+inline DegeneracyOrientation
+orientByDegeneracy(const Graph &graph)
+{
+    auto degeneracy = std::make_shared<const graph::DegeneracyResult>(
+        graph::exactDegeneracyOrder(graph));
+    auto oriented =
+        std::make_shared<const Graph>(graph.orientByRank(degeneracy->rank));
+    return {std::move(degeneracy), std::move(oriented)};
+}
+
+/**
  * A graph oriented by its degeneracy ordering together with the
  * SetGraph over the out-neighborhoods -- the common preprocessing of
  * the k-clique family (Algorithm 3, Table 4) and triangle counting.
+ * The order and the oriented graph are shared read-only; the sets
+ * belong to @p engine.
  */
 struct OrientedSetGraph
 {
-    const Graph *original;     ///< The undirected input graph.
-    graph::DegeneracyResult degeneracy;
-    Graph oriented;            ///< Arcs follow the degeneracy order.
-    std::unique_ptr<SetGraph> sets; ///< N+(v) as SISA sets.
+    const Graph *original; ///< The undirected input graph.
+    std::shared_ptr<const graph::DegeneracyResult> degeneracy;
+    std::shared_ptr<const Graph> oriented; ///< Arcs follow the order.
+    std::unique_ptr<SetGraph> sets;        ///< N+(v) as SISA sets.
+
+    /** Over @p prep, a precomputed orientation of @p graph. */
+    OrientedSetGraph(const Graph &graph, DegeneracyOrientation prep,
+                     SetEngine &engine,
+                     const sets::ReprPolicy &policy = {})
+        : original(&graph), degeneracy(std::move(prep.degeneracy)),
+          oriented(std::move(prep.oriented)),
+          sets(std::make_unique<SetGraph>(*oriented, engine, policy))
+    {
+        sisa_assert(degeneracy->rank.size() == graph.numVertices() &&
+                        oriented->numVertices() == graph.numVertices(),
+                    "OrientedSetGraph: orientation of another graph");
+    }
 
     OrientedSetGraph(const Graph &graph, SetEngine &engine,
                      const sets::ReprPolicy &policy = {})
-        : original(&graph),
-          degeneracy(graph::exactDegeneracyOrder(graph)),
-          oriented(graph.orientByRank(degeneracy.rank)),
-          sets(std::make_unique<SetGraph>(oriented, engine, policy))
+        : OrientedSetGraph(graph, orientByDegeneracy(graph), engine,
+                           policy)
     {
     }
 };

@@ -151,7 +151,7 @@ fourCliqueCount(OrientedSetGraph &osg, sim::SimContext &ctx)
     std::vector<std::uint64_t> partial(ctx.numThreads(), 0);
     parallelFor(ctx, n, [&](sim::ThreadId tid, std::uint64_t i) {
         const auto v1 = static_cast<VertexId>(i);
-        for (VertexId v2 : osg.oriented.neighbors(v1)) {
+        for (VertexId v2 : osg.oriented->neighbors(v1)) {
             if (ctx.cutoffReached(tid))
                 break;
             const core::SetId s1 = eng.intersect(

@@ -14,7 +14,7 @@ triangleCount(OrientedSetGraph &osg, sim::SimContext &ctx,
     core::BatchRequest batch;
     parallelFor(ctx, n, [&](sim::ThreadId tid, std::uint64_t i) {
         const auto v = static_cast<VertexId>(i);
-        const auto &nbrs = osg.oriented.neighbors(v);
+        const auto &nbrs = osg.oriented->neighbors(v);
         if (nbrs.empty())
             return;
         // One dispatch per neighborhood: |N+(v) cap N+(w)| for every

@@ -23,30 +23,50 @@ namespace sisa::serve {
 
 namespace {
 
-bool
-needsOrientation(const std::string &problem)
+/** A QuerySpec::problem, parsed once per serveMixedWorkload call. */
+struct Problem
 {
-    return problem == "tc" || problem.rfind("kcc-", 0) == 0;
+    enum class Kind : std::uint8_t { Tc, KClique, Mc, Clustering, Lp };
+
+    Kind kind = Kind::Lp;
+    std::uint32_t k = 0; ///< Clique size (KClique only).
+    algorithms::SimilarityMeasure measure{}; ///< Clustering only.
+
+    /** Runs on the degeneracy-oriented graph (tc, kcc-*). */
+    bool oriented() const { return kind == Kind::Tc || kind == Kind::KClique; }
+};
+
+std::optional<Problem>
+parseProblem(const std::string &name)
+{
+    using Kind = Problem::Kind;
+    using algorithms::SimilarityMeasure;
+    if (name == "tc")
+        return Problem{Kind::Tc};
+    if (name == "mc")
+        return Problem{Kind::Mc};
+    if (name == "lp")
+        return Problem{Kind::Lp};
+    if (name == "cl-jac")
+        return Problem{Kind::Clustering, 0, SimilarityMeasure::Jaccard};
+    if (name == "cl-ovr")
+        return Problem{Kind::Clustering, 0, SimilarityMeasure::Overlap};
+    if (name == "cl-tot")
+        return Problem{Kind::Clustering, 0,
+                       SimilarityMeasure::TotalNeighbors};
+    if (name.size() == 5 && name.rfind("kcc-", 0) == 0 &&
+        name[4] >= '3' && name[4] <= '6')
+        return Problem{Kind::KClique,
+                       static_cast<std::uint32_t>(name[4] - '0')};
+    return std::nullopt;
 }
 
-std::uint32_t
-cliqueK(const std::string &problem)
-{
-    // validServeProblem vetted the suffix: a single digit 3..6.
-    return static_cast<std::uint32_t>(problem[4] - '0');
-}
-
-algorithms::SimilarityMeasure
-clusteringMeasure(const std::string &problem)
-{
-    if (problem == "cl-jac")
-        return algorithms::SimilarityMeasure::Jaccard;
-    if (problem == "cl-ovr")
-        return algorithms::SimilarityMeasure::Overlap;
-    return algorithms::SimilarityMeasure::TotalNeighbors;
-}
-
-/** Everything one tenant owns (engine, graph views, session). */
+/**
+ * Everything one tenant owns: its engine (SCU, store, vault state),
+ * its session, and the neighborhood sets it built in that store. The
+ * input graph, its degeneracy order and the oriented graph are the
+ * call's, read-only and shared by every tenant that needs them.
+ */
 struct Tenant
 {
     std::unique_ptr<core::SisaEngine> engine;
@@ -75,24 +95,31 @@ installPlacement(core::SisaEngine &engine, const std::string &name,
 }
 
 std::uint64_t
-runQuery(Tenant &tenant, const QuerySpec &spec,
+runQuery(Tenant &tenant, const Problem &problem,
+         const algorithms::DegeneracyOrientation &prep,
          const graph::Graph &graph)
 {
     core::QuerySession &session = *tenant.session;
-    if (spec.problem == "tc")
+    switch (problem.kind) {
+    case Problem::Kind::Tc:
         return algorithms::triangleCount(*tenant.osg, session);
-    if (spec.problem.rfind("kcc-", 0) == 0)
-        return algorithms::kCliqueCount(*tenant.osg, session,
-                                        cliqueK(spec.problem));
-    if (spec.problem == "mc")
-        return algorithms::maximalCliques(*tenant.sg, session)
+    case Problem::Kind::KClique:
+        return algorithms::kCliqueCount(*tenant.osg, session, problem.k);
+    case Problem::Kind::Mc:
+        return algorithms::maximalCliques(*tenant.sg, *prep.degeneracy,
+                                          session)
             .cliqueCount;
-    if (spec.problem.rfind("cl-", 0) == 0)
+    case Problem::Kind::Clustering:
         return algorithms::jarvisPatrick(
-                   *tenant.sg, session,
-                   clusteringMeasure(spec.problem),
-                   spec.problem == "cl-tot" ? 2.0 : 0.05)
+                   *tenant.sg, session, problem.measure,
+                   problem.measure ==
+                           algorithms::SimilarityMeasure::TotalNeighbors
+                       ? 2.0
+                       : 0.05)
             .clusterEdges;
+    case Problem::Kind::Lp:
+        break;
+    }
     // lp: the query owns all its sets; only the graph is shared.
     return algorithms::linkPredictionTest(
                session, graph,
@@ -106,25 +133,27 @@ runQuery(Tenant &tenant, const QuerySpec &spec,
 bool
 validServeProblem(const std::string &problem)
 {
-    if (problem == "tc" || problem == "mc" || problem == "lp" ||
-        problem == "cl-jac" || problem == "cl-ovr" ||
-        problem == "cl-tot")
-        return true;
-    return problem.size() == 5 && problem.rfind("kcc-", 0) == 0 &&
-           problem[4] >= '3' && problem[4] <= '6';
+    return parseProblem(problem).has_value();
 }
 
 std::uint64_t
 serveDefaultCutoff(const std::string &problem)
 {
-    if (problem == "tc")
+    const std::optional<Problem> parsed = parseProblem(problem);
+    if (!parsed)
+        return 0;
+    switch (parsed->kind) {
+    case Problem::Kind::Tc:
         return 2000;
-    if (problem.rfind("kcc-", 0) == 0)
+    case Problem::Kind::KClique:
         return 300;
-    if (problem == "mc")
+    case Problem::Kind::Mc:
         return 60;
-    if (problem.rfind("cl-", 0) == 0)
+    case Problem::Kind::Clustering:
         return 1500;
+    case Problem::Kind::Lp:
+        break;
+    }
     return 0; // lp has no pattern cutoff.
 }
 
@@ -152,9 +181,30 @@ serveMixedWorkload(const graph::Graph &graph,
 {
     sisa_assert(!config.queries.empty(),
                 "serveMixedWorkload: no queries");
+    std::vector<Problem> problems;
+    problems.reserve(config.queries.size());
     for (const QuerySpec &spec : config.queries) {
-        sisa_assert(validServeProblem(spec.problem),
+        const std::optional<Problem> problem = parseProblem(spec.problem);
+        sisa_assert(problem.has_value(),
                     "serveMixedWorkload: unknown problem");
+        problems.push_back(*problem);
+    }
+
+    // Graph-only preparation, computed at most once per call and only
+    // if some tenant needs it: the exact degeneracy order (mc, tc,
+    // kcc-*) and the graph oriented by it (tc, kcc-*). Every tenant
+    // reads the one copy; each still builds its own sets over it.
+    const auto any = [&](auto pred) {
+        return std::any_of(problems.begin(), problems.end(), pred);
+    };
+    algorithms::DegeneracyOrientation prep;
+    if (any([](const Problem &p) { return p.oriented(); })) {
+        prep = algorithms::orientByDegeneracy(graph);
+    } else if (any([](const Problem &p) {
+                   return p.kind == Problem::Kind::Mc;
+               })) {
+        prep.degeneracy = std::make_shared<const graph::DegeneracyResult>(
+            graph::exactDegeneracyOrder(graph));
     }
 
     isa::QueryScheduler sched(config.policy, config.quantum);
@@ -187,12 +237,12 @@ serveMixedWorkload(const graph::Graph &graph,
         t.session->ctx().setPatternCutoff(
             spec.cutoff != 0 ? spec.cutoff
                              : serveDefaultCutoff(spec.problem));
-        if (needsOrientation(spec.problem)) {
+        if (problems[i].oriented()) {
             t.osg = std::make_unique<algorithms::OrientedSetGraph>(
-                graph, *t.engine);
+                graph, prep, *t.engine);
             installPlacement(*t.engine, config.placement,
                              config.scu.pim.vaults, *t.osg->sets);
-        } else if (spec.problem != "lp") {
+        } else if (problems[i].kind != Problem::Kind::Lp) {
             t.sg = std::make_unique<core::SetGraph>(graph, *t.engine);
             installPlacement(*t.engine, config.placement,
                              config.scu.pim.vaults, *t.sg);
@@ -213,7 +263,7 @@ serveMixedWorkload(const graph::Graph &graph,
         threads.emplace_back([&, i] {
             Tenant &t = tenants[i];
             try {
-                t.value = runQuery(t, config.queries[i], graph);
+                t.value = runQuery(t, problems[i], prep, graph);
             } catch (const isa::QueryCancelledError &) {
                 // A lifecycle verdict (TimedOut / Shed / Aborted),
                 // not an error: the report carries the state and the

@@ -7,13 +7,21 @@
  * This is the layer the `sisa_run serve=` CLI mode and the
  * bench/serving tail-latency harness sit on.
  *
- * Determinism: session setup (orientation, set materialization) runs
- * serially on the caller's thread -- the shared pool's parallelFor is
- * not reentrant and setup dispatches are not admission-gated -- and
- * the algorithm phase runs on K host threads under the scheduler's
- * lockstep grants, so the admission log and every per-query cycle
- * count are a pure function of (graph, config), independent of host
- * thread timing.
+ * Shared vs. owned: per call, the graph-only preprocessing -- the
+ * exact degeneracy order (mc, tc, kcc-*) and the graph oriented by it
+ * (tc, kcc-*) -- is computed once, and only if some query needs it,
+ * then read by every tenant that does. Everything modeled stays per
+ * tenant: each owns its engine (SCU, set store, vault state), its
+ * session, and the neighborhood sets it builds over that shared
+ * graph state, so isolation is exactly as if it ran alone.
+ *
+ * Determinism: setup (the shared preparation, then each tenant's
+ * sets) runs serially on the caller's thread -- the shared pool's
+ * parallelFor is not reentrant and setup dispatches are not
+ * admission-gated -- and the algorithm phase runs on K host threads
+ * under the scheduler's lockstep grants, so the admission log and
+ * every per-query cycle count are a pure function of (graph, config),
+ * independent of host thread timing.
  */
 
 #ifndef SISA_SERVE_SCENARIO_HPP

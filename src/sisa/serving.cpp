@@ -498,6 +498,7 @@ QueryScheduler::enroll(const AdmissionSpec &spec)
     const std::scoped_lock lock(mu_);
     const sim::QueryId id = model_.enroll(spec);
     states_.push_back(State::Running);
+    wake_.emplace_back();
     ++unfinished_;
     return id;
 }
@@ -518,7 +519,7 @@ QueryScheduler::maybeGrantLocked()
         model_.decide(waitingScratch_);
     states_[decision.query] = State::Granted;
     grantOutstanding_ = true;
-    cv_.notify_all();
+    wake_[decision.query].notify_one();
 }
 
 QueryState
@@ -530,7 +531,8 @@ QueryScheduler::admit(sim::QueryId query)
     states_[query] = State::Waiting;
     ++waiting_;
     maybeGrantLocked();
-    cv_.wait(lock, [&] { return states_[query] == State::Granted; });
+    wake_[query].wait(lock,
+                      [&] { return states_[query] == State::Granted; });
     --waiting_;
     // The slot stays held either way: a grantee until report(), a
     // cancellation wake until leave() -- so cancelled teardown never

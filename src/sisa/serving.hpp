@@ -58,6 +58,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
@@ -425,7 +426,10 @@ class ServingModel
  * The Scu drives admit/report itself once bindQuery() attaches it to
  * a scheduler; leave() is the session teardown's job. A grant is
  * issued only when all unfinished queries are parked in admit(), so
- * every run of the same queries yields the same admission log.
+ * every run of the same queries yields the same admission log. Each
+ * enrolled query parks on its own condition variable and a decision
+ * wakes only its grantee: the other parked threads stay asleep, so a
+ * grant costs one hand-off however many queries are enrolled.
  *
  * Cancellation rides the grant slot: a cancelled query wakes from
  * admit() with its verdict, does NOT report, and holds the slot
@@ -490,7 +494,8 @@ class QueryScheduler
     void maybeGrantLocked();
 
     mutable std::mutex mu_;
-    std::condition_variable cv_;
+    /** One wake-up per enrolled query (a deque never relocates). */
+    std::deque<std::condition_variable> wake_;
     ServingModel model_;
     std::vector<State> states_;
     std::size_t unfinished_ = 0;

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <set>
+#include <string>
 
 #include "algorithms/bfs.hpp"
 #include "algorithms/bron_kerbosch.hpp"
@@ -128,6 +130,95 @@ TEST_P(AlgoTest, MaximalCliquesOnCompleteGraph)
     const auto result = maximalCliques(sg, ctx);
     EXPECT_EQ(result.cliqueCount, 1u);
     EXPECT_EQ(result.maxCliqueSize, 9u);
+}
+
+graph::Graph
+sharedPrepGraph()
+{
+    graph::RmatParams params;
+    params.scale = 7;
+    params.edgeFactor = 8;
+    return graph::rmat(params, 42);
+}
+
+void
+expectSameAccount(const sim::QueryAccount &a, const sim::QueryAccount &b)
+{
+    EXPECT_EQ(a.busy, b.busy);
+    EXPECT_EQ(a.stall, b.stall);
+    EXPECT_EQ(a.counters, b.counters);
+}
+
+TEST_P(AlgoTest, SharedOrientationMatchesSelfComputed)
+{
+    // One precomputed orientation backing two engines must be
+    // indistinguishable from each engine computing its own: same
+    // order, oriented CSR, set ids and representations, and
+    // bit-identical tc / kcc-4 values and tagged accounts.
+    const graph::Graph g = sharedPrepGraph();
+    const DegeneracyOrientation prep = orientByDegeneracy(g);
+    for (const std::uint32_t k : {3u, 4u}) {
+        SCOPED_TRACE("k=" + std::to_string(k));
+        auto self_eng = makeEngine(kind(), g.numVertices(), threads());
+        auto shared_eng =
+            makeEngine(kind(), g.numVertices(), threads());
+        OrientedSetGraph self(g, *self_eng);
+        OrientedSetGraph shared(g, prep, *shared_eng);
+        EXPECT_EQ(shared.oriented.get(), prep.oriented.get());
+        EXPECT_EQ(shared.degeneracy->order, self.degeneracy->order);
+        EXPECT_EQ(shared.degeneracy->rank, self.degeneracy->rank);
+        ASSERT_EQ(shared.oriented->numEdges(),
+                  self.oriented->numEdges());
+        for (graph::VertexId v = 0; v < g.numVertices(); ++v) {
+            const auto a = self.oriented->neighbors(v);
+            const auto b = shared.oriented->neighbors(v);
+            ASSERT_TRUE(
+                std::equal(a.begin(), a.end(), b.begin(), b.end()))
+                << "vertex " << v;
+            EXPECT_EQ(shared.sets->neighborhood(v),
+                      self.sets->neighborhood(v));
+            EXPECT_EQ(shared.sets->representation(v),
+                      self.sets->representation(v));
+        }
+
+        sim::SimContext self_ctx(threads());
+        sim::SimContext shared_ctx(threads());
+        self_ctx.bindQuery(0);
+        shared_ctx.bindQuery(0);
+        const std::uint64_t self_value =
+            k == 3 ? triangleCount(self, self_ctx)
+                   : kCliqueCount(self, self_ctx, k);
+        const std::uint64_t shared_value =
+            k == 3 ? triangleCount(shared, shared_ctx)
+                   : kCliqueCount(shared, shared_ctx, k);
+        EXPECT_EQ(shared_value, self_value);
+        EXPECT_EQ(self_value, refKCliqueCount(g, k));
+        expectSameAccount(shared_ctx.queryAccount(0),
+                          self_ctx.queryAccount(0));
+    }
+}
+
+TEST_P(AlgoTest, MaximalCliquesGivenOrderMatchesDefault)
+{
+    const graph::Graph g = sharedPrepGraph();
+    const graph::DegeneracyResult order = graph::exactDegeneracyOrder(g);
+    auto default_eng = makeEngine(kind(), g.numVertices(), threads());
+    auto given_eng = makeEngine(kind(), g.numVertices(), threads());
+    core::SetGraph default_sg(g, *default_eng);
+    core::SetGraph given_sg(g, *given_eng);
+    sim::SimContext default_ctx(threads());
+    sim::SimContext given_ctx(threads());
+    default_ctx.bindQuery(0);
+    given_ctx.bindQuery(0);
+    const MaximalCliqueResult by_default =
+        maximalCliques(default_sg, default_ctx);
+    const MaximalCliqueResult given =
+        maximalCliques(given_sg, order, given_ctx);
+    EXPECT_EQ(given.cliqueCount, by_default.cliqueCount);
+    EXPECT_EQ(given.maxCliqueSize, by_default.maxCliqueSize);
+    EXPECT_EQ(by_default.cliqueCount, refMaximalCliques(g).size());
+    expectSameAccount(given_ctx.queryAccount(0),
+                      default_ctx.queryAccount(0));
 }
 
 TEST_P(AlgoTest, KCliqueCounts)
