@@ -57,7 +57,7 @@ orientByDegeneracy(const Graph &graph)
  * SetGraph over the out-neighborhoods -- the common preprocessing of
  * the k-clique family (Algorithm 3, Table 4) and triangle counting.
  * The order and the oriented graph are shared read-only; the sets
- * belong to @p engine.
+ * live in the engine they were built in.
  */
 struct OrientedSetGraph
 {
