@@ -362,8 +362,6 @@ main(int argc, char **argv)
                     g.numVertices(), none2x.p99, edf2x.p99, "cycles",
                     none2x.hostS, edf2x.hostS});
 
-    // Host seconds per serveMixedWorkload call beside each modeled
-    // row: the simulator's own cost of producing that tail number.
     for (const Row &r : rows) {
         std::printf("  %-36s %12.0f %s -> %12.0f %s (%.2fx)  "
                     "host %.3f s -> %.3f s per call\n",
