@@ -80,7 +80,6 @@ mixedWorkload(isa::SchedPolicy policy)
     serve::ScenarioConfig config;
     config.policy = policy;
     config.quantum = 2000; // Well below the straggler's appetite.
-    config.scu.batchWorkers = 1; // Modeled contention, not host perf.
     // The straggler: a deep clique enumeration whose batched
     // dispatches occupy the shared vaults for ~2M modeled cycles.
     config.queries.push_back(
@@ -150,7 +149,6 @@ overloadWorkload(isa::ShedPolicy shed, double inter_arrival,
 {
     serve::ScenarioConfig config;
     config.policy = isa::SchedPolicy::Fcfs;
-    config.scu.batchWorkers = 1;
     config.shed = shed;
     config.admitCapacity = shed == isa::ShedPolicy::None ? 0 : 4;
     for (int i = 0; i < 16; ++i) {

@@ -6,18 +6,16 @@
  * session's QueryId, the engine executing on the query's behalf, the
  * admission scheduler enrollment, and the running fault summary. The
  * serving layer (serve/scenario.hpp) creates K sessions against one
- * QueryScheduler and one shared host worker pool; the headline
- * invariant is that a query's functional results, ids, and setops.*
- * totals are bit-identical whether it runs solo or co-tenant --
- * scheduling moves modeled time only.
+ * QueryScheduler; the headline invariant is that a query's functional
+ * results, ids, and setops.* totals are bit-identical whether it runs
+ * solo or co-tenant -- scheduling moves modeled time only.
  *
  * Lifecycle:
  *   1. Construct (enrolls with the scheduler; the session's ctx tags
  *      every charge with the new QueryId from the start, so even
  *      setup counters land in the query's account).
  *   2. Build the query's working state (graphs, set materialization)
- *      -- ungated, so do it before co-tenants start dispatching or
- *      serialize it externally when the engines share a worker pool.
+ *      -- ungated, so do it before co-tenants start dispatching.
  *   3. attach(engine): dispatches now gate through the scheduler and
  *      the served timeline starts (setup cycles stay outside it).
  *   4. Run the query's algorithm against session.ctx().

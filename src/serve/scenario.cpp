@@ -213,20 +213,15 @@ serveMixedWorkload(const graph::Graph &graph,
     std::vector<Tenant> tenants(config.queries.size());
 
     // Phase 1 (serial, this thread): per-tenant engines, sessions,
-    // and graph state. Setup dispatches are not admission-gated and
-    // the shared pool is single-dispatch, so this must not overlap
-    // the concurrent phase. Enrollment order == spec order, which is
-    // what FCFS arrival rank and Credit round-robin order mean.
-    std::shared_ptr<isa::VaultWorkerPool> pool;
+    // and graph state. Setup dispatches are not admission-gated, so
+    // this must not overlap the concurrent phase. Enrollment order ==
+    // spec order, which is what FCFS arrival rank and Credit
+    // round-robin order mean.
     for (std::size_t i = 0; i < config.queries.size(); ++i) {
         const QuerySpec &spec = config.queries[i];
         Tenant &t = tenants[i];
         t.engine = std::make_unique<core::SisaEngine>(
             graph.numVertices(), config.scu, config.threads);
-        if (!pool)
-            pool = t.engine->scu().sharedPool();
-        else
-            t.engine->scu().adoptPool(pool);
         isa::AdmissionSpec admission;
         admission.priority = spec.priority;
         admission.arrival = spec.arrival;
@@ -253,7 +248,7 @@ serveMixedWorkload(const graph::Graph &graph,
 
     // Phase 2: attach everything, then run. Attach comes after ALL
     // setup so no gated dispatch can start while another tenant is
-    // still doing ungated setup work on the shared pool.
+    // still doing ungated setup work.
     for (Tenant &t : tenants)
         t.session->attach(*t.engine);
 

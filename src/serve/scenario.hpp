@@ -2,8 +2,8 @@
  * @file
  * Mixed-workload serving scenarios: K queries, each a full graph
  * algorithm in its own QuerySession with its own engine and store,
- * run concurrently against ONE shared graph, one shared host worker
- * pool, and one QueryScheduler deciding whose dispatch goes next.
+ * run concurrently against ONE shared graph and one QueryScheduler
+ * deciding whose dispatch goes next.
  * This is the layer the `sisa_run serve=` CLI mode and the
  * bench/serving tail-latency harness sit on.
  *
@@ -16,9 +16,8 @@
  * graph state, so isolation is exactly as if it ran alone.
  *
  * Determinism: setup (the shared preparation, then each tenant's
- * sets) runs serially on the caller's thread -- the shared pool's
- * parallelFor is not reentrant and setup dispatches are not
- * admission-gated -- and the algorithm phase runs on K host threads
+ * sets) runs serially on the caller's thread -- setup dispatches are
+ * not admission-gated -- and the algorithm phase runs on K host threads
  * under the scheduler's lockstep grants, so the admission log and
  * every per-query cycle count are a pure function of (graph, config),
  * independent of host thread timing.
@@ -67,10 +66,9 @@ struct ScenarioConfig
     isa::SchedPolicy policy = isa::SchedPolicy::Fcfs;
     mem::Cycles quantum = isa::ServingModel::default_quantum;
     /**
-     * Per-session SCU configuration (vaults, batch workers, routing,
-     * asyncDepth, faults). Every session gets its own SCU with this
-     * config; they share one host worker pool and, through the
-     * scheduler, the modeled vault timeline.
+     * Per-session SCU configuration (vaults, routing, asyncDepth,
+     * faults). Every session gets its own SCU with this config; they
+     * share the modeled vault timeline through the scheduler.
      */
     isa::ScuConfig scu{};
     /** Vault placement: "" / "hash" | "locality". */

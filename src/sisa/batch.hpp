@@ -97,8 +97,8 @@ enum class BatchOpKind : std::uint8_t
  * query's lanes land on the shared vault clocks, never what its ops
  * compute -- so a query's results, result ids, fault coordinates,
  * and functional counters are bit-identical solo vs co-tenant (the
- * `serving` CTest label enforces this across workers x routing x
- * placement x faults x async).
+ * `serving` CTest label enforces this across routing x placement x
+ * faults x async).
  *
  * The guarantee survives the query lifecycle (sisa/serving.hpp):
  * deadlines, admission control, and overload shedding cancel a query
@@ -110,8 +110,7 @@ enum class BatchOpKind : std::uint8_t
  * still reports results, ids, and setops.* totals bit-identical to
  * its solo run, and the lifecycle verdicts themselves (TimedOut /
  * Shed / Aborted, and the lifecycle log recording them) are pure
- * functions of modeled time -- independent of host worker count or
- * wall-clock timing.
+ * functions of modeled time -- independent of host thread timing.
  *
  * Operand `a` is the PRIMARY operand: under Routing::Primary the SCU
  * routes the op to `a`'s vault, and ops on the same vault

@@ -12,7 +12,7 @@ namespace {
 
 // The SplitMix64 finalizer (support/rng.hpp), usable as a pure mixing
 // function: every fault decision hashes its coordinates through it so
-// decisions are independent of query order and worker count.
+// decisions are independent of query and operation order.
 std::uint64_t
 mix64(std::uint64_t z)
 {

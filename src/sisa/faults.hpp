@@ -23,8 +23,8 @@
  *    (see Scu::dispatchBatch).
  *
  * Every decision is a pure splitmix64-style hash over (seed, fault
- * channel, coordinates): stateless, thread-safe, independent of
- * worker count and of the order in which workers ask. Recoverable
+ * channel, coordinates): stateless, thread-safe, and independent of
+ * the order in which operations ask. Recoverable
  * campaigns therefore produce final results bit-identical to the
  * fault-free run -- faults move cycles and the recovery counters
  * (scu.retries, scu.quarantines, setops.recovery_bytes), never
@@ -112,8 +112,8 @@ class UnrecoverableFaultError : public std::runtime_error
 
 /**
  * The injector: pure coordinate-hash decisions over a FaultConfig.
- * Const and stateless after construction -- batch workers query it
- * concurrently, and the answers do not depend on who asks first.
+ * Const and stateless after construction: the answers do not depend
+ * on which operation asks first.
  */
 class FaultInjector
 {

@@ -183,8 +183,8 @@ class VaultLoads
  * quarantined vault stops receiving placements: Scu::vaultOf remaps
  * every assignment that lands on a dead vault to the next live vault
  * scanning upward with wraparound -- a pure function of the dead set,
- * so re-placement stays deterministic across worker counts and
- * identical for policy and overlay assignments alike. The last live
+ * so re-placement stays deterministic and identical for policy and
+ * overlay assignments alike. The last live
  * vault can never be quarantined (add refuses).
  */
 class QuarantineSet

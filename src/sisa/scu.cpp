@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <ranges>
-#include <thread>
+#include <stdexcept>
+#include <string>
 #include <unordered_set>
 
 #include "sisa/analysis.hpp"
@@ -101,6 +102,13 @@ Scu::Scu(SetStore &store, const ScuConfig &config,
          std::uint32_t num_threads)
     : store_(store), config_(config)
 {
+    if (config_.batchWorkers != 1) {
+        throw std::invalid_argument(
+            "ScuConfig::batchWorkers = " +
+            std::to_string(config_.batchWorkers) +
+            ": batches always pre-execute inline on the dispatching "
+            "thread, so the only accepted value is 1");
+    }
     setPlacement(config_.placement);
     quarantine_.reset(std::max<std::uint32_t>(config_.pim.vaults, 1));
     if (config_.faults.enabled)
@@ -820,37 +828,6 @@ Scu::resultBytes(const OpOutcome &outcome) const
     return 8; // Scalar result register.
 }
 
-std::uint32_t
-Scu::batchWorkerCount() const
-{
-    if (config_.batchWorkers)
-        return config_.batchWorkers;
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw ? hw : 1;
-}
-
-VaultWorkerPool &
-Scu::pool()
-{
-    return *sharedPool();
-}
-
-std::shared_ptr<VaultWorkerPool>
-Scu::sharedPool()
-{
-    if (!pool_)
-        pool_ = std::make_shared<VaultWorkerPool>(batchWorkerCount());
-    return pool_;
-}
-
-void
-Scu::adoptPool(std::shared_ptr<VaultWorkerPool> pool)
-{
-    sisa_assert(pool != nullptr, "adoptPool: null pool");
-    sisa_assert(!windowCtx_, "adoptPool: async window active");
-    pool_ = std::move(pool);
-}
-
 void
 Scu::bindQuery(QueryScheduler &sched, sim::QueryId query,
                const sim::SimContext &ctx)
@@ -1046,21 +1023,10 @@ void
 Scu::preExecuteOutcomes(const BatchRequest &batch,
                         std::uint64_t dispatch)
 {
-    const std::size_t n = batch.size();
-    const auto execute = [&](std::size_t i) {
-        outcomes_[i] = executeOp(dispatch, static_cast<std::uint32_t>(i),
-                                 batch.ops[i]);
-    };
-    if (std::min<std::size_t>(batchWorkerCount(), n) <= 1) {
-        for (std::size_t i = 0; i < n; ++i)
-            execute(i);
-        return;
-    }
-    // executeOp is pure (it reads the store and the stateless fault
-    // injector), so ops may run in any order on any worker; each
-    // writes only its own outcome slot. Nothing is charged here --
-    // lanes are laid out in modeled time afterwards, serially.
-    pool().parallelFor(n, execute);
+    // Nothing is charged here: lanes are laid out in modeled time
+    // afterwards.
+    for (std::uint32_t i = 0; i < batch.size(); ++i)
+        outcomes_[i] = executeOp(dispatch, i, batch.ops[i]);
 }
 
 mem::Cycles

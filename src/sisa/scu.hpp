@@ -46,7 +46,6 @@
 #include "sisa/serving.hpp"
 #include "sisa/set_store.hpp"
 #include "sisa/trace.hpp"
-#include "sisa/vault_pool.hpp"
 
 namespace sisa::isa {
 
@@ -114,12 +113,12 @@ struct ScuConfig
      */
     double gallopThreshold = 0.0;
     /**
-     * Host worker threads executing batched dispatches (workers
-     * claim a batch's ops one at a time). 0 selects
-     * std::thread::hardware_concurrency(); 1 disables the pool and
-     * runs batches inline on the calling thread.
+     * Compatibility shim: host dispatch always runs a batch's ops
+     * inline on the dispatching thread, so the only accepted value is
+     * 1 (the Scu constructor rejects any other). The field will be
+     * deleted together with the next benchmark change.
      */
-    std::uint32_t batchWorkers = 0;
+    std::uint32_t batchWorkers = 1;
     /**
      * Set-to-vault placement policy consulted by dispatchBatch.
      * nullptr selects HashPlacement over pim.vaults (the historical
@@ -217,10 +216,9 @@ class Scu
      * in parallel, and the calling simulated thread is charged the
      * makespan of the slowest vault plus the cross-vault result
      * reduction tree. On the host, the batch's operations execute
-     * functionally up front on the worker pool
-     * (VaultWorkerPool::parallelFor); the lanes are then laid out in
-     * modeled time serially, so the accounting is deterministic and
-     * worker-count invariant.
+     * functionally up front, in request order on the dispatching
+     * thread; the lanes are then laid out in modeled time, so the
+     * vault parallelism is modeled, never host-threaded.
      *
      * Cross-vault traffic model: when an operation's co-operand
      * resolves to a DIFFERENT vault than its execution vault, the
@@ -455,18 +453,6 @@ class Scu
     /** The scheduler query this SCU dispatches as (or no_query). */
     sim::QueryId boundQuery() const { return query_; }
 
-    /**
-     * Share one host worker pool among several SCUs -- the serving
-     * layer's K sessions must not spawn K pools. Callers own the
-     * serialization guarantee (parallelFor is not reentrant): the
-     * lockstep QueryScheduler provides exactly that, and the pool
-     * must have been built for at least this SCU's batchWorkers.
-     */
-    void adoptPool(std::shared_ptr<VaultWorkerPool> pool);
-
-    /** This SCU's pool as a shareable handle (created on demand). */
-    std::shared_ptr<VaultWorkerPool> sharedPool();
-
   private:
     /**
      * One planned-and-executed binary set operation, produced by
@@ -637,10 +623,9 @@ class Scu
                          const BatchRequest &batch, bool windowed);
 
     /**
-     * Execute every batch operation functionally into outcomes_ (in
-     * parallel on the worker pool) WITHOUT charging anything -- lane
-     * layout and the Balanced scheduler need each op's exact cycle
-     * charges first. @p dispatch is the dispatch sequence number
+     * Execute every batch operation functionally into outcomes_, in
+     * request order, WITHOUT charging anything -- lane layout and the
+     * Balanced scheduler need each op's exact cycle charges first. @p dispatch is the dispatch sequence number
      * (fault coordinate).
      */
     void preExecuteOutcomes(const BatchRequest &batch,
@@ -861,9 +846,6 @@ class Scu
             trace_->record(op, rd, rs1, rs2);
     }
 
-    /** The worker pool, created lazily on the first parallel batch. */
-    VaultWorkerPool &pool();
-
     /**
      * Block in the scheduler until this query may dispatch. On a
      * cancellation verdict (deadline / shed / fault budget) the
@@ -902,9 +884,6 @@ class Scu
             demand_.addLane(vault, cycles);
     }
 
-    /** Effective host worker count for batched dispatch. */
-    std::uint32_t batchWorkerCount() const;
-
     /**
      * Result footprint of @p outcome in bytes, as moved by the
      * cross-vault reduction tree (SA payloads at 4 B/element, DB
@@ -929,8 +908,6 @@ class Scu
     std::vector<std::unique_ptr<mem::Cache>> smbs_;
     Backend lastBackend_ = Backend::None;
     InstructionTrace *trace_ = nullptr;
-    /** Shared so the serving layer can pool K sessions' workers. */
-    std::shared_ptr<VaultWorkerPool> pool_;
     // --- Serving attachment (all dead while sched_ is null) -----------
     QueryScheduler *sched_ = nullptr;
     sim::QueryId query_ = sim::no_query;

@@ -536,7 +536,7 @@ QueryScheduler::admit(sim::QueryId query)
     --waiting_;
     // The slot stays held either way: a grantee until report(), a
     // cancellation wake until leave() -- so cancelled teardown never
-    // overlaps a co-tenant's dispatch on the shared pool.
+    // overlaps a co-tenant's dispatch.
     return model_.grantVerdict(query);
 }
 

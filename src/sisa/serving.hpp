@@ -1,12 +1,12 @@
 /**
  * @file
  * Multi-tenant admission layer over the SCU: K concurrent queries
- * (serve/scenario.hpp sessions) share the vault pool and the modeled
- * vault time, with a QueryScheduler deciding whose batch dispatches
- * next. The policy menu mirrors the SimpleSSD-ISC in-storage-compute
- * scheduler registry (FCFS / CREDIT / priority-based FLIN): FCFS
- * grants strictly by arrival, Credit is deficit round-robin over a
- * cycle quantum, Priority preempts at every dispatch boundary.
+ * (serve/scenario.hpp sessions) share the modeled vault time, with a
+ * QueryScheduler deciding whose batch dispatches next. The policy
+ * menu mirrors the SimpleSSD-ISC in-storage-compute scheduler registry
+ * (FCFS / CREDIT / priority-based FLIN): FCFS grants strictly by
+ * arrival, Credit is deficit round-robin over a cycle quantum,
+ * Priority preempts at every dispatch boundary.
  *
  * Two layers, split for testability:
  *
@@ -434,8 +434,7 @@ class ServingModel
  * Cancellation rides the grant slot: a cancelled query wakes from
  * admit() with its verdict, does NOT report, and holds the slot
  * until its leave() -- so cancelled-session teardown (window drain,
- * set release) never overlaps a co-tenant's dispatch on the shared
- * worker pool.
+ * set release) never overlaps a co-tenant's dispatch.
  */
 class QueryScheduler
 {

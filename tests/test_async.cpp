@@ -2,17 +2,16 @@
  * @file
  * Async-dispatch suites (the `async` CTest label): bit-identity of
  * the in-flight batch window against the per-batch barrier across
- * {1,4} workers x {primary, balanced} routing x {hash,
- * locality} placement x faults on/off (values, result ids, payloads,
- * golden instruction traces, and every counter outside the
- * scu.async_* family) plus absolute cycle and counter pins per
- * configuration, a seeded random-batch oracle against std::set
- * across routing x depth x workers x faults, a strictly-lower-
- * makespan pin for Bron-Kerbosch on RMAT, window mechanics
- * (depth-bounded retirement, drain-on-rebind, strict rejection
- * leaving the window intact, serial-op synchronization stalls), the
- * batched lastBackend retention rule, and the scratch high-watermark
- * release on empty and strict-rejected dispatches.
+ * {primary, balanced} routing x {hash, locality} placement x faults
+ * on/off (values, result ids, payloads, golden instruction traces,
+ * and every counter outside the scu.async_* family) plus absolute
+ * cycle and counter pins per configuration, a seeded random-batch
+ * oracle against std::set across routing x depth x faults, a
+ * strictly-lower-makespan pin for Bron-Kerbosch on RMAT, window
+ * mechanics (depth-bounded retirement, drain-on-rebind, strict
+ * rejection leaving the window intact, serial-op synchronization
+ * stalls), the batched lastBackend retention rule, and the scratch
+ * high-watermark release on empty and strict-rejected dispatches.
  */
 
 #include <gtest/gtest.h>
@@ -213,22 +212,14 @@ struct CampaignPin
 
 /**
  * Pins for WindowedMatchesBarrieredAcrossConfigs, in its loop order
- * (routing, then workers, then locality, then faults). They must
- * never change: a new value means modeled time or a counter moved.
+ * (routing, then locality, then faults). They must never change: a
+ * new value means modeled time or a counter moved.
  */
 constexpr CampaignPin campaign_pins[] = {
     {20463u, 14092u, 20463u, 0u, 2652u, 11440u, 0x656dae2f884b0832ull},
     {31655u, 26943u, 31655u, 0u, 9535u, 17408u, 0xa97caa76d8d0efccull},
     {25341u, 19634u, 25341u, 0u, 2652u, 16982u, 0x99d16ecbe6aad002ull},
     {37538u, 32844u, 37538u, 0u, 11270u, 21574u, 0xf83d8b86e4995557ull},
-    {20463u, 14092u, 20463u, 0u, 2652u, 11440u, 0x656dae2f884b0832ull},
-    {31655u, 26943u, 31655u, 0u, 9535u, 17408u, 0xa97caa76d8d0efccull},
-    {25341u, 19634u, 25341u, 0u, 2652u, 16982u, 0x99d16ecbe6aad002ull},
-    {37538u, 32844u, 37538u, 0u, 11270u, 21574u, 0xf83d8b86e4995557ull},
-    {17185u, 10213u, 17185u, 0u, 2652u, 7561u, 0x2782bd9088868ed4ull},
-    {25252u, 20321u, 25252u, 0u, 8642u, 11679u, 0xcc0687e8880bc6edull},
-    {22174u, 18049u, 22174u, 0u, 2652u, 15397u, 0xe7759444e92781c1ull},
-    {33058u, 30482u, 33058u, 0u, 11314u, 19168u, 0xa2b6475f8076a806ull},
     {17185u, 10213u, 17185u, 0u, 2652u, 7561u, 0x2782bd9088868ed4ull},
     {25252u, 20321u, 25252u, 0u, 8642u, 11679u, 0xcc0687e8880bc6edull},
     {22174u, 18049u, 22174u, 0u, 2652u, 15397u, 0xe7759444e92781c1ull},
@@ -242,8 +233,8 @@ TEST(AsyncDifferential, WindowedMatchesBarrieredAcrossConfigs)
     // instruction trace, and every counter outside the scu.async_*
     // family -- under transient fault campaigns AND a permanent
     // vault failure (which fences the failing dispatch back onto the
-    // barriered path), with any routing, placement, and worker
-    // count. Only modeled time may move, and never upward.
+    // barriered path), with any routing and placement. Only modeled
+    // time may move, and never upward.
     //
     // Both sides run the same dispatch pipeline, so a drift moving
     // both of them at once would pass the comparison above: the
@@ -251,58 +242,54 @@ TEST(AsyncDifferential, WindowedMatchesBarrieredAcrossConfigs)
     std::size_t config = 0;
     for (const Routing routing :
          {Routing::Primary, Routing::Balanced}) {
-        for (const std::uint32_t workers : {1u, 4u}) {
-            for (const bool locality : {false, true}) {
-                for (const bool faults : {false, true}) {
-                    ScuConfig barriered;
-                    barriered.pim.vaults = 8;
-                    barriered.routing = routing;
-                    barriered.batchWorkers = workers;
-                    if (faults) {
-                        barriered.faults.enabled = true;
-                        barriered.faults.seed = 5;
-                        barriered.faults.corruptRate = 0.02;
-                        barriered.faults.stallRate = 0.01;
-                        barriered.faults.dropRate = 0.01;
-                        barriered.faults.vaultFailures.push_back(
-                            {2, 3});
-                    }
-                    ScuConfig windowed = barriered;
-                    windowed.asyncDepth = 4;
-
-                    const CampaignRun base = runCampaign(
-                        barriered, locality, 6, 24, 113);
-                    const CampaignRun async = runCampaign(
-                        windowed, locality, 6, 24, 113);
-                    const std::string what =
-                        "routing " +
-                        std::to_string(static_cast<int>(routing)) +
-                        ", workers " + std::to_string(workers) +
-                        ", locality " + std::to_string(locality) +
-                        ", faults " + std::to_string(faults);
-                    EXPECT_EQ(base.values, async.values) << what;
-                    EXPECT_EQ(base.ids, async.ids) << what;
-                    EXPECT_EQ(base.payloads, async.payloads) << what;
-                    EXPECT_EQ(base.trace, async.trace) << what;
-                    EXPECT_EQ(nonAsyncCounters(base.counters),
-                              nonAsyncCounters(async.counters))
-                        << what;
-                    EXPECT_LE(async.makespan, base.makespan) << what;
-
-                    const CampaignPin &pin = campaign_pins[config++];
-                    EXPECT_EQ(base.makespan, pin.barrieredMakespan)
-                        << what;
-                    EXPECT_EQ(async.makespan, pin.windowedMakespan)
-                        << what;
-                    EXPECT_EQ(base.busy, pin.barrieredBusy) << what;
-                    EXPECT_EQ(base.stall, pin.barrieredStall) << what;
-                    EXPECT_EQ(async.busy, pin.windowedBusy) << what;
-                    EXPECT_EQ(async.stall, pin.windowedStall) << what;
-                    EXPECT_EQ(
-                        counterHash(nonAsyncCounters(base.counters)),
-                        pin.counterHash)
-                        << what;
+        for (const bool locality : {false, true}) {
+            for (const bool faults : {false, true}) {
+                ScuConfig barriered;
+                barriered.pim.vaults = 8;
+                barriered.routing = routing;
+                if (faults) {
+                    barriered.faults.enabled = true;
+                    barriered.faults.seed = 5;
+                    barriered.faults.corruptRate = 0.02;
+                    barriered.faults.stallRate = 0.01;
+                    barriered.faults.dropRate = 0.01;
+                    barriered.faults.vaultFailures.push_back(
+                        {2, 3});
                 }
+                ScuConfig windowed = barriered;
+                windowed.asyncDepth = 4;
+
+                const CampaignRun base = runCampaign(
+                    barriered, locality, 6, 24, 113);
+                const CampaignRun async = runCampaign(
+                    windowed, locality, 6, 24, 113);
+                const std::string what =
+                    "routing " +
+                    std::to_string(static_cast<int>(routing)) +
+                    ", locality " + std::to_string(locality) +
+                    ", faults " + std::to_string(faults);
+                EXPECT_EQ(base.values, async.values) << what;
+                EXPECT_EQ(base.ids, async.ids) << what;
+                EXPECT_EQ(base.payloads, async.payloads) << what;
+                EXPECT_EQ(base.trace, async.trace) << what;
+                EXPECT_EQ(nonAsyncCounters(base.counters),
+                          nonAsyncCounters(async.counters))
+                    << what;
+                EXPECT_LE(async.makespan, base.makespan) << what;
+
+                const CampaignPin &pin = campaign_pins[config++];
+                EXPECT_EQ(base.makespan, pin.barrieredMakespan)
+                    << what;
+                EXPECT_EQ(async.makespan, pin.windowedMakespan)
+                    << what;
+                EXPECT_EQ(base.busy, pin.barrieredBusy) << what;
+                EXPECT_EQ(base.stall, pin.barrieredStall) << what;
+                EXPECT_EQ(async.busy, pin.windowedBusy) << what;
+                EXPECT_EQ(async.stall, pin.windowedStall) << what;
+                EXPECT_EQ(
+                    counterHash(nonAsyncCounters(base.counters)),
+                    pin.counterHash)
+                    << what;
             }
         }
     }
@@ -479,32 +466,28 @@ TEST(BatchOracle, RandomBatchesMatchStdSet)
     for (const Routing routing :
          {Routing::Primary, Routing::Balanced}) {
         for (const std::uint32_t depth : {0u, 3u}) {
-            for (const std::uint32_t workers : {1u, 3u}) {
-                for (const bool faults : {false, true}) {
-                    ScuConfig config;
-                    config.pim.vaults = 4;
-                    config.routing = routing;
-                    config.asyncDepth = depth;
-                    config.batchWorkers = workers;
-                    if (faults) {
-                        config.faults.enabled = true;
-                        config.faults.seed = 11;
-                        config.faults.corruptRate = 0.05;
-                        config.faults.stallRate = 0.02;
-                        config.faults.dropRate = 0.02;
-                        config.faults.vaultFailures.push_back({2, 1});
-                    }
-                    const std::string what =
-                        "routing " +
-                        std::to_string(static_cast<int>(routing)) +
-                        ", depth " + std::to_string(depth) +
-                        ", workers " + std::to_string(workers) +
-                        ", faults " + std::to_string(faults);
-                    for (const std::uint64_t seed : {3u, 17u, 29u}) {
-                        checkOracleCampaign(
-                            config, seed,
-                            what + ", seed " + std::to_string(seed));
-                    }
+            for (const bool faults : {false, true}) {
+                ScuConfig config;
+                config.pim.vaults = 4;
+                config.routing = routing;
+                config.asyncDepth = depth;
+                if (faults) {
+                    config.faults.enabled = true;
+                    config.faults.seed = 11;
+                    config.faults.corruptRate = 0.05;
+                    config.faults.stallRate = 0.02;
+                    config.faults.dropRate = 0.02;
+                    config.faults.vaultFailures.push_back({2, 1});
+                }
+                const std::string what =
+                    "routing " +
+                    std::to_string(static_cast<int>(routing)) +
+                    ", depth " + std::to_string(depth) +
+                    ", faults " + std::to_string(faults);
+                for (const std::uint64_t seed : {3u, 17u, 29u}) {
+                    checkOracleCampaign(
+                        config, seed,
+                        what + ", seed " + std::to_string(seed));
                 }
             }
         }

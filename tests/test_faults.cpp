@@ -5,10 +5,9 @@
  * injector, exact-cycle pins for every recovery charge (checksum
  * verifies, retry backoff, transfer retransmits, quarantine
  * evacuation), recovery determinism (seeded fault campaigns and
- * permanent vault failures across {1,4} workers x {primary,
- * balanced} routing, bit-identical to fault-free in
- * results, ids, and functional setops.* totals), unrecoverable-fault
- * propagation through the worker-pool barrier, and an RMAT-9
+ * permanent vault failures across {primary, balanced} routing,
+ * bit-identical to fault-free in results, ids, and functional
+ * setops.* totals), fail-stop unrecoverable faults, and an RMAT-9
  * triangle-count acceptance campaign.
  */
 
@@ -116,9 +115,9 @@ struct CampaignRun
 /**
  * Run @p batches pseudo-random dispatches (seeds seed, seed+1, ...)
  * on a fresh store/SCU pair and record every functional observable
- * plus the counter totals. Twin calls with identical (routing,
- * workers-independent) functional behavior must produce identical
- * values/ids/payloads regardless of the fault config.
+ * plus the counter totals. Twin calls with identical routing must
+ * produce identical values/ids/payloads regardless of the fault
+ * config.
  */
 CampaignRun
 runCampaign(const ScuConfig &config, std::uint32_t batches,
@@ -292,9 +291,7 @@ struct PinnedPair
     PinnedPair(const ScuConfig &config, std::uint32_t vault_a,
                std::uint32_t vault_b)
     {
-        ScuConfig cfg = config;
-        cfg.batchWorkers = 1;
-        scu = std::make_unique<Scu>(store, cfg, 1);
+        scu = std::make_unique<Scu>(store, config, 1);
         a = store.createFromSorted(iota(0, 100), SetRepr::SparseArray);
         b = store.createFromSorted(iota(0, 200), SetRepr::SparseArray);
         auto placement = std::make_shared<LocalityPlacement>(
@@ -482,7 +479,6 @@ TEST(Quarantine, LastLiveVaultIsUnrecoverable)
 {
     ScuConfig cfg;
     cfg.pim.vaults = 2;
-    cfg.batchWorkers = 1;
     cfg.faults.enabled = true;
     cfg.faults.vaultFailures.push_back({0, 0});
     cfg.faults.vaultFailures.push_back({0, 1});
@@ -501,57 +497,50 @@ TEST(Quarantine, LastLiveVaultIsUnrecoverable)
 
 // --- Recovery determinism --------------------------------------------------
 
-TEST(Recovery, DeadVaultDifferentialAcrossWorkersAndRoutings)
+TEST(Recovery, DeadVaultDifferentialAcrossRoutings)
 {
     // A vault dies mid-campaign (dispatch 1 of 3). Under every
-    // routing rule and worker count the recovered run must be
-    // bit-identical to the fault-free twin in entry values, result
-    // ids, payloads, and the functional setops.* totals -- the fault
-    // moves only cycles and recovery counters.
+    // routing rule the recovered run must be bit-identical to the
+    // fault-free twin in entry values, result ids, payloads, and the
+    // functional setops.* totals -- the fault moves only cycles and
+    // recovery counters.
     for (const Routing routing :
          {Routing::Primary, Routing::Balanced}) {
-        for (const std::uint32_t workers : {1u, 4u}) {
-            ScuConfig clean_cfg;
-            clean_cfg.pim.vaults = 8; // Every vault hosts sets.
-            clean_cfg.routing = routing;
-            clean_cfg.batchWorkers = workers;
-            ScuConfig fail_cfg = clean_cfg;
-            fail_cfg.faults.enabled = true;
-            fail_cfg.faults.seed = 23;
-            fail_cfg.faults.vaultFailures.push_back({1, 2});
+        ScuConfig clean_cfg;
+        clean_cfg.pim.vaults = 8; // Every vault hosts sets.
+        clean_cfg.routing = routing;
+        ScuConfig fail_cfg = clean_cfg;
+        fail_cfg.faults.enabled = true;
+        fail_cfg.faults.seed = 23;
+        fail_cfg.faults.vaultFailures.push_back({1, 2});
 
-            const CampaignRun clean = runCampaign(clean_cfg, 3, 30, 41);
-            const CampaignRun failed = runCampaign(fail_cfg, 3, 30, 41);
-            const std::string what =
-                "routing " + std::to_string(static_cast<int>(routing)) +
-                ", workers " + std::to_string(workers);
-            EXPECT_EQ(clean.values, failed.values) << what;
-            EXPECT_EQ(clean.ids, failed.ids) << what;
-            EXPECT_EQ(clean.payloads, failed.payloads) << what;
-            EXPECT_EQ(functionalWork(clean.counters),
-                      functionalWork(failed.counters))
-                << what;
-            EXPECT_EQ(failed.quarantines, 1u) << what;
-            EXPECT_EQ(failed.counters.at("scu.quarantines"), 1u)
-                << what;
-            EXPECT_GT(failed.busy, clean.busy) << what;
-        }
+        const CampaignRun clean = runCampaign(clean_cfg, 3, 30, 41);
+        const CampaignRun failed = runCampaign(fail_cfg, 3, 30, 41);
+        const std::string what =
+            "routing " + std::to_string(static_cast<int>(routing));
+        EXPECT_EQ(clean.values, failed.values) << what;
+        EXPECT_EQ(clean.ids, failed.ids) << what;
+        EXPECT_EQ(clean.payloads, failed.payloads) << what;
+        EXPECT_EQ(functionalWork(clean.counters),
+                  functionalWork(failed.counters))
+            << what;
+        EXPECT_EQ(failed.quarantines, 1u) << what;
+        EXPECT_EQ(failed.counters.at("scu.quarantines"), 1u)
+            << what;
+        EXPECT_GT(failed.busy, clean.busy) << what;
     }
 }
 
-TEST(Recovery, SeededCampaignIsWorkerCountInvariantAndLossless)
+TEST(Recovery, SeededCampaignIsLossless)
 {
     // A full probabilistic campaign (corruption + stalls + drops +
-    // one permanent failure): every decision is a pure coordinate
-    // hash, so 1-worker and 4-worker runs must agree on EVERY counter
-    // and cycle charge, and both must be functionally identical to
-    // the fault-free twin.
+    // one permanent failure) must be functionally identical to the
+    // fault-free twin.
     for (const Routing routing :
          {Routing::Primary, Routing::Balanced}) {
         ScuConfig clean_cfg;
         clean_cfg.pim.vaults = 8;
         clean_cfg.routing = routing;
-        clean_cfg.batchWorkers = 1;
         ScuConfig fault_cfg = clean_cfg;
         fault_cfg.faults.enabled = true;
         fault_cfg.faults.seed = 5;
@@ -560,25 +549,15 @@ TEST(Recovery, SeededCampaignIsWorkerCountInvariantAndLossless)
         fault_cfg.faults.dropRate = 0.01;
         fault_cfg.faults.maxRetries = 8;
         fault_cfg.faults.vaultFailures.push_back({2, 1});
-        ScuConfig fault_cfg4 = fault_cfg;
-        fault_cfg4.batchWorkers = 4;
 
         const CampaignRun clean = runCampaign(clean_cfg, 4, 25, 77);
         const CampaignRun f1 = runCampaign(fault_cfg, 4, 25, 77);
-        const CampaignRun f4 = runCampaign(fault_cfg4, 4, 25, 77);
         const std::string what =
             "routing " + std::to_string(static_cast<int>(routing));
 
-        // Worker-count invariance of the entire modeled account.
-        EXPECT_EQ(f1.counters, f4.counters) << what;
-        EXPECT_EQ(f1.busy, f4.busy) << what;
-
-        // Functional losslessness against the fault-free twin.
         EXPECT_EQ(clean.values, f1.values) << what;
         EXPECT_EQ(clean.ids, f1.ids) << what;
         EXPECT_EQ(clean.payloads, f1.payloads) << what;
-        EXPECT_EQ(f4.values, f1.values) << what;
-        EXPECT_EQ(f4.payloads, f1.payloads) << what;
         EXPECT_EQ(functionalWork(clean.counters),
                   functionalWork(f1.counters))
             << what;
@@ -589,32 +568,24 @@ TEST(Recovery, SeededCampaignIsWorkerCountInvariantAndLossless)
 
 // --- Unrecoverable faults --------------------------------------------------
 
-TEST(Unrecoverable, PersistentCorruptionThrowsThroughTheBarrier)
+TEST(Unrecoverable, PersistentCorruptionThrows)
 {
-    // Corruption outliving maxRetries is fail-stop. With 4 host
-    // workers the throw happens on a pool worker and must be
-    // captured and rethrown at the batch barrier, not lost.
-    for (const std::uint32_t workers : {1u, 4u}) {
-        ScuConfig cfg;
-        cfg.batchWorkers = workers;
-        cfg.faults.enabled = true;
-        cfg.faults.maxRetries = 2;
-        cfg.faults.corruptAt.push_back({0, 0, 10});
-        SetStore store(4096);
-        Scu scu(store, cfg, 1);
-        const std::vector<SetId> pool = makePool(store, 16, 1024, 9);
-        const BatchRequest req = makeRequest(pool, 12, 31);
-        SimContext ctx(1);
-        EXPECT_THROW(scu.dispatchBatch(ctx, 0, req),
-                     UnrecoverableFaultError)
-            << "workers " << workers;
-    }
+    // Corruption outliving maxRetries is fail-stop.
+    ScuConfig cfg;
+    cfg.faults.enabled = true;
+    cfg.faults.maxRetries = 2;
+    cfg.faults.corruptAt.push_back({0, 0, 10});
+    SetStore store(4096);
+    Scu scu(store, cfg, 1);
+    const std::vector<SetId> pool = makePool(store, 16, 1024, 9);
+    const BatchRequest req = makeRequest(pool, 12, 31);
+    SimContext ctx(1);
+    EXPECT_THROW(scu.dispatchBatch(ctx, 0, req), UnrecoverableFaultError);
 }
 
 TEST(Unrecoverable, PersistentTransferDropThrows)
 {
     ScuConfig cfg;
-    cfg.batchWorkers = 1;
     cfg.faults.enabled = true;
     cfg.faults.dropRate = 1.0; // Every attempt drops.
     cfg.faults.maxRetries = 1;

@@ -1,5 +1,8 @@
 /** @file Unit tests for the SISA ISA: encoding, set store, SCU. */
 
+#include <stdexcept>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "sisa/encoding.hpp"
@@ -877,34 +880,28 @@ TEST(BatchDispatch, BitIdenticalToSerialDispatch)
     }
 }
 
-TEST(BatchDispatch, InvariantUnderWorkerCount)
+TEST(BatchDispatch, RejectsBatchWorkersOtherThanOne)
 {
-    // The host worker count is an execution detail: 1 worker and 4
-    // workers must produce identical results AND identical modeled
-    // cycles/counters.
-    ScuConfig one, four;
-    one.batchWorkers = 1;
-    four.batchWorkers = 4;
-    SetStore store_1(1024), store_4(1024);
-    Scu scu_1(store_1, one, 1);
-    Scu scu_4(store_4, four, 1);
-    SimContext ctx_1(1), ctx_4(1);
-
-    const auto pool_1 = makePool(store_1, 32, 1024, 99);
-    const auto pool_4 = makePool(store_4, 32, 1024, 99);
-    const BatchRequest req_1 = makeRequest(pool_1, 200, 5);
-    const BatchRequest req_4 = makeRequest(pool_4, 200, 5);
-
-    const BatchResult res_1 = scu_1.dispatchBatch(ctx_1, 0, req_1);
-    const BatchResult res_4 = scu_4.dispatchBatch(ctx_4, 0, req_4);
-
-    ASSERT_EQ(res_1.size(), res_4.size());
-    for (std::size_t i = 0; i < res_1.size(); ++i) {
-        EXPECT_EQ(res_1.entries[i].set, res_4.entries[i].set);
-        EXPECT_EQ(res_1.entries[i].value, res_4.entries[i].value);
+    // Batches always pre-execute inline on the dispatching thread;
+    // the batchWorkers shim accepts only its default of 1, and any
+    // other value must fail loudly, naming the field.
+    SetStore store(64);
+    EXPECT_EQ(ScuConfig{}.batchWorkers, 1u);
+    EXPECT_NO_THROW({ Scu scu(store, ScuConfig{}, 1); });
+    for (const std::uint32_t workers : {0u, 2u, 4u}) {
+        ScuConfig config;
+        config.batchWorkers = workers;
+        try {
+            Scu scu(store, config, 1);
+            ADD_FAILURE() << "batchWorkers = " << workers << " accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "ScuConfig::batchWorkers = " +
+                          std::to_string(workers)),
+                      std::string::npos)
+                << e.what();
+        }
     }
-    EXPECT_EQ(ctx_1.threadBusy(0), ctx_4.threadBusy(0));
-    EXPECT_EQ(ctx_1.counters(), ctx_4.counters());
 }
 
 TEST(BatchDispatch, ChargesSlowestVaultNotSum)

@@ -7,9 +7,8 @@
  * result-set placement, the vault-count validation of setPlacement,
  * the lastBackend_ mode-agreement contract, remote-operand dedup, and
  * the dispatch-scratch shrink policy. The differential suite runs
- * every policy x routing combination under forced 1-worker and
- * 2-vault configurations as well as the defaults (multi-worker runs
- * exercise the vault pool's parallel pre-execution).
+ * every policy x routing combination under a forced 2-vault
+ * configuration as well as the default vault count.
  */
 
 #include <gtest/gtest.h>
@@ -438,7 +437,6 @@ TEST(RemoteDedup, ChargesOncePerVaultOperandPairUnderInterleaving)
 TEST(ScratchShrink, BurstAllocationReleasedAfterSmallDispatchWindow)
 {
     ScuConfig config;
-    config.batchWorkers = 1;
     SetStore store(4096);
     Scu scu(store, config, 1);
     SimContext ctx(1);
@@ -605,7 +603,7 @@ TEST(BalancedRouting, RiderLaneReusesFetchedCoOperand)
               4000u + 4 * 400u);
 }
 
-// --- Differential: policy x routing x engine, forced worker/vault configs ---
+// --- Differential: policy x routing x engine, forced vault configs ---------
 
 std::shared_ptr<PlacementPolicy>
 buildPolicy(std::string_view name, std::uint32_t vaults,
@@ -631,86 +629,82 @@ TEST_P(RoutingDifferential, BatchedBitIdenticalToSerialEverywhere)
     // The acceptance contract: for every placement policy x routing
     // rule, batched dispatch stays bit-identical to serial issue in
     // results, result ids, the functional setops.* totals, and
-    // lastBackend() -- under the default configuration AND under
-    // forced 1-worker / 2-vault configurations. Three rounds of the
+    // lastBackend() -- under the default configuration AND under a
+    // forced 2-vault configuration. Three rounds of the
     // same request run against the result pins the earlier rounds
     // left in the placement overlay.
     const auto [policy_name, routing_name] = GetParam();
     const Element universe = 1024;
 
-    for (const std::uint32_t workers : {1u, 4u}) {
-        for (const std::uint32_t vaults : {2u, 0u}) {
-            ScuConfig config;
-            config.batchWorkers = workers;
-            if (vaults)
-                config.pim.vaults = vaults;
-            if (std::string_view(routing_name) == "balanced")
-                config.routing = Routing::Balanced;
+    for (const std::uint32_t vaults : {2u, 0u}) {
+        ScuConfig config;
+        if (vaults)
+            config.pim.vaults = vaults;
+        if (std::string_view(routing_name) == "balanced")
+            config.routing = Routing::Balanced;
 
-            SetStore store_b(universe), store_s(universe);
-            Scu scu_b(store_b, config, 1);
-            Scu scu_s(store_s, config, 1);
-            const auto pool_b = makePool(store_b, 32, universe, 77);
-            makePool(store_s, 32, universe, 77);
-            const BatchRequest req = makeRequest(pool_b, 120, 13);
-            scu_b.setPlacement(buildPolicy(
-                policy_name, config.pim.vaults, req));
+        SetStore store_b(universe), store_s(universe);
+        Scu scu_b(store_b, config, 1);
+        Scu scu_s(store_s, config, 1);
+        const auto pool_b = makePool(store_b, 32, universe, 77);
+        makePool(store_s, 32, universe, 77);
+        const BatchRequest req = makeRequest(pool_b, 120, 13);
+        scu_b.setPlacement(buildPolicy(
+            policy_name, config.pim.vaults, req));
 
-            SimContext ctx_b(1), ctx_s(1);
-            for (int round = 0; round < 3; ++round) {
-                const BatchResult res =
-                    scu_b.dispatchBatch(ctx_b, 0, req);
-                ASSERT_EQ(res.size(), req.size());
-                for (std::size_t i = 0; i < req.size(); ++i) {
-                    const BatchOp &op = req.ops[i];
-                    SetId serial = invalid_set;
-                    std::uint64_t value = 0;
-                    switch (op.kind) {
-                      case BatchOpKind::Intersect:
-                        serial =
-                            scu_s.intersect(ctx_s, 0, op.a, op.b);
-                        break;
-                      case BatchOpKind::Union:
-                        serial =
-                            scu_s.setUnion(ctx_s, 0, op.a, op.b);
-                        break;
-                      case BatchOpKind::Difference:
-                        serial =
-                            scu_s.difference(ctx_s, 0, op.a, op.b);
-                        break;
-                      case BatchOpKind::IntersectCard:
-                        value = scu_s.intersectCard(ctx_s, 0, op.a,
-                                                    op.b);
-                        break;
-                      case BatchOpKind::UnionCard:
-                        value =
-                            scu_s.unionCard(ctx_s, 0, op.a, op.b);
-                        break;
-                    }
-                    if (serial != invalid_set) {
-                        EXPECT_EQ(res.entries[i].set, serial);
-                        EXPECT_EQ(
-                            store_b.elementsOf(res.entries[i].set),
-                            store_s.elementsOf(serial));
-                    } else {
-                        EXPECT_EQ(res.entries[i].value, value);
-                    }
+        SimContext ctx_b(1), ctx_s(1);
+        for (int round = 0; round < 3; ++round) {
+            const BatchResult res =
+                scu_b.dispatchBatch(ctx_b, 0, req);
+            ASSERT_EQ(res.size(), req.size());
+            for (std::size_t i = 0; i < req.size(); ++i) {
+                const BatchOp &op = req.ops[i];
+                SetId serial = invalid_set;
+                std::uint64_t value = 0;
+                switch (op.kind) {
+                  case BatchOpKind::Intersect:
+                    serial =
+                        scu_s.intersect(ctx_s, 0, op.a, op.b);
+                    break;
+                  case BatchOpKind::Union:
+                    serial =
+                        scu_s.setUnion(ctx_s, 0, op.a, op.b);
+                    break;
+                  case BatchOpKind::Difference:
+                    serial =
+                        scu_s.difference(ctx_s, 0, op.a, op.b);
+                    break;
+                  case BatchOpKind::IntersectCard:
+                    value = scu_s.intersectCard(ctx_s, 0, op.a,
+                                                op.b);
+                    break;
+                  case BatchOpKind::UnionCard:
+                    value =
+                        scu_s.unionCard(ctx_s, 0, op.a, op.b);
+                    break;
                 }
-                EXPECT_EQ(scu_b.lastBackend(), scu_s.lastBackend())
-                    << policy_name << "/" << routing_name
-                    << " workers=" << workers << " vaults=" << vaults
-                    << " round=" << round;
+                if (serial != invalid_set) {
+                    EXPECT_EQ(res.entries[i].set, serial);
+                    EXPECT_EQ(
+                        store_b.elementsOf(res.entries[i].set),
+                        store_s.elementsOf(serial));
+                } else {
+                    EXPECT_EQ(res.entries[i].value, value);
+                }
             }
-            for (const char *name :
-                 {"setops.streamed", "setops.probes", "setops.words",
-                  "setops.output", "scu.pum_ops",
-                  "scu.pnm_stream_ops", "scu.pnm_random_ops",
-                  "scu.short_circuits"}) {
-                EXPECT_EQ(ctx_b.counter(name), ctx_s.counter(name))
-                    << name << " " << policy_name << "/"
-                    << routing_name << " workers=" << workers
-                    << " vaults=" << vaults;
-            }
+            EXPECT_EQ(scu_b.lastBackend(), scu_s.lastBackend())
+                << policy_name << "/" << routing_name
+                << " vaults=" << vaults
+                << " round=" << round;
+        }
+        for (const char *name :
+             {"setops.streamed", "setops.probes", "setops.words",
+              "setops.output", "scu.pum_ops",
+              "scu.pnm_stream_ops", "scu.pnm_random_ops",
+              "scu.short_circuits"}) {
+            EXPECT_EQ(ctx_b.counter(name), ctx_s.counter(name))
+                << name << " " << policy_name << "/"
+                << routing_name << " vaults=" << vaults;
         }
     }
 }

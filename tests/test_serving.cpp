@@ -6,8 +6,8 @@
  * determinism of the QueryScheduler, and the headline isolation
  * differential -- every query's functional result and per-query
  * cycle/counter account is bit-identical solo vs. co-tenant, across
- * batch workers x routing x placement x faults x async, under every
- * scheduling policy.
+ * routing x placement x faults x async, under every scheduling
+ * policy.
  */
 
 #include <gtest/gtest.h>
@@ -281,62 +281,53 @@ expectSoloCoTenantIdentical(const graph::Graph &graph,
     EXPECT_GE(co.makespan, soloMakespanFloor(co));
 }
 
-TEST(ServingScenario, IsolationAcrossWorkersAndRouting)
+TEST(ServingScenario, IsolationAcrossRouting)
 {
     const graph::Graph graph = testGraph();
-    for (std::uint32_t workers : {1u, 4u}) {
-        for (isa::Routing routing :
-             {isa::Routing::Primary, isa::Routing::Balanced}) {
-            serve::ScenarioConfig config = baseConfig();
-            config.scu.batchWorkers = workers;
-            config.scu.routing = routing;
-            SCOPED_TRACE("workers=" + std::to_string(workers) +
-                         " routing=" +
-                         std::to_string(static_cast<int>(routing)));
-            expectSoloCoTenantIdentical(graph, config);
-        }
+    for (isa::Routing routing :
+         {isa::Routing::Primary, isa::Routing::Balanced}) {
+        serve::ScenarioConfig config = baseConfig();
+        config.scu.routing = routing;
+        SCOPED_TRACE("routing=" +
+                     std::to_string(static_cast<int>(routing)));
+        expectSoloCoTenantIdentical(graph, config);
     }
 }
 
 TEST(ServingScenario, IsolationUnderFaults)
 {
     const graph::Graph graph = testGraph();
-    for (std::uint32_t workers : {1u, 4u}) {
+    for (isa::Routing routing :
+         {isa::Routing::Primary, isa::Routing::Balanced}) {
         serve::ScenarioConfig config = baseConfig();
-        config.scu.batchWorkers = workers;
-        config.scu.routing = isa::Routing::Balanced;
+        config.scu.routing = routing;
         config.scu.faults.enabled = true;
         config.scu.faults.seed = 7;
         config.scu.faults.corruptRate = 0.02;
         config.scu.faults.stallRate = 0.02;
         config.scu.faults.dropRate = 0.01;
-        SCOPED_TRACE("workers=" + std::to_string(workers));
+        SCOPED_TRACE("routing=" +
+                     std::to_string(static_cast<int>(routing)));
         expectSoloCoTenantIdentical(graph, config);
     }
 }
 
 TEST(ServingScenario, IsolationUnderAsyncWindow)
 {
-    const graph::Graph graph = testGraph();
-    for (std::uint32_t workers : {1u, 4u}) {
-        serve::ScenarioConfig config = baseConfig();
-        config.scu.batchWorkers = workers;
-        config.scu.routing = isa::Routing::Balanced;
-        config.scu.asyncDepth = 8;
-        SCOPED_TRACE("workers=" + std::to_string(workers));
-        expectSoloCoTenantIdentical(graph, config);
-    }
+    serve::ScenarioConfig config = baseConfig();
+    config.scu.routing = isa::Routing::Balanced;
+    config.scu.asyncDepth = 8;
+    expectSoloCoTenantIdentical(testGraph(), config);
 }
 
 TEST(ServingScenario, IsolationUnderAsyncPlusFaults)
 {
-    // The TSan serving smoke's configuration: shared pool, async
-    // window, and fault injection all on at once.
+    // The TSan serving smoke's configuration: co-tenant sessions,
+    // async window, and fault injection all on at once.
     const graph::Graph graph = testGraph();
     serve::ScenarioConfig config = baseConfig();
     config.queries.push_back(
         {.problem = "cl-jac", .priority = 1, .cutoff = 300});
-    config.scu.batchWorkers = 4;
     config.scu.routing = isa::Routing::Balanced;
     config.scu.asyncDepth = 8;
     config.scu.faults.enabled = true;
@@ -350,7 +341,6 @@ TEST(ServingScenario, IsolationAcrossPlacements)
 {
     // Hash placement is the baseConfig default, covered above.
     serve::ScenarioConfig config = baseConfig();
-    config.scu.batchWorkers = 4;
     config.placement = "locality";
     expectSoloCoTenantIdentical(testGraph(), config);
 }
@@ -361,7 +351,6 @@ TEST(ServingScenario, PolicyChangesTimingNotResults)
     // virtual completions may move.
     const graph::Graph graph = testGraph();
     serve::ScenarioConfig config = baseConfig();
-    config.scu.batchWorkers = 4;
     const serve::ScenarioReport fcfs =
         serve::serveMixedWorkload(graph, config);
     for (isa::SchedPolicy policy :
@@ -385,7 +374,6 @@ TEST(ServingScenario, AdmissionLogIsDeterministic)
 {
     const graph::Graph graph = testGraph();
     serve::ScenarioConfig config = baseConfig();
-    config.scu.batchWorkers = 4;
     config.policy = isa::SchedPolicy::Credit;
     const serve::ScenarioReport a =
         serve::serveMixedWorkload(graph, config);
@@ -453,11 +441,9 @@ TEST(ServingScenario, PerQueryAccountsConserveTaggedCharges)
     // equals the sum of tagged charges, for cycles and for every
     // counter. A session's ctx tags every charge with its query from
     // construction, so its thread totals and counters ARE the tagged
-    // charges -- after a co-tenant run with worker and async scratch
-    // contexts folded in at every dispatch.
+    // charges -- after a co-tenant run with the async window on.
     const graph::Graph graph = testGraph();
     isa::ScuConfig scu;
-    scu.batchWorkers = 2;
     scu.asyncDepth = 4;
     isa::QueryScheduler sched(isa::SchedPolicy::Credit, 20000);
     struct Tenant
@@ -474,10 +460,6 @@ TEST(ServingScenario, PerQueryAccountsConserveTaggedCharges)
         Tenant &t = tenants[i];
         t.engine = std::make_unique<core::SisaEngine>(
             graph.numVertices(), scu, /*num_threads=*/2);
-        if (i > 0) {
-            t.engine->scu().adoptPool(
-                tenants[0].engine->scu().sharedPool());
-        }
         t.session = std::make_unique<core::QuerySession>(
             queries[i].first, sched, /*threads=*/2);
         t.session->ctx().setPatternCutoff(queries[i].second);
@@ -903,7 +885,6 @@ TEST(ServingLifecycle, CancelMidWindowLeavesSurvivorsBitIdentical)
 {
     const graph::Graph graph = testGraph();
     serve::ScenarioConfig config = baseConfig();
-    config.scu.batchWorkers = 4;
     config.scu.routing = isa::Routing::Balanced;
     config.scu.asyncDepth = 8;
     // A doomed tenant: generous enough to start dispatching, far too
@@ -947,10 +928,10 @@ TEST(ServingLifecycle, CancelMidWindowLeavesSurvivorsBitIdentical)
 
 /**
  * Verdicts, the lifecycle log, and the cancellation charges are
- * modeled state: they must be bit-identical across host worker
- * counts and across repeated runs.
+ * modeled state: they must be bit-identical across repeated runs,
+ * whatever the host timing of the query threads.
  */
-TEST(ServingLifecycle, VerdictsAndShedLogWorkerCountInvariant)
+TEST(ServingLifecycle, VerdictsAndShedLogRerunDeterministic)
 {
     const graph::Graph graph = testGraph();
     serve::ScenarioConfig config;
@@ -972,12 +953,10 @@ TEST(ServingLifecycle, VerdictsAndShedLogWorkerCountInvariant)
 
     bool have_baseline = false;
     serve::ScenarioReport baseline;
-    // The repeated worker count doubles as a rerun-determinism check.
-    for (std::uint32_t workers : {1u, 2u, 4u, 4u}) {
-        config.scu.batchWorkers = workers;
+    for (int run = 0; run < 4; ++run) {
         const serve::ScenarioReport r =
             serve::serveMixedWorkload(graph, config);
-        SCOPED_TRACE("workers=" + std::to_string(workers));
+        SCOPED_TRACE("run=" + std::to_string(run));
         if (!have_baseline) {
             baseline = r;
             have_baseline = true;
@@ -1001,7 +980,7 @@ TEST(ServingLifecycle, VerdictsAndShedLogWorkerCountInvariant)
                       baseline.queries[i].deadlineMet);
             // Exact-cycle pin on the cancellation charges: the drain
             // stall and cancelled-cycle counters are modeled, so they
-            // cannot move with host parallelism.
+            // cannot move with host thread timing.
             EXPECT_EQ(r.queries[i].account.counters,
                       baseline.queries[i].account.counters);
             EXPECT_EQ(r.queries[i].ownCycles,
@@ -1014,7 +993,6 @@ TEST(ServingLifecycle, FaultBudgetConvertsFaultStormToAbort)
 {
     const graph::Graph graph = testGraph();
     serve::ScenarioConfig config = baseConfig();
-    config.scu.batchWorkers = 4;
     config.scu.routing = isa::Routing::Balanced;
     config.scu.faults.enabled = true;
     config.scu.faults.seed = 7;

@@ -56,6 +56,11 @@ REQUIRED_ROWS = (
     # The balanced-scheduling acceptance rows (PR 5).
     "sched_tc_rmat9_xvault_bytes",
     "sched_tc_rmat9_cycles",
+    # Algorithm-layer host time (ns): one whole run in set-based
+    # mode (scalar) vs SISA mode (vector). Required, not gated: host
+    # speedup is too noisy for a CI threshold.
+    "algo_mc_authorship_host_ns",
+    "algo_kcc5_antcol5_host_ns",
     # Earlier PRs' trajectory rows a regression must not drop.
     "placement_tc_rmat9_xvault_bytes",
     "intersect_kernel_64k",
