@@ -10,6 +10,7 @@
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "graph/io.hpp"
+#include "support/rng.hpp"
 
 namespace {
 
@@ -296,6 +297,97 @@ TEST(Generators, PlantCliquesAddsCliques)
     EXPECT_GE(g.numEdges(), base.numEdges());
     // A planted 5-clique forces degeneracy >= 4.
     EXPECT_GE(exactDegeneracyOrder(g).degeneracy, 4u);
+}
+
+/** A CSR graph's identity: n, m and an FNV-1a digest of every arc. */
+struct GraphPin
+{
+    VertexId n;
+    std::uint64_t m;
+    std::uint64_t digest;
+
+    friend bool operator==(const GraphPin &, const GraphPin &) = default;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const GraphPin &p)
+{
+    return os << "{" << p.n << ", " << p.m << ", 0x" << std::hex
+              << p.digest << std::dec << "ULL}";
+}
+
+GraphPin
+pinOf(const Graph &g)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (VertexId v = 0; v < g.numVertices(); ++v) {
+        for (VertexId w : g.neighbors(v)) {
+            h ^= (static_cast<std::uint64_t>(v) << 32) | w;
+            h *= 0x100000001b3ULL;
+        }
+    }
+    return {g.numVertices(), g.numEdges(), h};
+}
+
+TEST(Generators, OutputDigestsPinned)
+{
+    // Every generator and builder path, pinned arc for arc: a change
+    // to how graphs are built must reproduce these exactly, or every
+    // modeled cycle count downstream silently moves.
+    ChungLuParams heavy;
+    heavy.n = 1500;
+    heavy.m = 30000;
+    heavy.exponent = 1.9;
+    heavy.hubs = 8;
+    heavy.hubDegreeFraction = 0.4;
+    PlantedCliqueParams cliques;
+    cliques.count = 20;
+    cliques.minSize = 6;
+    cliques.maxSize = 18;
+    EXPECT_EQ(pinOf(plantCliques(chungLu(heavy, 31), cliques, 32)),
+              (GraphPin{1500, 31237, 0x1faa783fb975a9a1ULL}));
+
+    RmatParams rp;
+    rp.scale = 10;
+    EXPECT_EQ(pinOf(rmat(rp, 7)),
+              (GraphPin{1024, 10579, 0xde094d9decb0ccf1ULL}));
+    const Graph er = erdosRenyi(3000, 40000, 5);
+    EXPECT_EQ(pinOf(er),
+              (GraphPin{3000, 40000, 0xf49695a5233db50eULL}));
+    // 1700 of the 1770 possible edges: the top-up loop does the work.
+    EXPECT_EQ(pinOf(erdosRenyi(60, 1700, 9)),
+              (GraphPin{60, 1700, 0x58c5084077739d66ULL}));
+
+    EXPECT_EQ(pinOf(er.orientByRank(exactDegeneracyOrder(er).rank)),
+              (GraphPin{3000, 40000, 0xf0fba5d8c626f4e3ULL}));
+    std::vector<VertexId> keep;
+    for (VertexId v = 0; v < er.numVertices(); v += 3)
+        keep.push_back(v);
+    EXPECT_EQ(pinOf(er.inducedSubgraph(keep)),
+              (GraphPin{1000, 4460, 0x86e7d3ec39399b0ULL}));
+
+    sisa::support::Xoshiro256 rng(11);
+    GraphBuilder directed(200, /*directed=*/true);
+    for (int i = 0; i < 3000; ++i) {
+        directed.addEdge(static_cast<VertexId>(rng.nextBounded(200)),
+                         static_cast<VertexId>(rng.nextBounded(200)));
+    }
+    EXPECT_EQ(pinOf(directed.build()),
+              (GraphPin{200, 2865, 0x3e54fc6c68b9d709ULL}));
+
+    std::stringstream text("5 3\n3 5\n3 5\n7 7\n0 9\n9 0\n2 4\n# c\n"
+                           "4 2\n1 1\n8 6\n");
+    EXPECT_EQ(pinOf(readEdgeList(text)),
+              (GraphPin{10, 4, 0x33eaaf1dae890e3aULL}));
+
+    const std::pair<const char *, GraphPin> datasets[] = {
+        {"bio-SC-GT", {1700, 35019, 0x8a12ce760c446665ULL}},
+        {"bn-mouse", {1100, 91017, 0xa1771121b1ceb539ULL}},
+        {"dimacs-c500-9", {501, 112000, 0x87be569bf877c47ULL}},
+        {"int-HosWardProx", {1800, 1494, 0x56e3751b024539a3ULL}},
+    };
+    for (const auto &[name, pin] : datasets)
+        EXPECT_EQ(pinOf(makeDataset(name)), pin) << name;
 }
 
 TEST(Generators, RandomLabelsInRange)
