@@ -1,8 +1,9 @@
 #include "graph/generators.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <unordered_set>
+#include <utility>
 
 #include "support/logging.hpp"
 #include "support/rng.hpp"
@@ -70,55 +71,61 @@ class AliasTable
     std::vector<std::uint32_t> alias_;
 };
 
+/**
+ * Graph of the first @p m distinct edges that @p draw yields as
+ * endpoint pairs (self-loops are redrawn), or of fewer once
+ * @p attempt_limit draws are spent; an @p m above n(n-1)/2 is fatal.
+ * Seen edges live in one flat open-addressing, linear-probing table
+ * of keys u << 32 | v (u < v) that is at most half full; key 0 would
+ * be the self-loop (0, 0), so 0 marks an empty slot.
+ */
+template <typename Draw>
+Graph
+distinctEdgeGraph(VertexId n, std::uint64_t m, std::uint64_t attempt_limit,
+                  Draw draw)
+{
+    const std::uint64_t max_edges =
+        static_cast<std::uint64_t>(n) * (n - 1) / 2;
+    if (m > max_edges)
+        sisa_fatal("m=", m, " distinct edges exceeds n(n-1)/2=", max_edges);
+    std::vector<std::uint64_t> seen(
+        std::bit_ceil(std::max<std::uint64_t>(2 * m, 2)));
+    const int shift = 64 - std::countr_zero(seen.size());
+    GraphBuilder builder(n);
+    std::uint64_t count = 0;
+    for (std::uint64_t attempts = 0; count < m && attempts < attempt_limit;
+         ++attempts) {
+        auto [u, v] = draw();
+        if (u == v)
+            continue;
+        if (u > v)
+            std::swap(u, v);
+        const std::uint64_t key = (static_cast<std::uint64_t>(u) << 32) | v;
+        // Fibonacci hashing: the top bits of key * 2^64 / phi.
+        std::size_t slot = (key * 0x9e3779b97f4a7c15ULL) >> shift;
+        while (seen[slot] != 0 && seen[slot] != key)
+            slot = (slot + 1) & (seen.size() - 1);
+        if (seen[slot] == 0) {
+            seen[slot] = key;
+            ++count;
+            builder.addEdge(u, v);
+        }
+    }
+    return builder.build();
+}
+
 } // namespace
 
 Graph
 erdosRenyi(VertexId n, std::uint64_t m, std::uint64_t seed)
 {
     sisa_assert(n >= 2, "erdosRenyi needs n >= 2");
-    const std::uint64_t max_edges =
-        static_cast<std::uint64_t>(n) * (n - 1) / 2;
-    if (m > max_edges)
-        sisa_fatal("erdosRenyi: m=", m, " exceeds n(n-1)/2=", max_edges);
-
     Xoshiro256 rng(seed);
-    GraphBuilder builder(n);
-    // Oversample to survive duplicate collapses, then trim in build();
-    // for the sparse graphs we target the overshoot is tiny.
-    std::uint64_t added = 0;
-    std::uint64_t attempts = 0;
-    const std::uint64_t attempt_limit = 40 * m + 1000;
-    std::vector<std::pair<VertexId, VertexId>> seen;
-    while (added < m && attempts < attempt_limit) {
-        ++attempts;
-        auto u = static_cast<VertexId>(rng.nextBounded(n));
-        auto v = static_cast<VertexId>(rng.nextBounded(n));
-        if (u == v)
-            continue;
-        if (u > v)
-            std::swap(u, v);
-        seen.emplace_back(u, v);
-        ++added;
-    }
-    std::sort(seen.begin(), seen.end());
-    seen.erase(std::unique(seen.begin(), seen.end()), seen.end());
-    // Top up after dedup so the edge count is exact where possible.
-    while (seen.size() < m && attempts < attempt_limit) {
-        ++attempts;
-        auto u = static_cast<VertexId>(rng.nextBounded(n));
-        auto v = static_cast<VertexId>(rng.nextBounded(n));
-        if (u == v)
-            continue;
-        if (u > v)
-            std::swap(u, v);
-        auto it = std::lower_bound(seen.begin(), seen.end(),
-                                   std::make_pair(u, v));
-        if (it == seen.end() || *it != std::make_pair(u, v))
-            seen.insert(it, {u, v});
-    }
-    for (auto [u, v] : seen)
-        builder.addEdge(u, v);
-    return builder.build();
+    return distinctEdgeGraph(n, m, 40 * m + 1000, [&] {
+        const auto u = static_cast<VertexId>(rng.nextBounded(n));
+        const auto v = static_cast<VertexId>(rng.nextBounded(n));
+        return std::pair{u, v};
+    });
 }
 
 Graph
@@ -244,28 +251,13 @@ chungLu(const ChungLuParams &params, std::uint64_t seed)
 
     AliasTable alias(weights);
     Xoshiro256 rng(seed);
-    GraphBuilder builder(n);
-    // Draw endpoint pairs until m *unique* edges exist (duplicates
-    // concentrate on hub pairs, so heavy-tailed targets need the
-    // uniqueness bookkeeping to land near m).
-    std::unordered_set<std::uint64_t> unique;
-    unique.reserve(params.m * 2);
-    const std::uint64_t attempt_limit = 30 * params.m + 1000;
-    std::uint64_t attempts = 0;
-    while (unique.size() < params.m && attempts < attempt_limit) {
-        ++attempts;
-        VertexId u = alias.sample(rng);
-        VertexId v = alias.sample(rng);
-        if (u == v)
-            continue;
-        if (u > v)
-            std::swap(u, v);
-        const std::uint64_t key =
-            (static_cast<std::uint64_t>(u) << 32) | v;
-        if (unique.insert(key).second)
-            builder.addEdge(u, v);
-    }
-    return builder.build();
+    // Duplicates concentrate on hub pairs, so heavy-tailed targets
+    // need many more draws than m to land near m distinct edges.
+    return distinctEdgeGraph(n, params.m, 30 * params.m + 1000, [&] {
+        const VertexId u = alias.sample(rng);
+        const VertexId v = alias.sample(rng);
+        return std::pair{u, v};
+    });
 }
 
 Graph
@@ -275,6 +267,9 @@ plantCliques(const Graph &base, const PlantedCliqueParams &params,
     sisa_assert(params.minSize >= 2 && params.maxSize >= params.minSize,
                 "invalid planted-clique size range");
     const VertexId n = base.numVertices();
+    if (params.maxSize > n)
+        sisa_fatal("plantCliques: maxSize=", params.maxSize,
+                   " exceeds n=", n);
     Xoshiro256 rng(seed);
 
     GraphBuilder builder(n);

@@ -20,7 +20,10 @@
 
 namespace sisa::graph {
 
-/** G(n, m) Erdos-Renyi: m distinct uniform edges. */
+/**
+ * G(n, m) Erdos-Renyi: m distinct uniform edges. An m above
+ * n(n-1)/2 is fatal.
+ */
 Graph erdosRenyi(VertexId n, std::uint64_t m, std::uint64_t seed);
 
 /** Complete graph K_n. */
@@ -72,7 +75,10 @@ struct ChungLuParams
 
 /**
  * Chung-Lu power-law graph: endpoints of each edge are drawn with
- * probability proportional to per-vertex weights w_v ~ v^{-1/(exp-1)}.
+ * probability proportional to per-vertex weights w_v ~ v^{-1/(exp-1)}
+ * until m distinct edges exist (or 30m + 1000 draws are spent). Drawn
+ * edges are deduplicated in a flat open-addressing set of packed
+ * (u, v) keys. An m above n(n-1)/2 is fatal.
  */
 Graph chungLu(const ChungLuParams &params, std::uint64_t seed);
 
@@ -88,7 +94,8 @@ struct PlantedCliqueParams
 /**
  * Overlay dense vertex groups on @p base: each group is a uniformly
  * random vertex subset wired into an (almost-)clique. Models the
- * dense clusters of biological/brain networks (Section 9.2).
+ * dense clusters of biological/brain networks (Section 9.2). A
+ * maxSize above the vertex count is fatal.
  */
 Graph plantCliques(const Graph &base, const PlantedCliqueParams &params,
                    std::uint64_t seed);

@@ -136,42 +136,51 @@ GraphBuilder::addEdge(VertexId u, VertexId v)
 Graph
 GraphBuilder::build()
 {
-    // Canonicalize undirected edges so duplicates collapse, then mirror.
-    std::vector<std::pair<VertexId, VertexId>> arcs;
-    arcs.reserve(directed_ ? edges_.size() : edges_.size() * 2);
-    for (auto [u, v] : edges_) {
-        if (directed_) {
-            arcs.emplace_back(u, v);
-        } else {
-            arcs.emplace_back(std::min(u, v), std::max(u, v));
-        }
-    }
-    std::sort(arcs.begin(), arcs.end());
-    arcs.erase(std::unique(arcs.begin(), arcs.end()), arcs.end());
-
-    const std::uint64_t num_edges = arcs.size();
-    if (!directed_) {
-        const std::size_t unique_count = arcs.size();
-        for (std::size_t i = 0; i < unique_count; ++i)
-            arcs.emplace_back(arcs[i].second, arcs[i].first);
-        std::sort(arcs.begin(), arcs.end());
-    }
-
     Graph graph;
     graph.numVertices_ = numVertices_;
-    graph.numEdges_ = num_edges;
     graph.directed_ = directed_;
-    graph.offsets_.assign(numVertices_ + 1, 0);
-    graph.adj_.resize(arcs.size());
+    auto &offsets = graph.offsets_;
+    auto &adj = graph.adj_;
 
-    for (const auto &[u, v] : arcs)
-        ++graph.offsets_[u + 1];
+    // Counting sort by source: count each row's arcs (an undirected
+    // edge is an arc in both rows), prefix-sum the counts into row
+    // starts, then scatter the targets. The scatter advances
+    // offsets[u] from the start of row u to its end.
+    offsets.assign(numVertices_ + 1, 0);
+    for (auto [u, v] : edges_) {
+        ++offsets[u + 1];
+        if (!directed_)
+            ++offsets[v + 1];
+    }
     for (VertexId v = 0; v < numVertices_; ++v)
-        graph.offsets_[v + 1] += graph.offsets_[v];
-    for (std::size_t i = 0; i < arcs.size(); ++i)
-        graph.adj_[i] = arcs[i].second;
-
+        offsets[v + 1] += offsets[v];
+    adj.resize(offsets[numVertices_]);
+    for (auto [u, v] : edges_) {
+        adj[offsets[u]++] = v;
+        if (!directed_)
+            adj[offsets[v]++] = u;
+    }
     edges_.clear();
+
+    // Sort and deduplicate each row in place, compacting the kept
+    // arcs towards the front; offsets[v] then becomes row v's start.
+    std::uint64_t kept = 0;
+    std::uint64_t row_begin = 0;
+    for (VertexId v = 0; v < numVertices_; ++v) {
+        VertexId *first = adj.data() + row_begin;
+        VertexId *last = adj.data() + offsets[v];
+        row_begin = offsets[v];
+        std::sort(first, last);
+        last = std::unique(first, last);
+        if (kept != static_cast<std::uint64_t>(first - adj.data()))
+            std::copy(first, last, adj.data() + kept);
+        offsets[v] = kept;
+        kept += static_cast<std::uint64_t>(last - first);
+    }
+    offsets[numVertices_] = kept;
+    adj.resize(kept);
+    adj.shrink_to_fit();
+    graph.numEdges_ = directed_ ? kept : kept / 2;
     return graph;
 }
 

@@ -148,7 +148,7 @@ class Graph
 /**
  * Accumulates edges and materializes a CSR Graph. Duplicate edges and
  * self-loops are dropped; for undirected graphs both directions are
- * stored.
+ * stored, so (u, v) and (v, u) are the same edge.
  */
 class GraphBuilder
 {
@@ -165,7 +165,12 @@ class GraphBuilder
     /** Number of edges queued so far (before dedup). */
     std::uint64_t pendingEdges() const { return edges_.size(); }
 
-    /** Sort, deduplicate, and produce the CSR graph. */
+    /**
+     * Produce the CSR graph and empty the builder. A counting sort by
+     * source scatters the arcs into their rows, then each row is
+     * sorted and deduplicated in place: O(n + arcs) plus the row
+     * sorts, with no array of (u, v) pairs beyond the queued edges.
+     */
     Graph build();
 
   private:

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <charconv>
 #include <fstream>
-#include <limits>
 #include <string_view>
 #include <vector>
 
@@ -18,7 +17,9 @@ namespace {
  * the wide type, then a VertexId range check -- so "3x", "-1", "1e5",
  * and 2^32-and-up ids are all rejected instead of being truncated or
  * silently read as a shorter prefix (the old operator>> path accepted
- * "12junk" as 12 and wrapped overflowing ids).
+ * "12junk" as 12 and wrapped overflowing ids). 2^32 - 1 is rejected
+ * too: it is invalid_vertex, and a vertex count of max id + 1 would
+ * wrap to 0.
  */
 bool
 parseVertex(std::string_view token, VertexId &out)
@@ -29,7 +30,7 @@ parseVertex(std::string_view token, VertexId &out)
     const auto [ptr, ec] = std::from_chars(begin, end, wide);
     if (ec != std::errc() || ptr != end)
         return false;
-    if (wide > std::numeric_limits<VertexId>::max())
+    if (wide >= invalid_vertex)
         return false;
     out = static_cast<VertexId>(wide);
     return true;

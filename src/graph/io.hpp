@@ -43,7 +43,7 @@ class GraphIoError : public std::runtime_error
  * Read an undirected edge list from @p in. Vertex count is inferred.
  * Throws GraphIoError on malformed input: non-numeric or negative
  * ids, trailing junk after the pair, a line with fewer or more than
- * two fields, or an id overflowing VertexId.
+ * two fields, or an id of 2^32 - 1 (invalid_vertex) or above.
  */
 Graph readEdgeList(std::istream &in);
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <set>
 #include <sstream>
 
 #include "graph/dataset_registry.hpp"
@@ -74,6 +75,70 @@ TEST(GraphBuilder, DirectedKeepsArcDirection)
     EXPECT_TRUE(g.hasEdge(0, 1));
     EXPECT_FALSE(g.hasEdge(1, 0));
     EXPECT_EQ(g.numEdges(), 2u);
+}
+
+/**
+ * Reference CSR from a std::set of arcs: the plain definition the
+ * builder must match (self-loops dropped, duplicates collapsed, both
+ * directions stored when undirected, rows sorted).
+ */
+void
+expectMatchesReference(const Graph &g, VertexId n, bool directed,
+                       const std::vector<std::pair<VertexId, VertexId>> &in)
+{
+    std::set<std::pair<VertexId, VertexId>> arcs;
+    for (auto [u, v] : in) {
+        if (u == v)
+            continue;
+        arcs.emplace(u, v);
+        if (!directed)
+            arcs.emplace(v, u);
+    }
+    std::vector<std::uint64_t> offsets(n + 1, 0);
+    std::vector<VertexId> adj;
+    for (auto [u, v] : arcs) {
+        ++offsets[u + 1];
+        adj.push_back(v);
+    }
+    for (VertexId v = 0; v < n; ++v)
+        offsets[v + 1] += offsets[v];
+
+    ASSERT_EQ(g.numVertices(), n);
+    EXPECT_EQ(g.directed(), directed);
+    EXPECT_EQ(g.numEdges(), directed ? arcs.size() : arcs.size() / 2);
+    EXPECT_TRUE(std::equal(offsets.begin(), offsets.end(),
+                           g.offsetsData()));
+    EXPECT_TRUE(std::equal(adj.begin(), adj.end(), g.adjData()));
+}
+
+TEST(GraphBuilder, MatchesStdSetReference)
+{
+    sisa::support::Xoshiro256 rng(2024);
+    for (std::uint32_t trial = 0; trial < 200; ++trial) {
+        const bool directed = trial % 2 == 1;
+        // n = 0 and n = 1 first, then up to 40 vertices with many
+        // isolated ones at low arc counts.
+        const auto n = static_cast<VertexId>(
+            trial < 4 ? trial / 2 : 2 + rng.nextBounded(39));
+        const std::uint64_t arcs = n == 0 ? 0 : rng.nextBounded(4 * n);
+        std::vector<std::pair<VertexId, VertexId>> in;
+        for (std::uint64_t i = 0; i < arcs; ++i) {
+            const auto u = static_cast<VertexId>(rng.nextBounded(n));
+            const auto v = static_cast<VertexId>(rng.nextBounded(n));
+            in.emplace_back(u, v);
+            if (rng.nextBounded(4) == 0)
+                in.emplace_back(v, u); // Reversed duplicate.
+            if (rng.nextBounded(8) == 0)
+                in.emplace_back(u, u); // Self-loop.
+        }
+        GraphBuilder b(n, directed);
+        for (auto [u, v] : in)
+            b.addEdge(u, v);
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        expectMatchesReference(b.build(), n, directed, in);
+        // A second build() sees an empty builder.
+        expectMatchesReference(b.build(), n, directed, {});
+    }
 }
 
 TEST(Graph, EdgeIndexFindsPosition)
@@ -390,6 +455,23 @@ TEST(Generators, OutputDigestsPinned)
         EXPECT_EQ(pinOf(makeDataset(name)), pin) << name;
 }
 
+TEST(Generators, RejectImpossibleTargets)
+{
+    // Without these checks chungLu silently returned fewer edges and
+    // plantCliques looped forever looking for distinct members.
+    ChungLuParams p;
+    p.n = 10;
+    p.m = 46; // n(n-1)/2 = 45.
+    EXPECT_EXIT(chungLu(p, 1), ::testing::ExitedWithCode(1),
+                "exceeds n\\(n-1\\)/2=45");
+    PlantedCliqueParams cliques;
+    cliques.count = 1;
+    cliques.minSize = 4;
+    cliques.maxSize = 11;
+    EXPECT_EXIT(plantCliques(complete(10), cliques, 1),
+                ::testing::ExitedWithCode(1), "maxSize=11 exceeds n=10");
+}
+
 TEST(Generators, RandomLabelsInRange)
 {
     const auto labels = randomVertexLabels(500, 3, 77);
@@ -437,6 +519,7 @@ TEST(Io, MalformedInputThrowsTypedError)
         {"0 1\n1 2 3\n", 2},      // trailing junk
         {"12junk 1\n", 1},        // junk glued to a number
         {"0 1\n1 4294967296\n", 2}, // VertexId overflow
+        {"0 1\n4294967295 2\n", 2}, // invalid_vertex itself
         {"0 1\n1 1e3\n", 2},      // exponent notation
     };
     for (const auto &[text, line] : cases) {
