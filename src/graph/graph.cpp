@@ -169,11 +169,11 @@ GraphBuilder::build()
     for (VertexId v = 0; v < numVertices_; ++v) {
         VertexId *first = adj.data() + row_begin;
         VertexId *last = adj.data() + offsets[v];
-        row_begin = offsets[v];
         std::sort(first, last);
         last = std::unique(first, last);
-        if (kept != static_cast<std::uint64_t>(first - adj.data()))
+        if (kept != row_begin)
             std::copy(first, last, adj.data() + kept);
+        row_begin = offsets[v];
         offsets[v] = kept;
         kept += static_cast<std::uint64_t>(last - first);
     }

@@ -169,7 +169,7 @@ class GraphBuilder
      * Produce the CSR graph and empty the builder. A counting sort by
      * source scatters the arcs into their rows, then each row is
      * sorted and deduplicated in place: O(n + arcs) plus the row
-     * sorts, with no array of (u, v) pairs beyond the queued edges.
+     * sorts.
      */
     Graph build();
 

@@ -457,8 +457,9 @@ TEST(Generators, OutputDigestsPinned)
 
 TEST(Generators, RejectImpossibleTargets)
 {
-    // Without these checks chungLu silently returned fewer edges and
-    // plantCliques looped forever looking for distinct members.
+    // More distinct edges than n(n-1)/2, or a clique larger than the
+    // graph, can never be drawn: reject instead of returning fewer
+    // edges or drawing members forever.
     ChungLuParams p;
     p.n = 10;
     p.m = 46; // n(n-1)/2 = 45.
