@@ -120,7 +120,8 @@ TEST(GraphBuilder, MatchesStdSetReference)
         // isolated ones at low arc counts.
         const auto n = static_cast<VertexId>(
             trial < 4 ? trial / 2 : 2 + rng.nextBounded(39));
-        const std::uint64_t arcs = n == 0 ? 0 : rng.nextBounded(4 * n);
+        const std::uint64_t arcs =
+            n == 0 ? 0 : rng.nextBounded(4 * std::uint64_t{n});
         std::vector<std::pair<VertexId, VertexId>> in;
         for (std::uint64_t i = 0; i < arcs; ++i) {
             const auto u = static_cast<VertexId>(rng.nextBounded(n));
