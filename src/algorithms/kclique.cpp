@@ -41,10 +41,7 @@ struct KcTask
                 }
             } else {
                 found = eng.cardinality(ctx, tid, c_i);
-                for (std::uint64_t t = 0; t < found; ++t) {
-                    if (!ctx.countPattern(tid))
-                        break;
-                }
+                ctx.countPatterns(tid, found);
             }
             eng.destroy(ctx, tid, c_i);
             return found;
@@ -171,11 +168,7 @@ fourCliqueCount(OrientedSetGraph &osg, sim::SimContext &ctx)
                 for (const core::BatchEntry &entry : res.entries) {
                     const std::uint64_t found = entry.value;
                     partial[tid] += found;
-                    for (std::uint64_t t = 0; t < found; ++t) {
-                        if (!ctx.countPattern(tid))
-                            break;
-                    }
-                    if (ctx.cutoffReached(tid))
+                    if (!ctx.countPatterns(tid, found))
                         break;
                 }
             }

@@ -38,11 +38,7 @@ triangleCount(OrientedSetGraph &osg, sim::SimContext &ctx,
         for (const core::BatchEntry &entry : res.entries) {
             const std::uint64_t found = entry.value;
             partial[tid] += found;
-            for (std::uint64_t t = 0; t < found; ++t) {
-                if (!ctx.countPattern(tid))
-                    break;
-            }
-            if (ctx.cutoffReached(tid))
+            if (!ctx.countPatterns(tid, found))
                 break;
         }
     });

@@ -33,10 +33,7 @@ struct KcBaselineTask
                 }
             } else {
                 found = cands.size();
-                for (std::uint64_t t = 0; t < found; ++t) {
-                    if (!ctx.countPattern(tid))
-                        break;
-                }
+                ctx.countPatterns(tid, found);
             }
             return found;
         }

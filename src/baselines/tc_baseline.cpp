@@ -22,11 +22,7 @@ triangleCountBaseline(CsrView &csr, sim::SimContext &ctx)
                 const std::uint64_t found =
                     csr.mergeCountCommon(ctx, tid, u, v);
                 partial[tid] += found;
-                for (std::uint64_t t = 0; t < found; ++t) {
-                    if (!ctx.countPattern(tid))
-                        break;
-                }
-                if (ctx.cutoffReached(tid))
+                if (!ctx.countPatterns(tid, found))
                     break;
             }
         }

@@ -279,6 +279,22 @@ SimContext::countPattern(ThreadId tid)
 }
 
 bool
+SimContext::countPatterns(ThreadId tid, std::uint64_t k)
+{
+    std::uint64_t &count = patterns_[tid];
+    if (patternCutoff_ == 0) {
+        count += k;
+        return true;
+    }
+    if (k != 0) {
+        count += count >= patternCutoff_
+                     ? 1
+                     : std::min(k, patternCutoff_ - count);
+    }
+    return count < patternCutoff_;
+}
+
+bool
 SimContext::cutoffReached(ThreadId tid) const
 {
     return patternCutoff_ != 0 && patterns_[tid] >= patternCutoff_;

@@ -248,6 +248,15 @@ class SimContext
      */
     bool countPattern(ThreadId tid);
 
+    /**
+     * Report @p k found patterns on @p tid at once, leaving exactly
+     * the count k countPattern calls would, stopping at the first
+     * false: +min(k, cutoff - patterns) below the cutoff, +1 at or
+     * past it (k > 0), +k without a cutoff.
+     * @return true while the thread is within its cutoff.
+     */
+    bool countPatterns(ThreadId tid, std::uint64_t k);
+
     /** Whether @p tid exhausted its pattern budget. */
     bool cutoffReached(ThreadId tid) const;
 

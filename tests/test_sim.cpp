@@ -98,6 +98,38 @@ TEST(Context, CutoffIsPerThread)
     EXPECT_EQ(ctx.totalPatterns(), 1u);
 }
 
+TEST(Context, CountPatternsEqualsCountPatternLoop)
+{
+    for (const std::uint64_t cutoff : {0u, 1u, 5u}) {
+        // Start below, at and past the cutoff (countPattern keeps
+        // counting past it).
+        for (const std::uint64_t start :
+             {std::uint64_t{0}, cutoff / 2, cutoff, cutoff + 2}) {
+            for (const std::uint64_t k : {0u, 1u, 3u, 10u}) {
+                SCOPED_TRACE(::testing::Message()
+                             << "cutoff=" << cutoff << " start=" << start
+                             << " k=" << k);
+                SimContext loop(1);
+                SimContext bulk(1);
+                for (SimContext *ctx : {&loop, &bulk}) {
+                    ctx->setPatternCutoff(cutoff);
+                    for (std::uint64_t i = 0; i < start; ++i)
+                        ctx->countPattern(0);
+                }
+                bool within = !loop.cutoffReached(0);
+                for (std::uint64_t t = 0; t < k; ++t) {
+                    within = loop.countPattern(0);
+                    if (!within)
+                        break;
+                }
+                EXPECT_EQ(bulk.countPatterns(0, k), within);
+                EXPECT_EQ(bulk.patterns(0), loop.patterns(0));
+                EXPECT_EQ(bulk.cutoffReached(0), loop.cutoffReached(0));
+            }
+        }
+    }
+}
+
 TEST(Context, SetSizeTrace)
 {
     SimContext ctx(2);
