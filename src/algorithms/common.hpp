@@ -57,7 +57,8 @@ orientByDegeneracy(const Graph &graph)
  * SetGraph over the out-neighborhoods -- the common preprocessing of
  * the k-clique family (Algorithm 3, Table 4) and triangle counting.
  * The order and the oriented graph are shared read-only; the sets
- * live in the engine they were built in.
+ * live in the engine they were built in, or in the shared base of a
+ * view's engine.
  */
 struct OrientedSetGraph
 {
@@ -83,6 +84,18 @@ struct OrientedSetGraph
                      const sets::ReprPolicy &policy = {})
         : OrientedSetGraph(graph, orientByDegeneracy(graph), engine,
                            policy)
+    {
+    }
+
+    /**
+     * A view of @p built's sets through @p engine, whose store has
+     * @p built's store as its shared base (SetGraph's view
+     * constructor, which rejects any other engine).
+     */
+    OrientedSetGraph(const OrientedSetGraph &built, SetEngine &engine)
+        : original(built.original), degeneracy(built.degeneracy),
+          oriented(built.oriented),
+          sets(std::make_unique<SetGraph>(*built.sets, engine))
     {
     }
 };

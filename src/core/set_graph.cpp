@@ -27,6 +27,15 @@ SetGraph::SetGraph(const graph::Graph &graph, SetEngine &engine,
     }
 }
 
+SetGraph::SetGraph(const SetGraph &built, SetEngine &engine)
+    : graph_(built.graph_), engine_(&engine),
+      assignment_(built.assignment_), nbr_(built.nbr_)
+{
+    sisa_assert(engine.store().base() == &built.engine_->store(),
+                "SetGraph view: the engine's store does not share the "
+                "store the sets were built in");
+}
+
 std::vector<isa::TrafficArc>
 placementArcs(const SetGraph &sg)
 {

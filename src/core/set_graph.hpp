@@ -37,6 +37,14 @@ class SetGraph
     SetGraph(const graph::Graph &graph, SetEngine &engine,
              const sets::ReprPolicy &policy = {});
 
+    /**
+     * A view of @p built's sets through @p engine, whose store must
+     * have @p built's store as its shared read-only base
+     * (SisaEngine's shared-base constructor): same set ids, same
+     * representations, no set built. Panics on any other engine.
+     */
+    SetGraph(const SetGraph &built, SetEngine &engine);
+
     const graph::Graph &graph() const { return *graph_; }
     SetEngine &engine() { return *engine_; }
 

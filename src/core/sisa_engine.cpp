@@ -1,5 +1,7 @@
 #include "core/sisa_engine.hpp"
 
+#include <utility>
+
 #include "core/query_session.hpp"
 #include "mem/pim.hpp"
 
@@ -7,7 +9,16 @@ namespace sisa::core {
 
 SisaEngine::SisaEngine(Element universe, const isa::ScuConfig &config,
                        std::uint32_t num_threads)
-    : store_(universe), scu_(store_, config, num_threads)
+    : store_(std::make_shared<SetStore>(universe)),
+      scu_(*store_, config, num_threads)
+{
+}
+
+SisaEngine::SisaEngine(std::shared_ptr<const SetStore> base,
+                       const isa::ScuConfig &config,
+                       std::uint32_t num_threads)
+    : store_(std::make_shared<SetStore>(std::move(base))),
+      scu_(*store_, config, num_threads)
 {
 }
 
@@ -162,14 +173,14 @@ SisaEngine::elements(sim::SimContext &ctx, sim::ThreadId tid, SetId a)
     // The host core streams the set out of the vault at b_M: all of a
     // DB's 8-byte words (rounded up -- sub-word universes still move
     // one word), or the SA's 4-byte elements.
-    const std::uint64_t card = store_.cardinality(a);
+    const std::uint64_t card = store_->cardinality(a);
     const std::uint64_t bytes =
-        store_.isDense(a)
-            ? sets::dbWords(store_.universe()) * sets::db_word_bytes
+        store_->isDense(a)
+            ? sets::dbWords(store_->universe()) * sets::db_word_bytes
             : card * sizeof(Element);
     ctx.chargeBusy(tid,
                    mem::pnmStreamBytesCycles(scu_.config().pim, bytes));
-    return store_.elementsOf(a);
+    return store_->elementsOf(a);
 }
 
 } // namespace sisa::core

@@ -8,6 +8,8 @@
 #ifndef SISA_CORE_SISA_ENGINE_HPP
 #define SISA_CORE_SISA_ENGINE_HPP
 
+#include <memory>
+
 #include "core/set_engine.hpp"
 #include "sisa/scu.hpp"
 
@@ -25,9 +27,24 @@ class SisaEngine : public SetEngine
     SisaEngine(Element universe, const isa::ScuConfig &config,
                std::uint32_t num_threads);
 
-    SetStore &store() override { return store_; }
-    const SetStore &store() const override { return store_; }
+    /**
+     * An engine whose store reads the sets of @p base in place
+     * (isa::SetStore's shared-base constructor): same ids, same
+     * locations, no copy of the payloads.
+     */
+    SisaEngine(std::shared_ptr<const SetStore> base,
+               const isa::ScuConfig &config, std::uint32_t num_threads);
+
+    SetStore &store() override { return *store_; }
+    const SetStore &store() const override { return *store_; }
     const char *name() const override { return "sisa"; }
+
+    /**
+     * This engine's store, as a read-only base for other engines.
+     * Once shared, the store must not change while they live: use
+     * the engine for nothing but building the shared sets.
+     */
+    std::shared_ptr<const SetStore> sharedStore() const { return store_; }
 
     isa::Scu &scu() { return scu_; }
 
@@ -83,7 +100,7 @@ class SisaEngine : public SetEngine
                                   SetId a) override;
 
   private:
-    SetStore store_;
+    std::shared_ptr<SetStore> store_;
     isa::Scu scu_;
 };
 

@@ -62,10 +62,27 @@ parseProblem(const std::string &name)
 }
 
 /**
- * Everything one tenant owns: its engine (SCU, store, vault state),
- * its session, and the neighborhood sets it built in that store. The
- * input graph, its degeneracy order and the oriented graph are the
- * call's, read-only and shared by every tenant that needs them.
+ * One set graph of a call -- the oriented one (tc, kcc-*) or the
+ * undirected one (mc, cl-*) -- built once in the builder's store,
+ * which every tenant that needs it reads in place as its shared
+ * read-only base, plus the placement policy over its arcs.
+ */
+struct SharedSets
+{
+    std::unique_ptr<core::SisaEngine> builder; ///< Owns the base store.
+    std::unique_ptr<algorithms::OrientedSetGraph> osg; ///< Oriented.
+    std::unique_ptr<core::SetGraph> sg;                ///< Undirected.
+    /** nullptr under hash placement, the SCU's default. */
+    std::shared_ptr<const isa::PlacementPolicy> placement;
+};
+
+/**
+ * Everything one tenant owns: its engine (SCU, vault state, and a
+ * store holding the sets the query creates), its session, and its
+ * view of the call's shared neighborhood sets. The input graph, its
+ * degeneracy order, the oriented graph, the neighborhood sets and
+ * the placement policy are the call's, read-only and shared by every
+ * tenant that needs them.
  */
 struct Tenant
 {
@@ -77,10 +94,10 @@ struct Tenant
     std::exception_ptr error;
 };
 
-/** Install the named placement policy over @p sg's traffic arcs. */
-void
-installPlacement(core::SisaEngine &engine, const std::string &name,
-                 std::uint32_t vaults, const core::SetGraph &sg)
+/** The named placement policy over @p sg's traffic arcs. */
+std::shared_ptr<const isa::PlacementPolicy>
+buildPlacement(const std::string &name, std::uint32_t vaults,
+               const core::SetGraph &sg)
 {
     const std::optional<isa::PlacementKind> kind =
         isa::parsePlacement(name);
@@ -89,9 +106,9 @@ installPlacement(core::SisaEngine &engine, const std::string &name,
                    isa::placementNames(), ")");
     }
     if (*kind == isa::PlacementKind::Hash)
-        return; // Hash is the SCU's default placement.
-    engine.scu().setPlacement(isa::makePlacement(
-        *kind, vaults, [&] { return core::placementArcs(sg); }));
+        return nullptr; // Hash is the SCU's default placement.
+    return isa::makePlacement(*kind, vaults,
+                              [&] { return core::placementArcs(sg); });
 }
 
 std::uint64_t
@@ -190,12 +207,20 @@ serveMixedWorkload(const graph::Graph &graph,
         problems.push_back(*problem);
     }
 
-    // Graph-only preparation, computed at most once per call and only
-    // if some tenant needs it: the exact degeneracy order (mc, tc,
-    // kcc-*) and the graph oriented by it (tc, kcc-*). Every tenant
-    // reads the one copy; each still builds its own sets over it.
+    // Preparation computed at most once per call and only if some
+    // tenant needs it: the exact degeneracy order (mc, tc, kcc-*),
+    // the graph oriented by it (tc, kcc-*), and the neighborhood sets
+    // of the oriented graph (tc, kcc-*) and of the undirected one
+    // (mc, cl-*), each with its placement policy. Every tenant reads
+    // the one copy: its store starts from the shared sets instead of
+    // building its own, and hands out the same ids and locations a
+    // private build would, so every modeled number is unchanged.
     const auto any = [&](auto pred) {
         return std::any_of(problems.begin(), problems.end(), pred);
+    };
+    const auto undirected = [](const Problem &p) {
+        return p.kind == Problem::Kind::Mc ||
+               p.kind == Problem::Kind::Clustering;
     };
     algorithms::DegeneracyOrientation prep;
     if (any([](const Problem &p) { return p.oriented(); })) {
@@ -206,22 +231,65 @@ serveMixedWorkload(const graph::Graph &graph,
         prep.degeneracy = std::make_shared<const graph::DegeneracyResult>(
             graph::exactDegeneracyOrder(graph));
     }
+    const auto newBuilder = [&] {
+        return std::make_unique<core::SisaEngine>(
+            graph.numVertices(), isa::ScuConfig{}, 1);
+    };
+    SharedSets orientedSets;
+    SharedSets undirectedSets;
+    if (prep.oriented) {
+        orientedSets.builder = newBuilder();
+        orientedSets.osg = std::make_unique<algorithms::OrientedSetGraph>(
+            graph, prep, *orientedSets.builder);
+        orientedSets.placement =
+            buildPlacement(config.placement, config.scu.pim.vaults,
+                           *orientedSets.osg->sets);
+    }
+    if (any(undirected)) {
+        undirectedSets.builder = newBuilder();
+        undirectedSets.sg =
+            std::make_unique<core::SetGraph>(graph, *undirectedSets.builder);
+        undirectedSets.placement = buildPlacement(
+            config.placement, config.scu.pim.vaults, *undirectedSets.sg);
+    }
 
     isa::QueryScheduler sched(config.policy, config.quantum);
     sched.setOverload(config.shed, config.admitCapacity,
                       config.scu.pim.vaults);
     std::vector<Tenant> tenants(config.queries.size());
 
-    // Phase 1 (serial, this thread): per-tenant engines, sessions,
-    // and graph state. Setup dispatches are not admission-gated, so
-    // this must not overlap the concurrent phase. Enrollment order ==
-    // spec order, which is what FCFS arrival rank and Credit
-    // round-robin order mean.
+    // Phase 1 (serial, this thread): per-tenant engines over the
+    // shared sets, views of them, and sessions. Setup dispatches are
+    // not admission-gated, so this must not overlap the concurrent
+    // phase. Enrollment order == spec order, which is what FCFS
+    // arrival rank and Credit round-robin order mean.
     for (std::size_t i = 0; i < config.queries.size(); ++i) {
         const QuerySpec &spec = config.queries[i];
         Tenant &t = tenants[i];
-        t.engine = std::make_unique<core::SisaEngine>(
-            graph.numVertices(), config.scu, config.threads);
+        const SharedSets *shared =
+            problems[i].oriented()    ? &orientedSets
+            : undirected(problems[i]) ? &undirectedSets
+                                      : nullptr;
+        if (shared) {
+            t.engine = std::make_unique<core::SisaEngine>(
+                shared->builder->sharedStore(), config.scu,
+                config.threads);
+            if (shared->osg) {
+                t.osg = std::make_unique<algorithms::OrientedSetGraph>(
+                    *shared->osg, *t.engine);
+            } else {
+                t.sg = std::make_unique<core::SetGraph>(*shared->sg,
+                                                        *t.engine);
+            }
+            if (shared->placement)
+                t.engine->scu().setPlacement(shared->placement);
+        } else {
+            // lp builds its own sets during the query; placement
+            // stays at the default (no neighborhood arcs to seed
+            // from yet).
+            t.engine = std::make_unique<core::SisaEngine>(
+                graph.numVertices(), config.scu, config.threads);
+        }
         isa::AdmissionSpec admission;
         admission.priority = spec.priority;
         admission.arrival = spec.arrival;
@@ -232,18 +300,6 @@ serveMixedWorkload(const graph::Graph &graph,
         t.session->ctx().setPatternCutoff(
             spec.cutoff != 0 ? spec.cutoff
                              : serveDefaultCutoff(spec.problem));
-        if (problems[i].oriented()) {
-            t.osg = std::make_unique<algorithms::OrientedSetGraph>(
-                graph, prep, *t.engine);
-            installPlacement(*t.engine, config.placement,
-                             config.scu.pim.vaults, *t.osg->sets);
-        } else if (problems[i].kind != Problem::Kind::Lp) {
-            t.sg = std::make_unique<core::SetGraph>(graph, *t.engine);
-            installPlacement(*t.engine, config.placement,
-                             config.scu.pim.vaults, *t.sg);
-        }
-        // lp builds its own sets during the query; placement stays
-        // at the default (no neighborhood arcs to seed from yet).
     }
 
     // Phase 2: attach everything, then run. Attach comes after ALL

@@ -7,20 +7,25 @@
  * This is the layer the `sisa_run serve=` CLI mode and the
  * bench/serving tail-latency harness sit on.
  *
- * Shared vs. owned: per call, the graph-only preprocessing -- the
- * exact degeneracy order (mc, tc, kcc-*) and the graph oriented by it
- * (tc, kcc-*) -- is computed once, and only if some query needs it,
- * then read by every tenant that does. Everything modeled stays per
- * tenant: each owns its engine (SCU, set store, vault state), its
- * session, and the neighborhood sets it builds over that shared
- * graph state, so isolation is exactly as if it ran alone.
+ * Shared vs. owned: per call, everything that depends on the graph
+ * alone is built once, and only if some query needs it, then read by
+ * every tenant that does: the exact degeneracy order (mc, tc,
+ * kcc-*), the graph oriented by it (tc, kcc-*), the neighborhood sets
+ * of the oriented graph (tc, kcc-*) and of the undirected one (mc,
+ * cl-*), and the placement policy over each set graph's arcs. The
+ * sets live in a read-only base store; each tenant's store reads
+ * them in place (isa::SetStore's shared-base constructor) and
+ * continues the base's ids and addresses exactly as a private build
+ * would. Everything modeled stays per tenant: each owns its engine
+ * (SCU, vault state, and the store of the sets its query creates)
+ * and its session, so isolation is exactly as if it ran alone.
  *
  * Determinism: setup (the shared preparation, then each tenant's
- * sets) runs serially on the caller's thread -- setup dispatches are
- * not admission-gated -- and the algorithm phase runs on K host threads
- * under the scheduler's lockstep grants, so the admission log and
- * every per-query cycle count are a pure function of (graph, config),
- * independent of host thread timing.
+ * engine and session) runs serially on the caller's thread -- setup
+ * dispatches are not admission-gated -- and the algorithm phase runs
+ * on K host threads under the scheduler's lockstep grants, so the
+ * admission log and every per-query cycle count are a pure function
+ * of (graph, config), independent of host thread timing.
  */
 
 #ifndef SISA_SERVE_SCENARIO_HPP

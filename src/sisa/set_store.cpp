@@ -1,5 +1,7 @@
 #include "sisa/set_store.hpp"
 
+#include <utility>
+
 #include "sisa/faults.hpp"
 #include "support/bits.hpp"
 #include "support/logging.hpp"
@@ -7,6 +9,16 @@
 namespace sisa::isa {
 
 SetStore::SetStore(Element universe) : universe_(universe) {}
+
+SetStore::SetStore(std::shared_ptr<const SetStore> base)
+    : universe_(base->universe_), base_(std::move(base)),
+      baseSlots_(static_cast<SetId>(base_->metadata_.size())),
+      metadata_(base_->metadata_), liveCount_(base_->liveCount_),
+      space_(base_->space_)
+{
+    sisa_assert(!base_->base_ && base_->freeList_.empty(),
+                "a shared base must have no base and no free slots");
+}
 
 std::uint64_t
 SetStore::denseBytes() const
@@ -31,7 +43,15 @@ SetStore::allocateSlot()
     }
     payloads_.emplace_back();
     metadata_.emplace_back();
-    return static_cast<SetId>(payloads_.size() - 1);
+    return static_cast<SetId>(metadata_.size() - 1);
+}
+
+SetStore::Payload &
+SetStore::ownedPayload(SetId id)
+{
+    sisa_assert(id >= baseSlots_, "set ", id,
+                " belongs to the read-only shared base");
+    return payloads_[id - baseSlots_];
 }
 
 void
@@ -40,12 +60,13 @@ SetStore::refreshMetadata(SetId id)
     if (checksumValid_.size() > id)
         checksumValid_[id] = false;
     SetMetadata &md = metadata_[id];
-    if (std::holds_alternative<SortedArraySet>(payloads_[id])) {
+    const Payload &p = payload(id);
+    if (std::holds_alternative<SortedArraySet>(p)) {
         md.repr = SetRepr::SparseArray;
-        md.cardinality = std::get<SortedArraySet>(payloads_[id]).size();
+        md.cardinality = std::get<SortedArraySet>(p).size();
     } else {
         md.repr = SetRepr::DenseBitvector;
-        md.cardinality = std::get<DenseBitset>(payloads_[id]).size();
+        md.cardinality = std::get<DenseBitset>(p).size();
     }
     md.live = true;
 }
@@ -58,9 +79,9 @@ SetStore::createFromSorted(std::vector<Element> elems, SetRepr repr)
         repr == SetRepr::SparseArray ? elems.size() * sizeof(Element)
                                      : denseBytes();
     if (repr == SetRepr::SparseArray) {
-        payloads_[id] = SortedArraySet(std::move(elems));
+        ownedPayload(id) = SortedArraySet(std::move(elems));
     } else {
-        payloads_[id] = DenseBitset::fromSorted(elems, universe_);
+        ownedPayload(id) = DenseBitset::fromSorted(elems, universe_);
     }
     metadata_[id].location = space_.allocate(bytes).base;
     refreshMetadata(id);
@@ -78,7 +99,7 @@ SetId
 SetStore::createFull()
 {
     const SetId id = allocateSlot();
-    payloads_[id] = DenseBitset::full(universe_);
+    ownedPayload(id) = DenseBitset::full(universe_);
     metadata_[id].location = space_.allocate(denseBytes()).base;
     refreshMetadata(id);
     ++liveCount_;
@@ -90,7 +111,7 @@ SetStore::clone(SetId id)
 {
     sisa_assert(live(id), "clone of a dead set ", id);
     const SetId copy = allocateSlot();
-    payloads_[copy] = payloads_[id];
+    ownedPayload(copy) = payload(id);
     metadata_[copy].location = metadata_[id].location;
     refreshMetadata(copy);
     ++liveCount_;
@@ -101,7 +122,7 @@ void
 SetStore::destroy(SetId id)
 {
     sisa_assert(live(id), "double destroy of set ", id);
-    payloads_[id] = SortedArraySet();
+    ownedPayload(id) = SortedArraySet();
     metadata_[id] = SetMetadata{};
     if (checksumValid_.size() > id)
         checksumValid_[id] = false;
@@ -113,15 +134,14 @@ void
 SetStore::convert(SetId id, SetRepr repr)
 {
     sisa_assert(live(id), "convert of a dead set ", id);
+    Payload &p = ownedPayload(id);
     if (metadata_[id].repr == repr)
         return;
     if (repr == SetRepr::DenseBitvector) {
-        const auto &array = std::get<SortedArraySet>(payloads_[id]);
-        payloads_[id] =
-            DenseBitset::fromSorted(array.elements(), universe_);
+        p = DenseBitset::fromSorted(
+            std::get<SortedArraySet>(p).elements(), universe_);
     } else {
-        payloads_[id] = std::get<DenseBitset>(payloads_[id])
-                            .toSortedArray();
+        p = std::get<DenseBitset>(p).toSortedArray();
     }
     refreshMetadata(id);
 }
@@ -155,28 +175,28 @@ const SortedArraySet &
 SetStore::sa(SetId id) const
 {
     sisa_assert(live(id) && !isDense(id), "set ", id, " is not an SA");
-    return std::get<SortedArraySet>(payloads_[id]);
+    return std::get<SortedArraySet>(payload(id));
 }
 
 const DenseBitset &
 SetStore::db(SetId id) const
 {
     sisa_assert(live(id) && isDense(id), "set ", id, " is not a DB");
-    return std::get<DenseBitset>(payloads_[id]);
+    return std::get<DenseBitset>(payload(id));
 }
 
 SortedArraySet &
 SetStore::mutableSa(SetId id)
 {
     sisa_assert(live(id) && !isDense(id), "set ", id, " is not an SA");
-    return std::get<SortedArraySet>(payloads_[id]);
+    return std::get<SortedArraySet>(ownedPayload(id));
 }
 
 DenseBitset &
 SetStore::mutableDb(SetId id)
 {
     sisa_assert(live(id) && isDense(id), "set ", id, " is not a DB");
-    return std::get<DenseBitset>(payloads_[id]);
+    return std::get<DenseBitset>(ownedPayload(id));
 }
 
 SetId
@@ -185,7 +205,7 @@ SetStore::adopt(SortedArraySet set)
     const SetId id = allocateSlot();
     metadata_[id].location =
         space_.allocate(set.size() * sizeof(Element)).base;
-    payloads_[id] = std::move(set);
+    ownedPayload(id) = std::move(set);
     refreshMetadata(id);
     ++liveCount_;
     return id;
@@ -197,7 +217,7 @@ SetStore::adopt(DenseBitset set)
     sisa_assert(set.universe() == universe_, "universe mismatch");
     const SetId id = allocateSlot();
     metadata_[id].location = space_.allocate(denseBytes()).base;
-    payloads_[id] = std::move(set);
+    ownedPayload(id) = std::move(set);
     refreshMetadata(id);
     ++liveCount_;
     return id;
@@ -261,13 +281,12 @@ SetStore::payloadChecksum(SetId id) const
     if (checksumValid_[id])
         return checksums_[id];
     std::uint64_t sum;
-    if (std::holds_alternative<DenseBitset>(payloads_[id])) {
-        const auto words =
-            std::get<DenseBitset>(payloads_[id]).words();
+    const Payload &p = payload(id);
+    if (std::holds_alternative<DenseBitset>(p)) {
+        const auto words = std::get<DenseBitset>(p).words();
         sum = fnvChecksum64(words.data(), words.size());
     } else {
-        const auto span =
-            std::get<SortedArraySet>(payloads_[id]).elements();
+        const auto span = std::get<SortedArraySet>(p).elements();
         sum = fnvChecksum32(span.data(), span.size());
     }
     checksums_[id] = sum;

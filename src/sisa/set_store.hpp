@@ -13,6 +13,7 @@
 #define SISA_SISA_SET_STORE_HPP
 
 #include <cstdint>
+#include <memory>
 #include <variant>
 #include <vector>
 
@@ -38,12 +39,29 @@ struct SetMetadata
     bool live = false;
 };
 
-/** Owns every SISA set and its metadata. */
+/**
+ * Owns every SISA set and its metadata -- optionally on top of a
+ * shared, read-only base store whose sets it reads in place.
+ */
 class SetStore
 {
   public:
     /** @param universe Universe size n (DB width in bits). */
     explicit SetStore(Element universe);
+
+    /**
+     * A store over @p base: ids [0, base slots) are the base's sets,
+     * read in place and never written (mutating or destroying one
+     * panics). Only the base's metadata is copied. Slot count and
+     * address cursor continue from the base, so every later id and
+     * location equals what a private copy of the base would hand
+     * out. The base must have no recycled slots and no base of its
+     * own, and must not change while this store lives.
+     */
+    explicit SetStore(std::shared_ptr<const SetStore> base);
+
+    /** The shared read-only base, or nullptr. */
+    const SetStore *base() const { return base_.get(); }
 
     Element universe() const { return universe_; }
 
@@ -153,10 +171,24 @@ class SetStore
     SetId allocateSlot();
     void refreshMetadata(SetId id);
 
+    /** @p id's payload, in the base for ids below baseSlots_. */
+    const Payload &
+    payload(SetId id) const
+    {
+        return id < baseSlots_ ? base_->payloads_[id]
+                               : payloads_[id - baseSlots_];
+    }
+
+    /** @p id's payload for writing; panics on a base id. */
+    Payload &ownedPayload(SetId id);
+
     static constexpr mem::Addr sm_base_ = 0x0800000000ULL;
     static constexpr std::uint32_t sm_entry_bytes = 16;
 
     Element universe_;
+    std::shared_ptr<const SetStore> base_;
+    SetId baseSlots_ = 0; ///< Ids below this live in base_.
+    /** Payloads of ids [baseSlots_, ...), indexed by id - baseSlots_. */
     std::vector<Payload> payloads_;
     std::vector<SetMetadata> metadata_;
     std::vector<SetId> freeList_;

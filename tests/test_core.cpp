@@ -4,6 +4,8 @@
 
 #include <memory>
 
+#include "algorithms/common.hpp"
+#include "algorithms/triangle_count.hpp"
 #include "core/cpu_set_engine.hpp"
 #include "core/set_graph.hpp"
 #include "core/sisa_engine.hpp"
@@ -170,6 +172,96 @@ TEST(SetGraphTest, ZeroBiasMatchesCsrStorage)
     policy.t = 0.0;
     core::SetGraph sg(g, eng, policy);
     EXPECT_EQ(sg.assignment().chosenBits, sg.assignment().saOnlyBits);
+}
+
+/** Vertex by vertex: same id, representation, cardinality, location
+ *  and elements in both set graphs' stores. */
+void
+expectSameSetGraph(core::SetGraph &a, core::SetGraph &b)
+{
+    ASSERT_EQ(a.numVertices(), b.numVertices());
+    const isa::SetStore &sa = a.engine().store();
+    const isa::SetStore &sb = b.engine().store();
+    for (graph::VertexId v = 0; v < a.numVertices(); ++v) {
+        SCOPED_TRACE(::testing::Message() << "vertex " << v);
+        const isa::SetId id = a.neighborhood(v);
+        ASSERT_EQ(id, b.neighborhood(v));
+        EXPECT_EQ(a.representation(v), b.representation(v));
+        EXPECT_EQ(sa.metadata(id).repr, sb.metadata(id).repr);
+        EXPECT_EQ(sa.cardinality(id), sb.cardinality(id));
+        EXPECT_EQ(sa.metadata(id).location, sb.metadata(id).location);
+        EXPECT_EQ(sa.elementsOf(id), sb.elementsOf(id));
+    }
+    EXPECT_EQ(a.assignment().denseCount, b.assignment().denseCount);
+    EXPECT_EQ(a.assignment().chosenBits, b.assignment().chosenBits);
+}
+
+/** A policy that gives the test graph some DB neighborhoods. */
+sets::ReprPolicy
+mixedPolicy()
+{
+    sets::ReprPolicy policy;
+    policy.t = 0.1;
+    policy.storageBudget = -1.0;
+    return policy;
+}
+
+TEST(SetGraphTest, ViewOverSharedBaseEqualsPrivateBuild)
+{
+    const graph::Graph g = graph::erdosRenyi(120, 900, 5);
+    SisaEngine builder(120, isa::ScuConfig{}, 1);
+    const core::SetGraph built(g, builder, mixedPolicy());
+    SisaEngine tenant(builder.sharedStore(), isa::ScuConfig{}, 1);
+    core::SetGraph view(built, tenant);
+    SisaEngine priv(120, isa::ScuConfig{}, 1);
+    core::SetGraph fresh(g, priv, mixedPolicy());
+    ASSERT_GT(fresh.assignment().denseCount, 0u);
+    EXPECT_EQ(&view.engine(), &tenant);
+    EXPECT_EQ(&view.graph(), &g);
+    expectSameSetGraph(view, fresh);
+}
+
+TEST(SetGraphTest, OrientedViewOverSharedBaseEqualsPrivateBuild)
+{
+    const graph::Graph g = graph::erdosRenyi(120, 900, 6);
+    SisaEngine builder(120, isa::ScuConfig{}, 1);
+    const algorithms::OrientedSetGraph built(g, builder, mixedPolicy());
+    SisaEngine tenant(builder.sharedStore(), isa::ScuConfig{}, 1);
+    algorithms::OrientedSetGraph view(built, tenant);
+    SisaEngine priv(120, isa::ScuConfig{}, 1);
+    algorithms::OrientedSetGraph fresh(g, priv, mixedPolicy());
+    ASSERT_GT(fresh.sets->assignment().denseCount, 0u);
+    EXPECT_EQ(view.original, &g);
+    EXPECT_EQ(view.oriented, built.oriented); // Shared, not recomputed.
+    EXPECT_EQ(view.degeneracy, built.degeneracy);
+    EXPECT_EQ(&view.sets->engine(), &tenant);
+    expectSameSetGraph(*view.sets, *fresh.sets);
+
+    // Same count and the same modeled cycles as the private build.
+    sim::SimContext view_ctx(1);
+    sim::SimContext fresh_ctx(1);
+    EXPECT_EQ(algorithms::triangleCount(view, view_ctx),
+              algorithms::triangleCount(fresh, fresh_ctx));
+    EXPECT_EQ(view_ctx.makespan(), fresh_ctx.makespan());
+}
+
+TEST(SetGraphDeathTest, ViewRejectsEngineWithoutTheBase)
+{
+    const graph::Graph g = graph::erdosRenyi(60, 300, 7);
+    SisaEngine builder(60, isa::ScuConfig{}, 1);
+    const core::SetGraph built(g, builder);
+    const algorithms::OrientedSetGraph built_oriented(g, builder);
+    // A private engine, and one over another store holding an
+    // identical build: neither shares the base the sets live in.
+    SisaEngine priv(60, isa::ScuConfig{}, 1);
+    SisaEngine other_builder(60, isa::ScuConfig{}, 1);
+    const core::SetGraph other_built(g, other_builder);
+    SisaEngine other(other_builder.sharedStore(), isa::ScuConfig{}, 1);
+    const char *msg = "does not share";
+    EXPECT_DEATH(core::SetGraph(built, priv), msg);
+    EXPECT_DEATH(core::SetGraph(built, other), msg);
+    EXPECT_DEATH(algorithms::OrientedSetGraph(built_oriented, priv), msg);
+    EXPECT_DEATH(algorithms::OrientedSetGraph(built_oriented, other), msg);
 }
 
 TEST(VertexSetTest, RaiiDestroysOwnedSets)

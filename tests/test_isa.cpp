@@ -1,7 +1,10 @@
 /** @file Unit tests for the SISA ISA: encoding, set store, SCU. */
 
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -170,6 +173,138 @@ TEST(SetStore, MetadataAddressesDistinct)
     const SetId a = store.createFromSorted({1}, SetRepr::SparseArray);
     const SetId b = store.createFromSorted({2}, SetRepr::SparseArray);
     EXPECT_NE(store.metadataAddr(a), store.metadataAddr(b));
+}
+
+// --- SetStore over a shared base ----------------------------------------------
+
+/** A store holding an SA, a DB, an empty SA and a full DB. */
+void
+fillBase(SetStore &store)
+{
+    store.createFromSorted({1, 5, 9}, SetRepr::SparseArray);
+    store.createFromSorted({2, 4, 100}, SetRepr::DenseBitvector);
+    store.createFromSorted({}, SetRepr::SparseArray);
+    store.createFull();
+}
+
+std::shared_ptr<const SetStore>
+makeBase()
+{
+    auto base = std::make_shared<SetStore>(200);
+    fillBase(*base);
+    return base;
+}
+
+/** Same repr, cardinality, location and elements in both stores. */
+void
+expectSameSet(const SetStore &a, const SetStore &b, SetId id)
+{
+    SCOPED_TRACE(::testing::Message() << "set " << id);
+    ASSERT_TRUE(a.live(id));
+    ASSERT_TRUE(b.live(id));
+    EXPECT_EQ(a.metadata(id).repr, b.metadata(id).repr);
+    EXPECT_EQ(a.cardinality(id), b.cardinality(id));
+    EXPECT_EQ(a.metadata(id).location, b.metadata(id).location);
+    EXPECT_EQ(a.metadataAddr(id), b.metadataAddr(id));
+    EXPECT_EQ(a.elementsOf(id), b.elementsOf(id));
+}
+
+TEST(SharedBaseStore, ReadsBaseSetsInPlace)
+{
+    const std::shared_ptr<const SetStore> base = makeBase();
+    const SetStore tenant(base);
+    EXPECT_EQ(tenant.base(), base.get());
+    EXPECT_EQ(tenant.universe(), base->universe());
+    EXPECT_EQ(tenant.liveCount(), base->liveCount());
+    EXPECT_EQ(tenant.storageBits(), base->storageBits());
+    for (SetId id = 0; id < 4; ++id) {
+        expectSameSet(tenant, *base, id);
+        EXPECT_EQ(tenant.payloadChecksum(id), base->payloadChecksum(id));
+        EXPECT_EQ(tenant.payloadBytes(id), base->payloadBytes(id));
+        if (tenant.isDense(id))
+            EXPECT_EQ(&tenant.db(id), &base->db(id)); // Not a copy.
+        else
+            EXPECT_EQ(&tenant.sa(id), &base->sa(id));
+    }
+    EXPECT_TRUE(tenant.member(0, 5));
+    EXPECT_TRUE(tenant.member(1, 100));
+    EXPECT_FALSE(tenant.member(1, 3));
+}
+
+TEST(SharedBaseStore, NewSetsMatchAPrivateCopy)
+{
+    const std::shared_ptr<const SetStore> base = makeBase();
+    SetStore tenant(base);
+    SetStore copy(200); // A private copy of the base.
+    fillBase(copy);
+
+    // Every allocation path, including clones of base sets, hands out
+    // the ids and locations the private copy does.
+    std::vector<std::pair<SetId, SetId>> made;
+    const auto both = [&](auto &&make) {
+        made.emplace_back(make(tenant), make(copy));
+    };
+    both([](SetStore &s) { return s.clone(0); });
+    both([](SetStore &s) { return s.clone(1); });
+    both([](SetStore &s) {
+        return s.createFromSorted({7, 8}, SetRepr::SparseArray);
+    });
+    both([](SetStore &s) { return s.adopt(SortedArraySet({3, 4})); });
+    both([](SetStore &s) {
+        return s.adopt(
+            DenseBitset::fromSorted(std::vector<Element>{6}, 200));
+    });
+    both([](SetStore &s) { return s.createFull(); });
+    for (const auto &[t, c] : made) {
+        EXPECT_EQ(t, c);
+        expectSameSet(tenant, copy, t);
+    }
+
+    // A tenant's own sets are ordinary: mutate, convert, destroy and
+    // recycle them exactly like the private copy's.
+    for (SetStore *s : {&tenant, &copy}) {
+        s->insert(made[0].first, 150);
+        s->remove(made[1].first, 2);
+        s->convert(made[2].first, SetRepr::DenseBitvector);
+        s->destroy(made[3].first);
+    }
+    for (const SetId id : {made[0].first, made[1].first, made[2].first})
+        expectSameSet(tenant, copy, id);
+    EXPECT_EQ(tenant.createEmpty(SetRepr::SparseArray),
+              copy.createEmpty(SetRepr::SparseArray));
+    EXPECT_EQ(tenant.liveCount(), copy.liveCount());
+    EXPECT_EQ(tenant.storageBits(), copy.storageBits());
+    for (SetId id = 0; id < 4; ++id)
+        expectSameSet(tenant, copy, id);
+
+    // The base never saw any of it.
+    EXPECT_EQ(base->liveCount(), 4u);
+    EXPECT_EQ(base->elementsOf(0), (std::vector<Element>{1, 5, 9}));
+    EXPECT_EQ(base->cardinality(1), 3u);
+    EXPECT_FALSE(base->live(4));
+}
+
+TEST(SharedBaseStoreDeathTest, BaseSetsAreReadOnly)
+{
+    const std::shared_ptr<const SetStore> base = makeBase();
+    SetStore tenant(base);
+    const char *msg = "read-only shared base";
+    EXPECT_DEATH(tenant.insert(0, 3), msg);
+    EXPECT_DEATH(tenant.remove(1, 2), msg);
+    EXPECT_DEATH(tenant.convert(0, SetRepr::DenseBitvector), msg);
+    EXPECT_DEATH(tenant.convert(0, SetRepr::SparseArray), msg);
+    EXPECT_DEATH(tenant.destroy(2), msg);
+    EXPECT_DEATH(tenant.mutableSa(0), msg);
+    EXPECT_DEATH(tenant.mutableDb(3), msg);
+}
+
+TEST(SharedBaseStoreDeathTest, RejectsHoledOrNestedBase)
+{
+    auto holed = std::make_shared<SetStore>(64);
+    holed->destroy(holed->createFromSorted({1}, SetRepr::SparseArray));
+    EXPECT_DEATH(SetStore{holed}, "no base and no free slots");
+    const auto nested = std::make_shared<const SetStore>(makeBase());
+    EXPECT_DEATH(SetStore{nested}, "no base and no free slots");
 }
 
 // --- SCU ---------------------------------------------------------------------
