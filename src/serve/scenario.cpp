@@ -212,9 +212,9 @@ serveMixedWorkload(const graph::Graph &graph,
     // the graph oriented by it (tc, kcc-*), and the neighborhood sets
     // of the oriented graph (tc, kcc-*) and of the undirected one
     // (mc, cl-*), each with its placement policy. Every tenant reads
-    // the one copy: its store starts from the shared sets instead of
-    // building its own, and hands out the same ids and locations a
-    // private build would, so every modeled number is unchanged.
+    // the one copy: its store sits on the shared sets and hands out
+    // the same ids and locations a private build would, so every
+    // modeled number equals that of a tenant with private sets.
     const auto any = [&](auto pred) {
         return std::any_of(problems.begin(), problems.end(), pred);
     };
