@@ -423,6 +423,23 @@ TEST(Generators, OutputDigestsPinned)
     // 1700 of the 1770 possible edges: the top-up loop does the work.
     EXPECT_EQ(pinOf(erdosRenyi(60, 1700, 9)),
               (GraphPin{60, 1700, 0x58c5084077739d66ULL}));
+    // The other exit: two hubs at 0.9 n soak up the draws, and the
+    // 30m + 1000 budget runs out 103 edges short of m = 1760.
+    ChungLuParams dense;
+    dense.n = 60;
+    dense.m = 1760;
+    dense.exponent = 1.9;
+    dense.hubs = 2;
+    dense.hubDegreeFraction = 0.9;
+    EXPECT_EQ(pinOf(chungLu(dense, 5)),
+              (GraphPin{60, 1657, 0xb4fb4c9dde115ad8ULL}));
+    // Here a few draws past the budget would still find new edges, so
+    // a loop that overshoots the 73,450th draw moves the digest.
+    dense.n = 70;
+    dense.m = 2415;
+    dense.exponent = 1.7;
+    EXPECT_EQ(pinOf(chungLu(dense, 6)),
+              (GraphPin{70, 1620, 0xe68464669ef196edULL}));
 
     EXPECT_EQ(pinOf(er.orientByRank(exactDegeneracyOrder(er).rank)),
               (GraphPin{3000, 40000, 0xf0fba5d8c626f4e3ULL}));
