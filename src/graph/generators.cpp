@@ -1,6 +1,7 @@
 #include "graph/generators.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <utility>
@@ -78,6 +79,13 @@ class AliasTable
  * Seen edges live in one flat open-addressing, linear-probing table
  * of keys u << 32 | v (u < v) that is at most half full; key 0 would
  * be the self-loop (0, 0), so 0 marks an empty slot.
+ *
+ * The table is far larger than cache, so draws go in batches: each
+ * batch draws every attempt and prefetches its home slot, then probes
+ * and inserts in draw order, letting the misses overlap. An attempt
+ * adds at most one edge, so a batch of min(depth, m - count,
+ * attempt_limit - attempts) stops exactly where a one-at-a-time loop
+ * would, with the same draws and the same edges in the same order.
  */
 template <typename Draw>
 Graph
@@ -88,29 +96,47 @@ distinctEdgeGraph(VertexId n, std::uint64_t m, std::uint64_t attempt_limit,
         static_cast<std::uint64_t>(n) * (n - 1) / 2;
     if (m > max_edges)
         sisa_fatal("m=", m, " distinct edges exceeds n(n-1)/2=", max_edges);
-    std::vector<std::uint64_t> seen(
-        std::bit_ceil(std::max<std::uint64_t>(2 * m, 2)));
-    const int shift = 64 - std::countr_zero(seen.size());
+    constexpr std::uint64_t depth = 16;
     GraphBuilder builder(n);
-    std::uint64_t count = 0;
-    for (std::uint64_t attempts = 0; count < m && attempts < attempt_limit;
-         ++attempts) {
-        auto [u, v] = draw();
-        if (u == v)
-            continue;
-        if (u > v)
-            std::swap(u, v);
-        const std::uint64_t key = (static_cast<std::uint64_t>(u) << 32) | v;
-        // Fibonacci hashing: the top bits of key * 2^64 / phi.
-        std::size_t slot = (key * 0x9e3779b97f4a7c15ULL) >> shift;
-        while (seen[slot] != 0 && seen[slot] != key)
-            slot = (slot + 1) & (seen.size() - 1);
-        if (seen[slot] == 0) {
-            seen[slot] = key;
-            ++count;
-            builder.addEdge(u, v);
+    {
+        std::vector<std::uint64_t> seen(
+            std::bit_ceil(std::max<std::uint64_t>(2 * m, 2)));
+        const int shift = 64 - std::countr_zero(seen.size());
+        std::array<std::uint64_t, depth> keys{};
+        std::array<std::size_t, depth> slots{};
+        std::uint64_t count = 0;
+        for (std::uint64_t attempts = 0;
+             count < m && attempts < attempt_limit;) {
+            const std::uint64_t batch =
+                std::min({depth, m - count, attempt_limit - attempts});
+            attempts += batch;
+            for (std::uint64_t i = 0; i < batch; ++i) {
+                auto [u, v] = draw();
+                if (u > v)
+                    std::swap(u, v);
+                // A self-loop gets key 0 and is skipped below.
+                keys[i] = u == v ? 0
+                                 : (static_cast<std::uint64_t>(u) << 32) | v;
+                // Fibonacci hashing: the top bits of key * 2^64 / phi.
+                slots[i] = (keys[i] * 0x9e3779b97f4a7c15ULL) >> shift;
+                __builtin_prefetch(&seen[slots[i]]);
+            }
+            for (std::uint64_t i = 0; i < batch; ++i) {
+                const std::uint64_t key = keys[i];
+                if (key == 0)
+                    continue;
+                std::size_t slot = slots[i];
+                while (seen[slot] != 0 && seen[slot] != key)
+                    slot = (slot + 1) & (seen.size() - 1);
+                if (seen[slot] == 0) {
+                    seen[slot] = key;
+                    ++count;
+                    builder.addEdge(static_cast<VertexId>(key >> 32),
+                                    static_cast<VertexId>(key));
+                }
+            }
         }
-    }
+    } // The key table is freed before the CSR is built.
     return builder.build();
 }
 
@@ -272,13 +298,9 @@ plantCliques(const Graph &base, const PlantedCliqueParams &params,
                    " exceeds n=", n);
     Xoshiro256 rng(seed);
 
+    // Only the clique edges go through a builder; that small graph
+    // is then merged into the base one row at a time.
     GraphBuilder builder(n);
-    for (VertexId u = 0; u < n; ++u) {
-        for (VertexId v : base.neighbors(u)) {
-            if (u < v)
-                builder.addEdge(u, v);
-        }
-    }
     const std::uint32_t span = params.maxSize - params.minSize + 1;
     for (std::uint32_t g = 0; g < params.count; ++g) {
         const std::uint32_t size =
@@ -302,7 +324,7 @@ plantCliques(const Graph &base, const PlantedCliqueParams &params,
             }
         }
     }
-    return builder.build();
+    return base.unionWith(builder.build());
 }
 
 std::vector<Label>

@@ -78,7 +78,9 @@ struct ChungLuParams
  * probability proportional to per-vertex weights w_v ~ v^{-1/(exp-1)}
  * until m distinct edges exist (or 30m + 1000 draws are spent). Drawn
  * edges are deduplicated in a flat open-addressing set of packed
- * (u, v) keys. An m above n(n-1)/2 is fatal.
+ * (u, v) keys, probed in prefetched batches of 16 draws that stop on
+ * exactly the draw a one-at-a-time loop would; the set is freed
+ * before the CSR is built. An m above n(n-1)/2 is fatal.
  */
 Graph chungLu(const ChungLuParams &params, std::uint64_t seed);
 
@@ -92,10 +94,12 @@ struct PlantedCliqueParams
 };
 
 /**
- * Overlay dense vertex groups on @p base: each group is a uniformly
- * random vertex subset wired into an (almost-)clique. Models the
- * dense clusters of biological/brain networks (Section 9.2). A
- * maxSize above the vertex count is fatal.
+ * Overlay dense vertex groups on the undirected @p base: each group
+ * is a uniformly random vertex subset wired into an (almost-)clique.
+ * Models the dense clusters of biological/brain networks (Section
+ * 9.2). Only the group edges are built into a graph, which is then
+ * merged into @p base row by row (Graph::unionWith); labels do not
+ * carry over. A maxSize above the vertex count is fatal.
  */
 Graph plantCliques(const Graph &base, const PlantedCliqueParams &params,
                    std::uint64_t seed);

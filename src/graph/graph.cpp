@@ -1,11 +1,24 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
 
 #include "support/logging.hpp"
 
 namespace sisa::graph {
+
+namespace {
+
+/** Free @p v's storage now (clear() alone keeps the capacity). */
+template <typename Vector>
+void
+release(Vector &v)
+{
+    Vector().swap(v);
+}
+
+} // namespace
 
 std::uint32_t
 Graph::maxDegree() const
@@ -56,17 +69,49 @@ Graph::orientByRank(const std::vector<std::uint32_t> &rank) const
     sisa_assert(!directed_, "orientByRank expects an undirected graph");
     sisa_assert(rank.size() == numVertices_, "rank size mismatch");
 
-    GraphBuilder builder(numVertices_, /*directed=*/true);
+    // Rows are sorted and duplicate-free, so filtering each one in
+    // order yields the oriented rows. Every edge keeps at most one
+    // direction, so m arcs bound the output (exactly, without ties).
+    Graph oriented;
+    oriented.numVertices_ = numVertices_;
+    oriented.directed_ = true;
+    oriented.offsets_.assign(numVertices_ + 1, 0);
+    oriented.adj_.reserve(numEdges_);
     for (VertexId u = 0; u < numVertices_; ++u) {
         for (VertexId v : neighbors(u)) {
             if (rank[u] < rank[v])
-                builder.addEdge(u, v);
+                oriented.adj_.push_back(v);
         }
+        oriented.offsets_[u + 1] = oriented.adj_.size();
     }
-    Graph oriented = builder.build();
-    if (hasVertexLabels())
-        oriented.vertexLabels_ = vertexLabels_;
+    oriented.numEdges_ = oriented.adj_.size();
+    oriented.vertexLabels_ = vertexLabels_;
     return oriented;
+}
+
+Graph
+Graph::unionWith(const Graph &other) const
+{
+    sisa_assert(numVertices_ == other.numVertices_ &&
+                    directed_ == other.directed_,
+                "unionWith expects graphs of the same shape");
+
+    // A sorted union per row; the two arc counts bound the output.
+    Graph merged;
+    merged.numVertices_ = numVertices_;
+    merged.directed_ = directed_;
+    merged.offsets_.assign(numVertices_ + 1, 0);
+    merged.adj_.reserve(adj_.size() + other.adj_.size());
+    for (VertexId u = 0; u < numVertices_; ++u) {
+        const auto mine = neighbors(u);
+        const auto theirs = other.neighbors(u);
+        std::set_union(mine.begin(), mine.end(), theirs.begin(),
+                       theirs.end(), std::back_inserter(merged.adj_));
+        merged.offsets_[u + 1] = merged.adj_.size();
+    }
+    merged.numEdges_ =
+        directed_ ? merged.adj_.size() : merged.adj_.size() / 2;
+    return merged;
 }
 
 Graph
@@ -142,42 +187,61 @@ GraphBuilder::build()
     auto &offsets = graph.offsets_;
     auto &adj = graph.adj_;
 
-    // Counting sort by source: count each row's arcs (an undirected
-    // edge is an arc in both rows), prefix-sum the counts into row
-    // starts, then scatter the targets. The scatter advances
-    // offsets[u] from the start of row u to its end.
-    offsets.assign(numVertices_ + 1, 0);
+    // Count every arc (an undirected edge is an arc each way) into
+    // its source's row, offsets[u + 1], and its target's bucket,
+    // bucket[v]; then prefix-sum the rows into starts and the
+    // buckets into ends.
+    const VertexId n = numVertices_;
+    offsets.assign(n + 1, 0);
+    std::vector<std::uint64_t> bucket(n + 1, 0);
     for (auto [u, v] : edges_) {
         ++offsets[u + 1];
-        if (!directed_)
+        ++bucket[v];
+        if (!directed_) {
             ++offsets[v + 1];
+            ++bucket[u];
+        }
     }
-    for (VertexId v = 0; v < numVertices_; ++v)
+    for (VertexId v = 0; v < n; ++v) {
         offsets[v + 1] += offsets[v];
-    adj.resize(offsets[numVertices_]);
-    for (auto [u, v] : edges_) {
-        adj[offsets[u]++] = v;
-        if (!directed_)
-            adj[offsets[v]++] = u;
+        bucket[v + 1] += bucket[v];
     }
-    edges_.clear();
 
-    // Sort and deduplicate each row in place, compacting the kept
-    // arcs towards the front; offsets[v] then becomes row v's start.
+    // Pass 1 buckets each arc's source by its target (the transpose),
+    // moving bucket[v] down from the end of bucket v to its start.
+    std::vector<VertexId> sources(offsets[n]);
+    for (auto [u, v] : edges_) {
+        sources[--bucket[v]] = u;
+        if (!directed_)
+            sources[--bucket[u]] = v;
+    }
+    release(edges_);
+
+    // Pass 2 walks the targets in increasing order and appends each
+    // to its sources' rows, so every row comes out sorted. It
+    // advances offsets[u] from the start of row u to its end.
+    adj.resize(offsets[n]);
+    for (VertexId v = 0; v < n; ++v) {
+        for (std::uint64_t i = bucket[v]; i < bucket[v + 1]; ++i)
+            adj[offsets[sources[i]]++] = v;
+    }
+    release(sources);
+    release(bucket);
+
+    // Deduplicate each sorted row in place, compacting the kept arcs
+    // towards the front; offsets[v] then becomes row v's start.
     std::uint64_t kept = 0;
     std::uint64_t row_begin = 0;
-    for (VertexId v = 0; v < numVertices_; ++v) {
+    for (VertexId v = 0; v < n; ++v) {
         VertexId *first = adj.data() + row_begin;
-        VertexId *last = adj.data() + offsets[v];
-        std::sort(first, last);
-        last = std::unique(first, last);
+        VertexId *last = std::unique(first, adj.data() + offsets[v]);
         if (kept != row_begin)
             std::copy(first, last, adj.data() + kept);
         row_begin = offsets[v];
         offsets[v] = kept;
         kept += static_cast<std::uint64_t>(last - first);
     }
-    offsets[numVertices_] = kept;
+    offsets[n] = kept;
     adj.resize(kept);
     adj.shrink_to_fit();
     graph.numEdges_ = directed_ ? kept : kept / 2;

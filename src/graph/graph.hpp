@@ -118,11 +118,21 @@ class Graph
     /**
      * Orient an undirected graph by a total vertex order: keep arc
      * u -> v iff rank[u] < rank[v]. Used with the degeneracy order to
-     * bound out-degrees by the degeneracy c (Section 7.1).
+     * bound out-degrees by the degeneracy c (Section 7.1). Each row
+     * is filtered in place of a rebuild, since rows are already
+     * sorted and duplicate-free; vertex labels carry over, edge
+     * labels do not.
      *
      * @param rank rank[v] is the position of v in the order.
      */
     Graph orientByRank(const std::vector<std::uint32_t> &rank) const;
+
+    /**
+     * Edge-set union with @p other, a graph on the same vertices and
+     * of the same directedness, merged one sorted row at a time.
+     * Labels do not carry over.
+     */
+    Graph unionWith(const Graph &other) const;
 
     /** Induced subgraph on @p vertices (ids are re-numbered densely). */
     Graph inducedSubgraph(const std::vector<VertexId> &vertices) const;
@@ -166,10 +176,14 @@ class GraphBuilder
     std::uint64_t pendingEdges() const { return edges_.size(); }
 
     /**
-     * Produce the CSR graph and empty the builder. A counting sort by
-     * source scatters the arcs into their rows, then each row is
-     * sorted and deduplicated in place: O(n + arcs) plus the row
-     * sorts.
+     * Produce the CSR graph and empty the builder, in O(n + arcs)
+     * with no comparison sort. Two counting-sort passes do the
+     * ordering: the first buckets each arc's source by its target
+     * (the transpose), the second walks the targets in increasing
+     * order and appends each to its sources' rows, so every row comes
+     * out sorted. Duplicates are then dropped in place. The queued
+     * edges are freed between the passes, so at most the queue and
+     * one arc-sized array are alive at once.
      */
     Graph build();
 

@@ -142,6 +142,96 @@ TEST(GraphBuilder, MatchesStdSetReference)
     }
 }
 
+/** Same shape, same CSR arrays, same vertex labels. */
+void
+expectSameGraph(const Graph &got, const Graph &want)
+{
+    ASSERT_EQ(got.numVertices(), want.numVertices());
+    EXPECT_EQ(got.directed(), want.directed());
+    ASSERT_EQ(got.numEdges(), want.numEdges());
+    const VertexId n = want.numVertices();
+    EXPECT_TRUE(std::equal(want.offsetsData(), want.offsetsData() + n + 1,
+                           got.offsetsData()));
+    EXPECT_TRUE(std::equal(want.adjData(),
+                           want.adjData() + want.offsetsData()[n],
+                           got.adjData()));
+    ASSERT_EQ(got.hasVertexLabels(), want.hasVertexLabels());
+    for (VertexId v = 0; want.hasVertexLabels() && v < n; ++v)
+        EXPECT_EQ(got.vertexLabel(v), want.vertexLabel(v));
+}
+
+TEST(Graph, OrientByRankMatchesBuilder)
+{
+    // Filtering rows directly must equal orienting through a builder,
+    // for permutation ranks and for ranks with ties (a tied edge
+    // keeps neither direction), with and without vertex labels.
+    sisa::support::Xoshiro256 rng(77);
+    for (std::uint32_t trial = 0; trial < 240; ++trial) {
+        const auto n = static_cast<VertexId>(2 + rng.nextBounded(39));
+        const std::uint64_t m = rng.nextBounded(
+            std::uint64_t{n} * (n - 1) / 2 + 1);
+        Graph g = erdosRenyi(n, m, trial);
+        if (trial % 4 == 0)
+            g.setVertexLabels(randomVertexLabels(n, 3, trial));
+
+        std::vector<std::uint32_t> rank(n);
+        if (trial % 2 == 0) {
+            std::iota(rank.begin(), rank.end(), 0);
+            for (VertexId i = n; i > 1; --i)
+                std::swap(rank[i - 1], rank[rng.nextBounded(i)]);
+        } else {
+            for (auto &r : rank)
+                r = static_cast<std::uint32_t>(rng.nextBounded(n / 2 + 1));
+        }
+
+        GraphBuilder b(n, /*directed=*/true);
+        for (VertexId u = 0; u < n; ++u) {
+            for (VertexId v : g.neighbors(u)) {
+                if (rank[u] < rank[v])
+                    b.addEdge(u, v);
+            }
+        }
+        Graph want = b.build();
+        if (g.hasVertexLabels())
+            want.setVertexLabels(randomVertexLabels(n, 3, trial));
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        expectSameGraph(g.orientByRank(rank), want);
+    }
+}
+
+TEST(Generators, PlantCliquesMatchesOneBuilder)
+{
+    // Merging the clique graph into the base row by row must equal
+    // adding every base edge and every clique edge to one builder.
+    // The clique edges are what plantCliques plants on an edgeless
+    // graph: the member draws depend on n and the seed only. Small n
+    // and many groups make cliques overlap base edges and each other.
+    sisa::support::Xoshiro256 rng(91);
+    for (std::uint32_t trial = 0; trial < 200; ++trial) {
+        const auto n = static_cast<VertexId>(6 + rng.nextBounded(35));
+        const std::uint64_t m = rng.nextBounded(
+            std::uint64_t{n} * (n - 1) / 2 + 1);
+        const Graph base = erdosRenyi(n, m, trial);
+        PlantedCliqueParams p;
+        p.count = static_cast<std::uint32_t>(rng.nextBounded(8));
+        p.minSize = 2 + static_cast<std::uint32_t>(rng.nextBounded(4));
+        p.maxSize = p.minSize + static_cast<std::uint32_t>(
+                                    rng.nextBounded(n - p.minSize + 1));
+        p.density = trial % 3 == 0 ? 0.6 : 1.0;
+
+        const Graph cliques = plantCliques(GraphBuilder(n).build(), p, trial);
+        GraphBuilder b(n);
+        for (const Graph *g : {&base, &cliques}) {
+            for (VertexId u = 0; u < n; ++u) {
+                for (VertexId v : g->neighbors(u))
+                    b.addEdge(u, v);
+            }
+        }
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        expectSameGraph(plantCliques(base, p, trial), b.build());
+    }
+}
+
 TEST(Graph, EdgeIndexFindsPosition)
 {
     const Graph g = triangleWithTail();
