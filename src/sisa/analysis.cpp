@@ -815,13 +815,13 @@ DependencyGraph::depth() const
 }
 
 std::vector<std::uint64_t>
-DependencyWindow::joinBatch(const Program &program,
+DependencyWindow::joinBatch(const BatchRequest &batch,
                             std::uint64_t issue) const
 {
-    std::vector<std::uint64_t> ready(program.size(), issue);
+    std::vector<std::uint64_t> ready(batch.size(), issue);
     if (defs_.empty())
         return ready;
-    const auto &ops = program.ops();
+    const auto &ops = batch.ops;
     for (std::size_t i = 0; i < ops.size(); ++i) {
         for (const SetId source : {ops[i].a, ops[i].b}) {
             if (source == invalid_set)

@@ -306,13 +306,13 @@ class DependencyGraph
  * window. Where DependencyGraph rebuilds the full def/use DAG of one
  * program, the window is INCREMENTAL: it carries the unretired defs
  * (SetId -> modeled completion time) and last modeled reads of every
- * in-flight dispatch, and each new batch -- lifted via
- * Program::fromBatch -- is joined against that state in O(ops)
+ * in-flight dispatch, and each new BatchRequest is joined against
+ * that state directly, reading only each op's operands, in O(ops)
  * instead of re-running the O(window) graph construction per
  * dispatch. Times are virtual cycles relative to the window's
  * opening (Scu::dispatchAsync defines the clock).
  *
- *  - joinBatch() answers the RAW question for a whole lifted batch:
+ *  - joinBatch() answers the RAW question for a whole batch:
  *    the earliest start of each op given its operands' pending defs.
  *  - defTime()/lastRead() answer the same for serial ops: readers
  *    stall to defTime, writers to max(defTime, lastRead) (WAR).
@@ -326,13 +326,13 @@ class DependencyWindow
 {
   public:
     /**
-     * Earliest virtual start time of each op of @p program given the
+     * Earliest virtual start time of each op of @p batch given the
      * pending defs: max(@p issue, defTime(op.a), defTime(op.b)).
      * Pure -- the caller records the resulting reads/defs once lane
      * assignment fixes the ops' actual end times.
      */
     std::vector<std::uint64_t>
-    joinBatch(const Program &program, std::uint64_t issue) const;
+    joinBatch(const BatchRequest &batch, std::uint64_t issue) const;
 
     /** Record that @p id's pending def completes at @p completion. */
     void noteDef(SetId id, std::uint64_t completion);

@@ -70,7 +70,7 @@ enum class BatchOpKind : std::uint8_t
  * still executes functionally, adopts result ids, records its trace,
  * and bumps its counters in program order at dispatch time, and the
  * window's scoreboard (analysis::DependencyWindow) joins each new
- * batch's lifted Program against the unretired defs so that
+ * batch's operands against the unretired defs so that
  *
  *  - RAW: an op reading a pending result cannot start before the
  *    producing batch's modeled completion;

@@ -1653,7 +1653,7 @@ Scu::dispatch(sim::SimContext &ctx, sim::ThreadId tid,
     const mem::Cycles issue = windowed ? nowV() : 0;
     std::vector<std::uint64_t> ready;
     if (windowed)
-        ready = deps_.joinBatch(analysis::Program::fromBatch(batch), issue);
+        ready = deps_.joinBatch(batch, issue);
     mem::Cycles batch_end =
         layLanes(batch, 0, issue, windowed ? &ready : nullptr, dispatch_idx);
     if (!failedVaults_.empty())

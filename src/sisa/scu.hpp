@@ -255,7 +255,7 @@ class Scu
      * an in-flight window instead of stalling the issuing thread.
      * Per-vault virtual lane clocks carry load across the window's
      * batches; the scoreboard (analysis::DependencyWindow) joins the
-     * new batch's lifted Program against the unretired defs, so an op
+     * new batch's operands against the unretired defs, so an op
      * reading a pending result starts at that result's modeled
      * completion while independent ops start on idle lanes
      * immediately. The issuing thread is charged only when it truly
