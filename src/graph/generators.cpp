@@ -97,7 +97,10 @@ distinctEdgeGraph(VertexId n, std::uint64_t m, std::uint64_t attempt_limit,
     if (m > max_edges)
         sisa_fatal("m=", m, " distinct edges exceeds n(n-1)/2=", max_edges);
     constexpr std::uint64_t depth = 16;
+    // Sized up front, so the queue never grows by copying itself
+    // beside the key table.
     GraphBuilder builder(n);
+    builder.reserve(m);
     {
         std::vector<std::uint64_t> seen(
             std::bit_ceil(std::max<std::uint64_t>(2 * m, 2)));

@@ -172,6 +172,9 @@ class GraphBuilder
     /** Queue one edge/arc; out-of-range endpoints are a fatal error. */
     void addEdge(VertexId u, VertexId v);
 
+    /** Make room for @p edges queued edges, for callers that know. */
+    void reserve(std::uint64_t edges) { edges_.reserve(edges); }
+
     /** Number of edges queued so far (before dedup). */
     std::uint64_t pendingEdges() const { return edges_.size(); }
 
