@@ -96,7 +96,6 @@ distinctEdgeGraph(VertexId n, std::uint64_t m, std::uint64_t attempt_limit,
         static_cast<std::uint64_t>(n) * (n - 1) / 2;
     if (m > max_edges)
         sisa_fatal("m=", m, " distinct edges exceeds n(n-1)/2=", max_edges);
-    constexpr std::uint64_t depth = 16;
     // Sized up front, so the queue never grows by copying itself
     // beside the key table.
     GraphBuilder builder(n);
@@ -105,6 +104,7 @@ distinctEdgeGraph(VertexId n, std::uint64_t m, std::uint64_t attempt_limit,
         std::vector<std::uint64_t> seen(
             std::bit_ceil(std::max<std::uint64_t>(2 * m, 2)));
         const int shift = 64 - std::countr_zero(seen.size());
+        constexpr std::uint64_t depth = 16; // Attempts per batch.
         std::array<std::uint64_t, depth> keys{};
         std::array<std::size_t, depth> slots{};
         std::uint64_t count = 0;

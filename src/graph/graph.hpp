@@ -118,10 +118,10 @@ class Graph
     /**
      * Orient an undirected graph by a total vertex order: keep arc
      * u -> v iff rank[u] < rank[v]. Used with the degeneracy order to
-     * bound out-degrees by the degeneracy c (Section 7.1). Each row
-     * is filtered in place of a rebuild, since rows are already
-     * sorted and duplicate-free; vertex labels carry over, edge
-     * labels do not.
+     * bound out-degrees by the degeneracy c (Section 7.1). Rows are
+     * already sorted and duplicate-free, so each oriented row is its
+     * row filtered in order, with no rebuild. Vertex labels carry
+     * over, edge labels do not.
      *
      * @param rank rank[v] is the position of v in the order.
      */
