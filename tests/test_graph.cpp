@@ -513,8 +513,9 @@ TEST(Generators, OutputDigestsPinned)
     // 1700 of the 1770 possible edges: the top-up loop does the work.
     EXPECT_EQ(pinOf(erdosRenyi(60, 1700, 9)),
               (GraphPin{60, 1700, 0x58c5084077739d66ULL}));
-    // The other exit: two hubs at 0.9 n soak up the draws, and the
-    // 30m + 1000 budget runs out 103 edges short of m = 1760.
+    // The other exit: the heavy tail spends most draws on pairs of
+    // low ids already seen, and the 30m + 1000 budget runs out 103
+    // edges short of m = 1760.
     ChungLuParams dense;
     dense.n = 60;
     dense.m = 1760;
