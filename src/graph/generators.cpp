@@ -6,6 +6,10 @@
 #include <cmath>
 #include <utility>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "support/logging.hpp"
 #include "support/rng.hpp"
 
@@ -96,13 +100,26 @@ distinctEdgeGraph(VertexId n, std::uint64_t m, std::uint64_t attempt_limit,
         static_cast<std::uint64_t>(n) * (n - 1) / 2;
     if (m > max_edges)
         sisa_fatal("m=", m, " distinct edges exceeds n(n-1)/2=", max_edges);
+    const std::uint64_t table_size =
+        std::bit_ceil(std::max<std::uint64_t>(2 * m, 2));
+    // Before a large table, return the heap's free pages to the
+    // system. Free heap memory stays resident, and the allocator does
+    // not always place the arrays below in it, so what earlier graphs
+    // and runs left free added to the peak: a process's peak RSS grew
+    // with each regeneration (tc-hub recipe, 32 MiB table: 45, 66, 76,
+    // 85 MB over four; with the trim 45, 55, 55, 55 MB). Below 16 MiB
+    // the pages cost more to fault back in than the peak they save
+    // (mc-bk recipe, 2 MiB table: +2 ms per graph, same peak).
+#if defined(__GLIBC__)
+    if (table_size * sizeof(std::uint64_t) >= (std::uint64_t{16} << 20))
+        malloc_trim(0);
+#endif
     // Sized up front, so the queue never grows by copying itself
     // beside the key table.
     GraphBuilder builder(n);
     builder.reserve(m);
     {
-        std::vector<std::uint64_t> seen(
-            std::bit_ceil(std::max<std::uint64_t>(2 * m, 2)));
+        std::vector<std::uint64_t> seen(table_size);
         const int shift = 64 - std::countr_zero(seen.size());
         constexpr std::uint64_t depth = 16; // Attempts per batch.
         std::array<std::uint64_t, depth> keys{};
