@@ -43,9 +43,7 @@ main(int argc, char **argv)
         for (const auto &spec : graph::fig6Suite()) {
             const graph::Graph g = graph::makeDataset(spec);
             RunConfig config;
-            config.cutoff = defaultCutoff(problem);
-            if (problem == "si-4s-L")
-                config.labels = 3; // 3 random labels (Section 9.1).
+            config.cutoff = soloProblem(problem).defaultCutoff();
 
             const RunOutcome base =
                 runProblem(problem, g, Mode::NonSet, config);

@@ -36,7 +36,7 @@ main()
             support::TextTable::formatDouble(t, 1)};
         for (const double threshold : {5.0, 100.0, 10000.0}) {
             RunConfig config;
-            config.cutoff = defaultCutoff("kcc-4");
+            config.cutoff = soloProblem("kcc-4").defaultCutoff();
             config.policy.t = t;
             config.policy.storageBudget = -1.0; // Sweep the full axis.
             config.scu.gallopThreshold = threshold;

@@ -42,7 +42,7 @@ main()
         for (auto &[name, g] : graphs) {
             RunConfig config;
             config.threads = 8;
-            config.cutoff = defaultCutoff(problem) / 2;
+            config.cutoff = soloProblem(problem).defaultCutoff() / 2;
 
             const auto base =
                 runProblem(problem, g, Mode::NonSet, config);

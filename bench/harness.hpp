@@ -21,12 +21,7 @@
 #include <optional>
 #include <string>
 
-#include "algorithms/bron_kerbosch.hpp"
-#include "algorithms/clustering.hpp"
-#include "algorithms/kclique.hpp"
-#include "algorithms/kclique_star.hpp"
-#include "algorithms/subgraph_iso.hpp"
-#include "algorithms/triangle_count.hpp"
+#include "algorithms/problem.hpp"
 #include "baselines/bk_baseline.hpp"
 #include "baselines/clustering_baseline.hpp"
 #include "baselines/csr_view.hpp"
@@ -36,7 +31,6 @@
 #include "core/cpu_set_engine.hpp"
 #include "core/sisa_engine.hpp"
 #include "graph/degeneracy.hpp"
-#include "graph/generators.hpp"
 #include "support/logging.hpp"
 
 namespace sisa::bench {
@@ -65,7 +59,6 @@ struct RunConfig
     sets::ReprPolicy policy{};
     isa::ScuConfig scu{};
     sim::CpuParams cpu{};
-    std::uint32_t labels = 0; ///< >0: attach random vertex labels.
     bool traceSetSizes = false;
     /**
      * Vault placement for Sisa mode: "hash" (default) or "locality"
@@ -91,21 +84,6 @@ struct RunConfig
     isa::InstructionTrace *trace = nullptr;
 };
 
-/** Build the named placement policy over @p sg's traffic arcs. */
-inline std::shared_ptr<isa::PlacementPolicy>
-makePlacement(const std::string &name, std::uint32_t vaults,
-              const core::SetGraph &sg)
-{
-    const std::optional<isa::PlacementKind> kind =
-        isa::parsePlacement(name);
-    if (!kind) {
-        sisa_fatal("unknown placement policy '", name, "' (",
-                   isa::placementNames(), ")");
-    }
-    return isa::makePlacement(*kind, vaults,
-                              [&] { return core::placementArcs(sg); });
-}
-
 /** Outcome of one run. */
 struct RunOutcome
 {
@@ -115,37 +93,70 @@ struct RunOutcome
     std::unique_ptr<sim::SimContext> ctx; ///< Full stats.
 };
 
-/** The problems runProblem accepts, as listed in error messages. */
-inline constexpr const char *valid_problems =
-    "tc | kcc-3..6 | ksc-3..6 | mc | si-4s | si-4s-L | cl-jac | "
-    "cl-ovr | cl-tot";
-
-/** Is @p problem one runProblem can run (see valid_problems)? */
-inline bool
-validProblem(const std::string &problem)
+/** The solo problem named @p name; any other name is fatal. */
+inline algorithms::Problem
+soloProblem(const std::string &name)
 {
-    if (problem == "tc" || problem == "mc" || problem == "si-4s" ||
-        problem == "si-4s-L" || problem == "cl-jac" ||
-        problem == "cl-ovr" || problem == "cl-tot")
-        return true;
-    return problem.size() == 5 &&
-           (problem.rfind("kcc-", 0) == 0 ||
-            problem.rfind("ksc-", 0) == 0) &&
-           problem[4] >= '3' && problem[4] <= '6';
+    using algorithms::EntryPoint;
+    const std::optional<algorithms::Problem> problem =
+        algorithms::Problem::parse(name, EntryPoint::Solo);
+    if (!problem) {
+        sisa_fatal("unknown problem '", name, "' (",
+                   algorithms::Problem::list(EntryPoint::Solo), ")");
+    }
+    return *problem;
+}
+
+/** Run @p problem's hand-tuned non-set baseline on @p g. */
+inline std::uint64_t
+runBaseline(const algorithms::Problem &problem, const Graph &g,
+            sim::CpuModel &cpu, sim::SimContext &ctx)
+{
+    using Kind = algorithms::Problem::Kind;
+    Graph oriented;
+    if (problem.oriented())
+        oriented = g.orientByRank(graph::exactDegeneracyOrder(g).rank);
+    baselines::CsrView view(problem.oriented() ? oriented : g, cpu);
+    switch (problem.kind) {
+      case Kind::Tc:
+        return baselines::triangleCountBaseline(view, ctx);
+      case Kind::KClique:
+        return baselines::kCliqueCountBaseline(view, ctx, problem.k);
+      case Kind::KCliqueStar: {
+        baselines::CsrView undirected(g, cpu);
+        return baselines::kCliqueStarBaseline(view, undirected, ctx,
+                                              problem.k);
+      }
+      case Kind::Mc:
+        return baselines::maximalCliquesBaseline(view, ctx).cliqueCount;
+      case Kind::Si:
+        return baselines::subgraphIsoBaseline(view, ctx,
+                                              problem.pattern());
+      case Kind::Clustering: {
+        using Coefficient = baselines::ClusterCoefficient;
+        using Measure = algorithms::SimilarityMeasure;
+        const Coefficient coefficient =
+            problem.measure == Measure::Jaccard   ? Coefficient::Jaccard
+            : problem.measure == Measure::Overlap ? Coefficient::Overlap
+                                : Coefficient::TotalNeighbors;
+        return baselines::jarvisPatrickBaseline(view, ctx, coefficient,
+                                                problem.threshold());
+      }
+      case Kind::Lp:
+        break;
+    }
+    sisa_fatal("runBaseline: lp has no non-set baseline");
 }
 
 /**
- * Run @p problem on @p graph under @p mode. Problems: tc, kcc-3..6,
- * ksc-3..6, mc, si-4s, si-4s-L, cl-jac, cl-ovr, cl-tot; any other
- * name is fatal.
+ * Run the solo problem named @p name (see algorithms/problem.hpp) on
+ * @p graph under @p mode; any other name is fatal.
  */
 inline RunOutcome
-runProblem(const std::string &problem, const Graph &graph, Mode mode,
+runProblem(const std::string &name, const Graph &graph, Mode mode,
            const RunConfig &config)
 {
-    if (!validProblem(problem))
-        sisa_fatal("unknown problem '", problem, "' (", valid_problems,
-                   ")");
+    const algorithms::Problem problem = soloProblem(name);
     RunOutcome outcome;
     outcome.ctx =
         std::make_unique<sim::SimContext>(config.threads);
@@ -154,65 +165,18 @@ runProblem(const std::string &problem, const Graph &graph, Mode mode,
     if (config.traceSetSizes)
         ctx.enableSetSizeTrace(5);
 
-    Graph labeled;
-    const Graph *g = &graph;
-    if (config.labels > 0) {
-        labeled = graph;
-        labeled.setVertexLabels(graph::randomVertexLabels(
-            graph.numVertices(), config.labels, 7));
-        g = &labeled;
+    // A labelled problem (si-4s-L) runs on a labelled copy.
+    Graph labelled;
+    if (problem.labelled) {
+        labelled = graph;
+        labelled.setVertexLabels(
+            problem.vertexLabels(graph.numVertices()));
     }
-
-    const bool needs_orientation =
-        problem == "tc" || problem.rfind("kcc-", 0) == 0 ||
-        problem.rfind("ksc-", 0) == 0;
+    const Graph &g = problem.labelled ? labelled : graph;
 
     if (mode == Mode::NonSet) {
         sim::CpuModel cpu(config.cpu, config.threads);
-        if (needs_orientation) {
-            const auto deg = graph::exactDegeneracyOrder(*g);
-            const Graph oriented = g->orientByRank(deg.rank);
-            baselines::CsrView view(oriented, cpu);
-            if (problem == "tc") {
-                outcome.value =
-                    baselines::triangleCountBaseline(view, ctx);
-            } else if (problem.rfind("kcc-", 0) == 0) {
-                outcome.value = baselines::kCliqueCountBaseline(
-                    view, ctx,
-                    static_cast<std::uint32_t>(
-                        std::stoul(problem.substr(4))));
-            } else {
-                baselines::CsrView undirected(*g, cpu);
-                outcome.value = baselines::kCliqueStarBaseline(
-                    view, undirected, ctx,
-                    static_cast<std::uint32_t>(
-                        std::stoul(problem.substr(4))));
-            }
-        } else {
-            baselines::CsrView view(*g, cpu);
-            if (problem == "mc") {
-                outcome.value =
-                    baselines::maximalCliquesBaseline(view, ctx)
-                        .cliqueCount;
-            } else if (problem == "si-4s" || problem == "si-4s-L") {
-                const Graph pattern =
-                    problem == "si-4s-L"
-                        ? algorithms::labeledStarPattern(3, 3)
-                        : algorithms::starPattern(3);
-                outcome.value =
-                    baselines::subgraphIsoBaseline(view, ctx, pattern);
-            } else if (problem.rfind("cl-", 0) == 0) {
-                const auto coeff =
-                    problem == "cl-jac"
-                        ? baselines::ClusterCoefficient::Jaccard
-                        : (problem == "cl-ovr"
-                               ? baselines::ClusterCoefficient::Overlap
-                               : baselines::ClusterCoefficient::
-                                     TotalNeighbors);
-                outcome.value = baselines::jarvisPatrickBaseline(
-                    view, ctx, coeff, problem == "cl-tot" ? 2.0 : 0.05);
-            }
-        }
+        outcome.value = runBaseline(problem, g, cpu, ctx);
     } else {
         std::unique_ptr<core::SetEngine> engine;
         core::SisaEngine *sisa_engine = nullptr;
@@ -228,95 +192,35 @@ runProblem(const std::string &problem, const Graph &graph, Mode mode,
                 scu_cfg.routing = *routing;
             }
             auto sisa = std::make_unique<core::SisaEngine>(
-                g->numVertices(), scu_cfg, config.threads);
+                g.numVertices(), scu_cfg, config.threads);
             sisa_engine = sisa.get();
             if (config.trace)
                 sisa_engine->scu().setTrace(config.trace);
             engine = std::move(sisa);
         } else {
             engine = std::make_unique<core::CpuSetEngine>(
-                g->numVertices(), config.cpu, config.threads);
+                g.numVertices(), config.cpu, config.threads);
         }
-        // Placement can only be seeded once the neighborhood sets
-        // exist, so it installs right after SetGraph construction.
-        const auto installPlacement = [&](const core::SetGraph &sg) {
-            if (sisa_engine && !config.placement.empty()) {
-                sisa_engine->scu().setPlacement(makePlacement(
-                    config.placement, config.scu.pim.vaults, sg));
-            }
-        };
-        if (needs_orientation) {
-            algorithms::OrientedSetGraph osg(*g, *engine,
-                                             config.policy);
-            installPlacement(*osg.sets);
-            if (problem == "tc") {
-                outcome.value = algorithms::triangleCount(osg, ctx);
-            } else if (problem.rfind("kcc-", 0) == 0) {
-                outcome.value = algorithms::kCliqueCount(
-                    osg, ctx,
-                    static_cast<std::uint32_t>(
-                        std::stoul(problem.substr(4))));
-            } else {
-                outcome.value =
-                    algorithms::kCliqueStarsJabbour(
-                        osg, ctx,
-                        static_cast<std::uint32_t>(
-                            std::stoul(problem.substr(4))))
-                        .starCount;
-            }
-        } else {
-            core::SetGraph sg(*g, *engine, config.policy);
-            installPlacement(sg);
-            if (problem == "mc") {
-                outcome.value =
-                    algorithms::maximalCliques(sg, ctx).cliqueCount;
-            } else if (problem == "si-4s" || problem == "si-4s-L") {
-                const Graph pattern =
-                    problem == "si-4s-L"
-                        ? algorithms::labeledStarPattern(3, 3)
-                        : algorithms::starPattern(3);
-                outcome.value =
-                    algorithms::subgraphIsomorphism(sg, ctx, pattern)
-                        .matches;
-            } else if (problem.rfind("cl-", 0) == 0) {
-                const auto measure =
-                    problem == "cl-jac"
-                        ? algorithms::SimilarityMeasure::Jaccard
-                        : (problem == "cl-ovr"
-                               ? algorithms::SimilarityMeasure::Overlap
-                               : algorithms::SimilarityMeasure::
-                                     TotalNeighbors);
-                outcome.value =
-                    algorithms::jarvisPatrick(
-                        sg, ctx, measure,
-                        problem == "cl-tot" ? 2.0 : 0.05)
-                        .clusterEdges;
-            }
+        std::optional<algorithms::OrientedSetGraph> osg;
+        std::optional<core::SetGraph> sg;
+        if (problem.oriented())
+            osg.emplace(g, *engine, config.policy);
+        else
+            sg.emplace(g, *engine, config.policy);
+        // Placement is seeded from the neighborhood sets, so it
+        // installs once they exist.
+        if (sisa_engine && !config.placement.empty()) {
+            sisa_engine->scu().setPlacement(
+                core::makePlacement(config.placement, config.scu.pim.vaults,
+                                    osg ? *osg->sets : *sg));
         }
+        outcome.value = algorithms::runOnSets(
+            problem, {osg ? &*osg : nullptr, sg ? &*sg : nullptr}, ctx);
     }
 
     outcome.cycles = ctx.makespan();
     outcome.patterns = ctx.totalPatterns();
     return outcome;
-}
-
-/** Per-problem default pattern cutoffs keeping simulations tractable. */
-inline std::uint64_t
-defaultCutoff(const std::string &problem)
-{
-    if (problem == "tc")
-        return 2000;
-    if (problem.rfind("kcc-", 0) == 0)
-        return 300;
-    if (problem.rfind("ksc-", 0) == 0)
-        return 60;
-    if (problem == "mc")
-        return 60;
-    if (problem.rfind("si-", 0) == 0)
-        return 150;
-    if (problem.rfind("cl-", 0) == 0)
-        return 1500;
-    return 200;
 }
 
 } // namespace sisa::bench

@@ -155,25 +155,4 @@ maximalCliques(SetGraph &sg, sim::SimContext &ctx,
                           ctx, on_clique);
 }
 
-MaximalCliqueResult
-maximalCliques(SetGraph &sg, const graph::DegeneracyResult &deg,
-               QuerySession &session,
-               const std::function<void(const std::vector<VertexId> &)>
-                   &on_clique)
-{
-    sisa_assert(&sg.engine() == &session.engine(),
-                "maximalCliques: session is bound to a different "
-                "engine than the graph's");
-    return maximalCliques(sg, deg, session.ctx(), on_clique);
-}
-
-MaximalCliqueResult
-maximalCliques(SetGraph &sg, QuerySession &session,
-               const std::function<void(const std::vector<VertexId> &)>
-                   &on_clique)
-{
-    return maximalCliques(sg, graph::exactDegeneracyOrder(sg.graph()),
-                          session, on_clique);
-}
-
 } // namespace sisa::algorithms

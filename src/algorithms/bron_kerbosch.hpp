@@ -47,19 +47,6 @@ MaximalCliqueResult maximalCliques(
     const std::function<void(const std::vector<VertexId> &)> &on_clique =
         nullptr);
 
-/** Serving form: run as @p session's query (see triangle_count.hpp). */
-MaximalCliqueResult maximalCliques(
-    SetGraph &sg, const graph::DegeneracyResult &deg,
-    QuerySession &session,
-    const std::function<void(const std::vector<VertexId> &)> &on_clique =
-        nullptr);
-
-/** Serving form computing the degeneracy order first. */
-MaximalCliqueResult maximalCliques(
-    SetGraph &sg, QuerySession &session,
-    const std::function<void(const std::vector<VertexId> &)> &on_clique =
-        nullptr);
-
 } // namespace sisa::algorithms
 
 #endif // SISA_ALGORITHMS_BRON_KERBOSCH_HPP

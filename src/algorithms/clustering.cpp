@@ -122,14 +122,4 @@ jarvisPatrick(SetGraph &sg, sim::SimContext &ctx,
     return result;
 }
 
-ClusteringResult
-jarvisPatrick(SetGraph &sg, QuerySession &session,
-              SimilarityMeasure measure, double tau)
-{
-    sisa_assert(&sg.engine() == &session.engine(),
-                "jarvisPatrick: session is bound to a different "
-                "engine than the graph's");
-    return jarvisPatrick(sg, session.ctx(), measure, tau);
-}
-
 } // namespace sisa::algorithms

@@ -37,10 +37,6 @@ struct ClusteringResult
 ClusteringResult jarvisPatrick(SetGraph &sg, sim::SimContext &ctx,
                                SimilarityMeasure measure, double tau);
 
-/** Serving form: run as @p session's query (see triangle_count.hpp). */
-ClusteringResult jarvisPatrick(SetGraph &sg, QuerySession &session,
-                               SimilarityMeasure measure, double tau);
-
 } // namespace sisa::algorithms
 
 #endif // SISA_ALGORITHMS_CLUSTERING_HPP

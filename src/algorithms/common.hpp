@@ -14,7 +14,6 @@
 #include <memory>
 #include <utility>
 
-#include "core/query_session.hpp"
 #include "core/set_engine.hpp"
 #include "core/set_graph.hpp"
 #include "graph/degeneracy.hpp"
@@ -23,7 +22,6 @@
 
 namespace sisa::algorithms {
 
-using core::QuerySession;
 using core::SetEngine;
 using core::SetGraph;
 using graph::Graph;

@@ -121,16 +121,6 @@ kCliqueCount(OrientedSetGraph &osg, sim::SimContext &ctx, std::uint32_t k,
 }
 
 std::uint64_t
-kCliqueCount(OrientedSetGraph &osg, QuerySession &session,
-             std::uint32_t k, core::SisaOp variant)
-{
-    sisa_assert(&osg.sets->engine() == &session.engine(),
-                "kCliqueCount: session is bound to a different "
-                "engine than the graph's");
-    return kCliqueCount(osg, session.ctx(), k, variant);
-}
-
-std::uint64_t
 kCliqueList(OrientedSetGraph &osg, sim::SimContext &ctx, std::uint32_t k,
             const CliqueCallback &on_clique)
 {

@@ -28,12 +28,6 @@ std::uint64_t kCliqueCount(OrientedSetGraph &osg, sim::SimContext &ctx,
                            core::SisaOp variant =
                                core::SisaOp::IntersectAuto);
 
-/** Serving form: run as @p session's query (see triangle_count.hpp). */
-std::uint64_t kCliqueCount(OrientedSetGraph &osg, QuerySession &session,
-                           std::uint32_t k,
-                           core::SisaOp variant =
-                               core::SisaOp::IntersectAuto);
-
 /**
  * List k-cliques, invoking @p on_clique with each clique's vertices
  * (in degeneracy-orientation order). Used by k-clique-star listing.

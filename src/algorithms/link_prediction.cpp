@@ -160,13 +160,4 @@ linkPredictionTest(SetEngine &engine, const Graph &graph,
     return result;
 }
 
-LinkPredictionResult
-linkPredictionTest(QuerySession &session, const Graph &graph,
-                   SimilarityMeasure measure, double remove_ratio,
-                   std::uint64_t seed)
-{
-    return linkPredictionTest(session.engine(), graph, session.ctx(),
-                              measure, remove_ratio, seed);
-}
-
 } // namespace sisa::algorithms

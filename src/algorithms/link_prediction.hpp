@@ -53,16 +53,6 @@ LinkPredictionResult linkPredictionTest(SetEngine &engine,
                                         double remove_ratio,
                                         std::uint64_t seed);
 
-/**
- * Serving form: evaluates the session's bound engine as the query's
- * own (see triangle_count.hpp for the session contract).
- */
-LinkPredictionResult linkPredictionTest(QuerySession &session,
-                                        const Graph &graph,
-                                        SimilarityMeasure measure,
-                                        double remove_ratio,
-                                        std::uint64_t seed);
-
 } // namespace sisa::algorithms
 
 #endif // SISA_ALGORITHMS_LINK_PREDICTION_HPP

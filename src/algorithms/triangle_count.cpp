@@ -51,16 +51,6 @@ triangleCount(OrientedSetGraph &osg, sim::SimContext &ctx,
 }
 
 std::uint64_t
-triangleCount(OrientedSetGraph &osg, QuerySession &session,
-              core::SisaOp variant)
-{
-    sisa_assert(&osg.sets->engine() == &session.engine(),
-                "triangleCount: session is bound to a different "
-                "engine than the graph's");
-    return triangleCount(osg, session.ctx(), variant);
-}
-
-std::uint64_t
 triangleCountNodeIterator(SetGraph &sg, sim::SimContext &ctx)
 {
     SetEngine &eng = sg.engine();

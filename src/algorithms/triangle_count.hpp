@@ -28,17 +28,6 @@ std::uint64_t triangleCount(OrientedSetGraph &osg, sim::SimContext &ctx,
                                 core::SisaOp::IntersectAuto);
 
 /**
- * Serving form: run the count as @p session's query -- charges land
- * on the session's context (and so its per-query account), and the
- * bound engine's dispatches gate through the session's scheduler.
- * Results are bit-identical to the solo form.
- */
-std::uint64_t triangleCount(OrientedSetGraph &osg,
-                            QuerySession &session,
-                            core::SisaOp variant =
-                                core::SisaOp::IntersectAuto);
-
-/**
  * The undirected node-iterator of Algorithm 1 (each triangle counted
  * six times and divided out) -- kept as the paper's literal listing;
  * used by tests to cross-validate the oriented version.

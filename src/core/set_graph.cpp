@@ -1,5 +1,7 @@
 #include "core/set_graph.hpp"
 
+#include <optional>
+
 #include "support/logging.hpp"
 
 namespace sisa::core {
@@ -53,6 +55,22 @@ placementArcs(const SetGraph &sg)
             arcs.push_back({sg.neighborhood(w), sg.neighborhood(v), 1});
     }
     return arcs;
+}
+
+std::shared_ptr<const isa::PlacementPolicy>
+makePlacement(std::string_view name, std::uint32_t vaults,
+              const SetGraph &sg)
+{
+    const std::optional<isa::PlacementKind> kind =
+        isa::parsePlacement(name);
+    if (!kind) {
+        sisa_fatal("unknown placement policy '", name, "' (",
+                   isa::placementNames(), ")");
+    }
+    if (*kind == isa::PlacementKind::Hash)
+        return nullptr;
+    return isa::makePlacement(*kind, vaults,
+                              [&] { return placementArcs(sg); });
 }
 
 } // namespace sisa::core

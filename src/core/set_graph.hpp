@@ -12,6 +12,8 @@
 #define SISA_CORE_SET_GRAPH_HPP
 
 #include <cstdint>
+#include <memory>
+#include <string_view>
 #include <vector>
 
 #include "core/set_engine.hpp"
@@ -80,6 +82,15 @@ class SetGraph
  * neighborhood sets.
  */
 std::vector<isa::TrafficArc> placementArcs(const SetGraph &sg);
+
+/**
+ * The placement policy named @p name (isa::parsePlacement) over
+ * @p vaults, seeded from @p sg's traffic arcs. nullptr for hash, the
+ * SCU's default placement; any other name is fatal.
+ */
+std::shared_ptr<const isa::PlacementPolicy>
+makePlacement(std::string_view name, std::uint32_t vaults,
+              const SetGraph &sg);
 
 } // namespace sisa::core
 

@@ -8,14 +8,10 @@
 #include <thread>
 #include <utility>
 
-#include "algorithms/bron_kerbosch.hpp"
-#include "algorithms/clustering.hpp"
-#include "algorithms/kclique.hpp"
 #include "algorithms/link_prediction.hpp"
-#include "algorithms/triangle_count.hpp"
+#include "algorithms/problem.hpp"
 #include "core/query_session.hpp"
 #include "core/sisa_engine.hpp"
-#include "sisa/placement.hpp"
 #include "support/logging.hpp"
 #include "support/rng.hpp"
 
@@ -23,43 +19,8 @@ namespace sisa::serve {
 
 namespace {
 
-/** A QuerySpec::problem, parsed once per serveMixedWorkload call. */
-struct Problem
-{
-    enum class Kind : std::uint8_t { Tc, KClique, Mc, Clustering, Lp };
-
-    Kind kind = Kind::Lp;
-    std::uint32_t k = 0; ///< Clique size (KClique only).
-    algorithms::SimilarityMeasure measure{}; ///< Clustering only.
-
-    /** Runs on the degeneracy-oriented graph (tc, kcc-*). */
-    bool oriented() const { return kind == Kind::Tc || kind == Kind::KClique; }
-};
-
-std::optional<Problem>
-parseProblem(const std::string &name)
-{
-    using Kind = Problem::Kind;
-    using algorithms::SimilarityMeasure;
-    if (name == "tc")
-        return Problem{Kind::Tc};
-    if (name == "mc")
-        return Problem{Kind::Mc};
-    if (name == "lp")
-        return Problem{Kind::Lp};
-    if (name == "cl-jac")
-        return Problem{Kind::Clustering, 0, SimilarityMeasure::Jaccard};
-    if (name == "cl-ovr")
-        return Problem{Kind::Clustering, 0, SimilarityMeasure::Overlap};
-    if (name == "cl-tot")
-        return Problem{Kind::Clustering, 0,
-                       SimilarityMeasure::TotalNeighbors};
-    if (name.size() == 5 && name.rfind("kcc-", 0) == 0 &&
-        name[4] >= '3' && name[4] <= '6')
-        return Problem{Kind::KClique,
-                       static_cast<std::uint32_t>(name[4] - '0')};
-    return std::nullopt;
-}
+using algorithms::EntryPoint;
+using algorithms::Problem;
 
 /**
  * One set graph of a call -- the oriented one (tc, kcc-*) or the
@@ -94,84 +55,38 @@ struct Tenant
     std::exception_ptr error;
 };
 
-/** The named placement policy over @p sg's traffic arcs. */
-std::shared_ptr<const isa::PlacementPolicy>
-buildPlacement(const std::string &name, std::uint32_t vaults,
-               const core::SetGraph &sg)
-{
-    const std::optional<isa::PlacementKind> kind =
-        isa::parsePlacement(name);
-    if (!kind) {
-        sisa_fatal("unknown placement policy '", name, "' (",
-                   isa::placementNames(), ")");
-    }
-    if (*kind == isa::PlacementKind::Hash)
-        return nullptr; // Hash is the SCU's default placement.
-    return isa::makePlacement(*kind, vaults,
-                              [&] { return core::placementArcs(sg); });
-}
-
 std::uint64_t
 runQuery(Tenant &tenant, const Problem &problem,
          const algorithms::DegeneracyOrientation &prep,
          const graph::Graph &graph)
 {
     core::QuerySession &session = *tenant.session;
-    switch (problem.kind) {
-    case Problem::Kind::Tc:
-        return algorithms::triangleCount(*tenant.osg, session);
-    case Problem::Kind::KClique:
-        return algorithms::kCliqueCount(*tenant.osg, session, problem.k);
-    case Problem::Kind::Mc:
-        return algorithms::maximalCliques(*tenant.sg, *prep.degeneracy,
-                                          session)
-            .cliqueCount;
-    case Problem::Kind::Clustering:
-        return algorithms::jarvisPatrick(
-                   *tenant.sg, session, problem.measure,
-                   problem.measure ==
-                           algorithms::SimilarityMeasure::TotalNeighbors
-                       ? 2.0
-                       : 0.05)
-            .clusterEdges;
-    case Problem::Kind::Lp:
-        break;
+    if (problem.kind == Problem::Kind::Lp) {
+        // lp: the query owns all its sets; only the graph is shared.
+        return algorithms::linkPredictionTest(
+                   session.engine(), graph, session.ctx(),
+                   algorithms::SimilarityMeasure::CommonNeighbors, 0.1,
+                   /*seed=*/7)
+            .correct;
     }
-    // lp: the query owns all its sets; only the graph is shared.
-    return algorithms::linkPredictionTest(
-               session, graph,
-               algorithms::SimilarityMeasure::CommonNeighbors, 0.1,
-               /*seed=*/7)
-        .correct;
+    core::SetGraph &sets = tenant.osg ? *tenant.osg->sets : *tenant.sg;
+    sisa_assert(&sets.engine() == &session.engine(),
+                "runQuery: session is bound to a different engine "
+                "than the graph's");
+    return algorithms::runOnSets(
+        problem,
+        {tenant.osg.get(), tenant.sg.get(), prep.degeneracy.get()},
+        session.ctx());
 }
 
 } // namespace
 
-bool
-validServeProblem(const std::string &problem)
-{
-    return parseProblem(problem).has_value();
-}
-
 std::uint64_t
 serveDefaultCutoff(const std::string &problem)
 {
-    const std::optional<Problem> parsed = parseProblem(problem);
-    if (!parsed)
-        return 0;
-    switch (parsed->kind) {
-    case Problem::Kind::Tc:
-        return 2000;
-    case Problem::Kind::KClique:
-        return 300;
-    case Problem::Kind::Mc:
-        return 60;
-    case Problem::Kind::Clustering:
-        return 1500;
-    case Problem::Kind::Lp:
-        break;
-    }
-    return 0; // lp has no pattern cutoff.
+    const std::optional<Problem> parsed =
+        Problem::parse(problem, EntryPoint::Serve);
+    return parsed ? parsed->defaultCutoff() : 0;
 }
 
 std::vector<mem::Cycles>
@@ -201,7 +116,8 @@ serveMixedWorkload(const graph::Graph &graph,
     std::vector<Problem> problems;
     problems.reserve(config.queries.size());
     for (const QuerySpec &spec : config.queries) {
-        const std::optional<Problem> problem = parseProblem(spec.problem);
+        const std::optional<Problem> problem =
+            Problem::parse(spec.problem, EntryPoint::Serve);
         sisa_assert(problem.has_value(),
                     "serveMixedWorkload: unknown problem");
         problems.push_back(*problem);
@@ -219,8 +135,7 @@ serveMixedWorkload(const graph::Graph &graph,
         return std::any_of(problems.begin(), problems.end(), pred);
     };
     const auto undirected = [](const Problem &p) {
-        return p.kind == Problem::Kind::Mc ||
-               p.kind == Problem::Kind::Clustering;
+        return !p.oriented() && p.kind != Problem::Kind::Lp;
     };
     algorithms::DegeneracyOrientation prep;
     if (any([](const Problem &p) { return p.oriented(); })) {
@@ -242,14 +157,14 @@ serveMixedWorkload(const graph::Graph &graph,
         orientedSets.osg = std::make_unique<algorithms::OrientedSetGraph>(
             graph, prep, *orientedSets.builder);
         orientedSets.placement =
-            buildPlacement(config.placement, config.scu.pim.vaults,
-                           *orientedSets.osg->sets);
+            core::makePlacement(config.placement, config.scu.pim.vaults,
+                                *orientedSets.osg->sets);
     }
     if (any(undirected)) {
         undirectedSets.builder = newBuilder();
         undirectedSets.sg =
             std::make_unique<core::SetGraph>(graph, *undirectedSets.builder);
-        undirectedSets.placement = buildPlacement(
+        undirectedSets.placement = core::makePlacement(
             config.placement, config.scu.pim.vaults, *undirectedSets.sg);
     }
 
@@ -298,8 +213,7 @@ serveMixedWorkload(const graph::Graph &graph,
         t.session = std::make_unique<core::QuerySession>(
             spec.problem, sched, config.threads, admission);
         t.session->ctx().setPatternCutoff(
-            spec.cutoff != 0 ? spec.cutoff
-                             : serveDefaultCutoff(spec.problem));
+            spec.cutoff != 0 ? spec.cutoff : problems[i].defaultCutoff());
     }
 
     // Phase 2: attach everything, then run. Attach comes after ALL

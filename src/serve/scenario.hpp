@@ -48,9 +48,9 @@ namespace sisa::serve {
 struct QuerySpec
 {
     /**
-     * Problem id: tc | mc | kcc-3..6 | cl-jac | cl-ovr | cl-tot |
-     * lp (validServeProblem checks a string before it reaches the
-     * scenario).
+     * Problem name: one that algorithms::Problem::parse accepts for
+     * EntryPoint::Serve (tc, kcc-3..6, mc, cl-* or lp). Callers check
+     * a string there before it reaches the scenario, which asserts.
      */
     std::string problem;
     /** Scheduler priority (SchedPolicy::Priority only). */
@@ -113,10 +113,10 @@ struct ScenarioReport
     mem::Cycles makespan = 0; ///< Max completion over all queries.
 };
 
-/** Is @p problem one the serving scenario can run? */
-bool validServeProblem(const std::string &problem);
-
-/** Serving default pattern cutoff for @p problem. */
+/**
+ * The registry's default cutoff of @p problem (0 if serving rejects
+ * it). Kept for perfbench/main.cpp until the next benchmark change.
+ */
 std::uint64_t serveDefaultCutoff(const std::string &problem);
 
 /**

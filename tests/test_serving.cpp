@@ -476,11 +476,11 @@ TEST(ServingScenario, PerQueryAccountsConserveTaggedCharges)
         threads.emplace_back([&t] {
             core::QuerySession &session = *t.session;
             if (session.label() == "tc")
-                algorithms::triangleCount(*t.osg, session);
+                algorithms::triangleCount(*t.osg, session.ctx());
             else if (session.label() == "mc")
-                algorithms::maximalCliques(*t.sg, session);
+                algorithms::maximalCliques(*t.sg, session.ctx());
             else
-                algorithms::kCliqueCount(*t.osg, session, 4);
+                algorithms::kCliqueCount(*t.osg, session.ctx(), 4);
             session.finish();
         });
     }
@@ -636,17 +636,6 @@ TEST(ServingScenario, MixedK32CreditEdfPinned)
                                    static_cast<std::uint64_t>(e.state);
                         }),
               15356044410013272873ull);
-}
-
-TEST(ServingScenario, RejectsUnknownProblem)
-{
-    EXPECT_FALSE(serve::validServeProblem("pagerank"));
-    EXPECT_FALSE(serve::validServeProblem("kcc-7"));
-    EXPECT_FALSE(serve::validServeProblem("kcc-"));
-    EXPECT_TRUE(serve::validServeProblem("kcc-3"));
-    EXPECT_TRUE(serve::validServeProblem("tc"));
-    EXPECT_TRUE(serve::validServeProblem("cl-ovr"));
-    EXPECT_TRUE(serve::validServeProblem("lp"));
 }
 
 // --- Lifecycle model pins --------------------------------------------------

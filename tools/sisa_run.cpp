@@ -2,80 +2,25 @@
  * @file
  * Command-line driver over the evaluation harness: run any (problem,
  * dataset, mode) cell with chosen thread count and pattern cutoff,
- * and print the simulated outcome plus the hardware counters.
+ * and print the simulated outcome plus the hardware counters; under
+ * serve=, run a comma list of problems as co-tenant queries.
  *
  *   sisa_run <problem> <dataset> <mode> [threads] [cutoff]
- *            [placement] [routing] [faults=SPEC]
- *            [analyze=MODE] [async=SPEC]
+ *            [placement] [routing] [key=SPEC ...]
  *
- *   problem:   tc | kcc-3..6 | ksc-3..6 | mc | si-4s | si-4s-L |
- *              cl-jac | cl-ovr | cl-tot
- *   dataset:   any registry name (see --list), or file:PATH to load
- *              a plain-text edge list
- *   mode:      non-set | set-based | sisa
- *   placement: hash | locality (sisa mode; default hash) --
- *              cross-vault traffic lands in the scu.xvault_transfers /
- *              setops.xvault_bytes / setops.xvault_reduce_bytes
- *              counters printed below.
- *   routing:   primary | balanced (sisa mode; default primary) --
- *              balanced schedules each batch with a makespan-driven
- *              LPT rule against per-vault load (transfer-aware,
- *              exact-cost).
- *   faults:    faults=key=val,... (sisa mode) -- deterministic fault
- *              injection (sisa/faults.hpp): e.g.
- *              faults=seed=7,corrupt=0.02,fail=3@2 corrupts ~2% of op
- *              results and permanently fails vault 2 at dispatch 3;
- *              recovery counters (scu.retries, scu.quarantines,
- *              setops.recovery_bytes) appear in the output.
- *   analyze:   analyze=off|warn|strict|trace[:FILE] (sisa mode) --
- *              static program verification (sisa/analysis.hpp).
- *              warn/strict verify every batch before the SCU
- *              executes it (scu.analysis_* counters; strict rejects
- *              hazardous batches, exit 3); trace records the run's
- *              full instruction stream and lints it offline after
- *              the run, printing the report (and writing the JSON
- *              report to FILE when given -- the schema
- *              tools/check_bench_json.py --analysis validates),
- *              exit 4 on ERROR findings. faults=, analyze=, and
- *              async= may appear in any order.
- *   async:     async=on[:DEPTH]|off (sisa mode) -- in-flight batch
- *              window (ScuConfig.asyncDepth): on opens a window of
- *              DEPTH pending batches (default 8) so independent
- *              batches overlap in modeled time; results and work
- *              counters stay bit-identical to async=off.
- *   serve:     serve=fcfs|credit[:QUANTUM]|priority (sisa mode) --
- *              multi-tenant serving (serve/scenario.hpp): the problem
- *              argument becomes a comma list of co-tenant queries,
- *              each PROBLEM[:PRIORITY], run concurrently under the
- *              chosen admission policy. Prints one row per query
- *              (value, own cycles, virtual completion, lifecycle
- *              verdict, fault summary) plus p50/p95/p99 completion
- *              percentiles.
- *   deadline:  deadline=CYCLES (serve= mode) -- every query must
- *              complete within CYCLES virtual cycles of its arrival;
- *              a query whose dispatch tail crosses the deadline is
- *              cancelled (TimedOut), one that merely finishes late
- *              stays Completed with deadline_met=0.
- *   arrive:    arrive=OFFSET | poisson:SEED:MEAN (serve= mode) --
- *              deterministic virtual arrival times: query i arrives
- *              at i*OFFSET, or open-loop with seeded-splitmix64
- *              exponential inter-arrival gaps of mean MEAN cycles.
- *              No wall clock anywhere; reruns are bit-identical.
- *   shed:      shed=none|reject|oldest|edf[:CAPACITY] (serve= mode)
- *              -- overload protection for the admission queue. With
- *              CAPACITY set, an arrival into a full queue rejects
- *              the newcomer, drops the oldest waiter, or (edf) drops
- *              the latest-deadline waiter; edf additionally sheds
- *              queries whose deadlines are provably unreachable
- *              given the vault lane clocks, and grants
- *              earliest-deadline-first.
+ * Run it without arguments for the synopsis and one help line per
+ * argument. The usage text is GENERATED from kPositionalDocs and
+ * kKeyArgDocs below, and its problem names from the problem registry
+ * (algorithms/problem.hpp): a new argument or problem shows up in the
+ * help by adding one table entry, so the banner cannot drift from the
+ * parser. README.md describes the placement, routing, faults=,
+ * analyze=, async=, serve=, deadline=, arrive= and shed= modes.
  *
  * Every argument is validated up front: unknown tokens, non-numeric
  * counts, unknown datasets, and unreadable/malformed graph files all
- * print the usage and exit non-zero instead of crashing mid-run.
- * The usage text is GENERATED from kPositionalDocs/kKeyArgDocs below:
- * a new argument shows up in the synopsis and the per-key help by
- * adding one table entry, so the banner cannot drift from the parser.
+ * print the usage and exit 2 instead of crashing mid-run. Exit 3 means
+ * analyze=strict rejected a batch, exit 4 that analyze=trace found
+ * ERROR findings.
  */
 
 #include <charconv>
@@ -97,6 +42,8 @@
 
 using namespace sisa;
 using namespace sisa::bench;
+using algorithms::EntryPoint;
+using algorithms::Problem;
 
 namespace {
 
@@ -119,14 +66,15 @@ struct ArgDoc
 {
     const char *name;     ///< Help-line label ("dataset", "serve").
     const char *synopsis; ///< Synopsis token ("[async=SPEC]").
-    const char *help;     ///< One-line description.
+    std::string help;     ///< One-line description.
 };
 
 /** Positional arguments, in synopsis order. */
-constexpr ArgDoc kPositionalDocs[] = {
+const ArgDoc kPositionalDocs[] = {
     {"problem", "<problem>",
-     "tc | kcc-3..6 | ksc-3..6 | mc | si-4s[-L] | cl-jac | cl-ovr | "
-     "cl-tot (comma list of PROBLEM[:PRIORITY] under serve=)"},
+     Problem::list(EntryPoint::Solo) +
+         "; under serve=, a comma list of PROBLEM[:PRIORITY] of " +
+         Problem::list(EntryPoint::Serve)},
     {"dataset", "<dataset>",
      "registry name (--list) or file:PATH (edge list)"},
     {"mode", "<mode>", "non-set | set-based | sisa"},
@@ -139,7 +87,7 @@ constexpr ArgDoc kPositionalDocs[] = {
 };
 
 /** Order-flexible key=value specs (argv[8]..), in synopsis order. */
-constexpr ArgDoc kKeyArgDocs[] = {
+const ArgDoc kKeyArgDocs[] = {
     {"faults", "[faults=SPEC]",
      "faults=key=val,... e.g. faults=seed=7,corrupt=0.02,fail=3@2 "
      "(sisa mode only)"},
@@ -174,7 +122,7 @@ usage(const char *argv0)
     const auto helpLine = [&banner](const ArgDoc &doc) {
         banner += std::string("       ") + doc.name + ":";
         banner += std::string(10 - std::strlen(doc.name), ' ');
-        banner += std::string(doc.help) + "\n";
+        banner += doc.help + "\n";
     };
     for (const ArgDoc &doc : kPositionalDocs)
         helpLine(doc);
@@ -256,11 +204,10 @@ runServe(const graph::Graph &g, const std::string &problems,
             item.resize(colon);
         }
         spec.problem = item;
-        if (!serve::validServeProblem(spec.problem)) {
-            std::fprintf(stderr,
-                         "unknown serve problem '%s' (tc | mc | "
-                         "kcc-3..6 | cl-jac | cl-ovr | cl-tot | lp)\n",
-                         spec.problem.c_str());
+        if (!Problem::parse(spec.problem, EntryPoint::Serve)) {
+            std::fprintf(stderr, "unknown serve problem '%s' (%s)\n",
+                         spec.problem.c_str(),
+                         Problem::list(EntryPoint::Serve).c_str());
             return usage(argv0);
         }
         if (cutoff_given)
@@ -380,8 +327,8 @@ main(int argc, char **argv)
         std::fprintf(stderr, "invalid thread count '%s'\n", argv[4]);
         return usage(argv[0]);
     }
-    config.cutoff = defaultCutoff(problem);
-    if (argc > 5 && !parseCount(argv[5], config.cutoff)) {
+    const bool cutoff_given = argc > 5;
+    if (cutoff_given && !parseCount(argv[5], config.cutoff)) {
         std::fprintf(stderr, "invalid pattern cutoff '%s'\n", argv[5]);
         return usage(argv[0]);
     }
@@ -647,16 +594,21 @@ main(int argc, char **argv)
                              "serve= mode arguments\n");
         return usage(argv[0]);
     }
-    if (!have_serve && !validProblem(problem)) {
-        std::fprintf(stderr, "unknown problem '%s' (%s)\n",
-                     problem.c_str(), valid_problems);
-        return usage(argv[0]);
+    if (!have_serve) {
+        const std::optional<Problem> parsed =
+            Problem::parse(problem, EntryPoint::Solo);
+        if (!parsed) {
+            std::fprintf(stderr, "unknown problem '%s' (%s)\n",
+                         problem.c_str(),
+                         Problem::list(EntryPoint::Solo).c_str());
+            return usage(argv[0]);
+        }
+        if (!cutoff_given)
+            config.cutoff = parsed->defaultCutoff();
     }
     isa::InstructionTrace trace;
     if (lint_trace)
         config.trace = &trace;
-    if (problem == "si-4s-L")
-        config.labels = 3;
 
     graph::Graph g;
     if (dataset.rfind("file:", 0) == 0) {
@@ -680,8 +632,8 @@ main(int argc, char **argv)
     }
     std::printf("dataset: %s\n", g.describe().c_str());
     if (have_serve) {
-        return runServe(g, problem, config, /*cutoff_given=*/argc > 5,
-                        serve_opts, argv[0]);
+        return runServe(g, problem, config, cutoff_given, serve_opts,
+                        argv[0]);
     }
     std::printf("running %s in %s mode, T=%u, cutoff=%llu, "
                 "placement=%s, routing=%s\n",
