@@ -123,7 +123,7 @@ runBaseline(const algorithms::Problem &problem, const Graph &g,
       case Kind::KClique:
         return baselines::kCliqueCountBaseline(view, ctx, problem.k);
       case Kind::KCliqueStar: {
-        baselines::CsrView undirected(g, cpu);
+        baselines::CsrView undirected(g, cpu, view.arenaEnd());
         return baselines::kCliqueStarBaseline(view, undirected, ctx,
                                               problem.k);
       }

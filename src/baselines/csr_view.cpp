@@ -6,8 +6,8 @@
 
 namespace sisa::baselines {
 
-CsrView::CsrView(const Graph &graph, sim::CpuModel &cpu)
-    : graph_(&graph), cpu_(&cpu)
+CsrView::CsrView(const Graph &graph, sim::CpuModel &cpu, mem::Addr arena)
+    : graph_(&graph), cpu_(&cpu), space_(arena)
 {
     const std::uint64_t n = graph.numVertices();
     offsets_ = space_.allocate((n + 1) * 8);

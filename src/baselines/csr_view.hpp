@@ -24,10 +24,20 @@ using graph::VertexId;
 class CsrView
 {
   public:
-    CsrView(const Graph &graph, sim::CpuModel &cpu);
+    /**
+     * Bind @p graph's arrays to synthetic regions starting at
+     * @p arena. Two views read in one run need disjoint arenas, or
+     * their arrays share cache lines: start the second at the first
+     * one's arenaEnd().
+     */
+    CsrView(const Graph &graph, sim::CpuModel &cpu,
+            mem::Addr arena = mem::AddressSpace::kDefaultBase);
 
     const Graph &graph() const { return *graph_; }
     sim::CpuModel &cpu() { return *cpu_; }
+
+    /** First synthetic address past this view's arrays. */
+    mem::Addr arenaEnd() const { return space_.end(); }
 
     /** Address of adj[index]. */
     mem::Addr

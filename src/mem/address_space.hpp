@@ -36,7 +36,14 @@ struct Region
 class AddressSpace
 {
   public:
-    AddressSpace() = default;
+    /** Default start of a space, above every fixed region in use. */
+    static constexpr Addr kDefaultBase = 0x10000000ULL;
+
+    /** A space whose first region starts at @p base (page aligned). */
+    explicit AddressSpace(Addr base = kDefaultBase)
+        : base_(base), next_(base)
+    {
+    }
 
     /** Allocate @p bytes (page aligned). */
     Region allocate(std::uint64_t bytes);
@@ -44,10 +51,13 @@ class AddressSpace
     /** Total bytes allocated so far. */
     std::uint64_t allocated() const { return next_ - base_; }
 
+    /** First address past every region allocated so far. */
+    Addr end() const { return next_; }
+
   private:
-    static constexpr Addr base_ = 0x10000000ULL;
     static constexpr std::uint64_t page_ = 4096;
-    Addr next_ = base_;
+    Addr base_;
+    Addr next_;
 };
 
 } // namespace sisa::mem
