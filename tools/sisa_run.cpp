@@ -86,7 +86,10 @@ const ArgDoc kPositionalDocs[] = {
     {"routing", "[routing]", "primary | balanced (sisa mode only)"},
 };
 
-/** Order-flexible key=value specs (argv[8]..), in synopsis order. */
+/**
+ * Order-flexible key=value specs, in synopsis order; they start at the
+ * first token after [cutoff] that holds '='.
+ */
 const ArgDoc kKeyArgDocs[] = {
     {"faults", "[faults=SPEC]",
      "faults=key=val,... e.g. faults=seed=7,corrupt=0.02,fail=3@2 "
@@ -332,7 +335,14 @@ main(int argc, char **argv)
         std::fprintf(stderr, "invalid pattern cutoff '%s'\n", argv[5]);
         return usage(argv[0]);
     }
-    if (argc > 6) {
+    // Placement and routing are positional; the first token holding
+    // '=' starts the key=value specs, so a spec may follow [cutoff].
+    int first_spec = 6;
+    const auto positional = [&](int i) {
+        return i < argc && std::strchr(argv[i], '=') == nullptr;
+    };
+    if (positional(6)) {
+        first_spec = 7;
         config.placement = argv[6];
         if (!isa::parsePlacement(config.placement)) {
             std::fprintf(stderr, "unknown placement '%s' (%s)\n",
@@ -345,7 +355,8 @@ main(int argc, char **argv)
             return usage(argv[0]);
         }
     }
-    if (argc > 7) {
+    if (first_spec == 7 && positional(7)) {
+        first_spec = 8;
         config.routing = argv[7];
         if (!isa::parseRouting(config.routing)) {
             std::fprintf(stderr, "unknown routing '%s' (%s)\n", argv[7],
@@ -369,7 +380,7 @@ main(int argc, char **argv)
     bool lint_trace = false;
     ServeOptions serve_opts;
     std::string trace_json;
-    for (int i = 8; i < argc; ++i) {
+    for (int i = first_spec; i < argc; ++i) {
         const std::string spec = argv[i];
         if (spec.rfind("faults=", 0) == 0) {
             if (have_faults) {
