@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "mem/address_space.hpp"
 #include "mem/cache.hpp"
 #include "mem/pim.hpp"
+#include "support/rng.hpp"
 
 namespace {
 
@@ -95,6 +98,109 @@ TEST(Hierarchy, CountsDramAccesses)
     hier.loadLatency(0x100000);
     hier.loadLatency(0x0); // Hit.
     EXPECT_EQ(hier.dramAccesses(), 2u);
+}
+
+// --- Seeded replays: exact hit/miss behaviour and conservation ------------
+
+/** FNV-1a step over the eight bytes of @p value. */
+std::uint64_t
+fnv(std::uint64_t hash, std::uint64_t value)
+{
+    for (int byte = 0; byte < 8; ++byte) {
+        hash ^= (value >> (8 * byte)) & 0xff;
+        hash *= 0x100000001b3ULL;
+    }
+    return hash;
+}
+
+/**
+ * Two cores of the Section 9.1 hierarchy sharing one L3, driven by
+ * 2^17 seeded loads. Each load picks a core and an address from one of
+ * four ranges: 16 KB (L1-resident), 192 KB (L2), 6 MB (L3 only) and
+ * 64 MB (mostly DRAM), so every level and both TLB outcomes occur.
+ */
+struct SharedL3Replay
+{
+    static constexpr std::uint64_t kLoads = 1u << 17;
+
+    std::shared_ptr<Cache> l3 = std::make_shared<Cache>(HierarchyConfig{}.l3);
+    CacheHierarchy cores[2] = {CacheHierarchy(HierarchyConfig{}, l3),
+                               CacheHierarchy(HierarchyConfig{}, l3)};
+    std::uint64_t loads[2] = {0, 0};
+    std::uint64_t digest = 0xcbf29ce484222325ULL;
+    std::map<Cycles, std::uint64_t> latencies; ///< Latency -> loads.
+
+    SharedL3Replay()
+    {
+        static constexpr Addr kRanges[] = {16 << 10, 192 << 10, 6 << 20,
+                                           64 << 20};
+        sisa::support::Xoshiro256 rng(2104);
+        for (std::uint64_t i = 0; i < kLoads; ++i) {
+            const std::uint64_t r = rng();
+            const std::size_t core = (r >> 2) & 1;
+            const Addr addr = 0x10000000 + (r >> 3) % kRanges[r & 3];
+            const Cycles latency = cores[core].loadLatency(addr);
+            ++loads[core];
+            ++latencies[latency];
+            digest = fnv(fnv(digest, core), latency);
+        }
+    }
+};
+
+TEST(Hierarchy, SharedL3ReplayDigestPinned)
+{
+    const SharedL3Replay replay;
+    // The latency names the TLB outcome (+30 on a miss) and the level
+    // that hit (L1 4, L2 16, L3 54, DRAM 154): all eight occur.
+    const std::map<Cycles, std::uint64_t> expected = {
+        {4, 16347},  {16, 22477}, {34, 1062},  {46, 6877},
+        {54, 7221},  {84, 15700}, {154, 1795}, {184, 59593}};
+    EXPECT_EQ(replay.latencies, expected);
+    // Every load's core and latency, in order.
+    EXPECT_EQ(replay.digest, 14368293291167077835ULL);
+}
+
+TEST(Hierarchy, SharedL3ReplayConservesLookups)
+{
+    SharedL3Replay replay;
+    std::uint64_t l2_misses = 0;
+    std::uint64_t dram = 0;
+    for (std::size_t core = 0; core < 2; ++core) {
+        CacheHierarchy &hier = replay.cores[core];
+        EXPECT_EQ(hier.l1().hits() + hier.l1().misses(),
+                  replay.loads[core]);
+        EXPECT_EQ(hier.l2().hits() + hier.l2().misses(),
+                  hier.l1().misses());
+        l2_misses += hier.l2().misses();
+        dram += hier.dramAccesses();
+    }
+    EXPECT_EQ(replay.l3->hits() + replay.l3->misses(), l2_misses);
+    EXPECT_EQ(dram, replay.l3->misses());
+}
+
+TEST(Cache, SmbReplayDigestPinned)
+{
+    // The SCU's SMB geometry (16-byte lines, 4-way) at the three sizes
+    // bench_scu_cache sweeps. Entries come from a hot 4 KB set and a
+    // cold 512 KB set, half each.
+    const std::uint64_t expected_digest[] = {18209463434007904132ULL,
+                                             16729160954326929636ULL,
+                                             6225054796532021541ULL};
+    const std::uint64_t expected_hits[] = {14989, 34015, 43124};
+    const std::uint64_t sizes_kb[] = {4, 32, 256};
+    for (std::size_t i = 0; i < 3; ++i) {
+        Cache smb({sizes_kb[i] << 10, 4, 16, 2});
+        sisa::support::Xoshiro256 rng(sizes_kb[i]);
+        std::uint64_t digest = 0xcbf29ce484222325ULL;
+        for (std::uint64_t k = 0; k < (1u << 16); ++k) {
+            const std::uint64_t r = rng();
+            const std::uint64_t entry = (r >> 8) % ((r & 1) ? 256 : 32768);
+            digest = fnv(digest, smb.access(0x20000000 + entry * 16 +
+                                            ((r >> 1) & 15)));
+        }
+        EXPECT_EQ(digest, expected_digest[i]) << sizes_kb[i] << " KB";
+        EXPECT_EQ(smb.hits(), expected_hits[i]) << sizes_kb[i] << " KB";
+    }
 }
 
 // --- PIM timing models (Section 8.3 / 9.1 formulas) ----------------------
