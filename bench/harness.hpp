@@ -58,7 +58,6 @@ struct RunConfig
     std::uint64_t cutoff = 100; ///< Patterns per thread (0 = full).
     sets::ReprPolicy policy{};
     isa::ScuConfig scu{};
-    sim::CpuParams cpu{};
     bool traceSetSizes = false;
     /**
      * Vault placement for Sisa mode: "hash" (default) or "locality"
@@ -175,7 +174,7 @@ runProblem(const std::string &name, const Graph &graph, Mode mode,
     const Graph &g = problem.labelled ? labelled : graph;
 
     if (mode == Mode::NonSet) {
-        sim::CpuModel cpu(config.cpu, config.threads);
+        sim::CpuModel cpu(sim::CpuParams{}, config.threads);
         outcome.value = runBaseline(problem, g, cpu, ctx);
     } else {
         std::unique_ptr<core::SetEngine> engine;
@@ -199,7 +198,7 @@ runProblem(const std::string &name, const Graph &graph, Mode mode,
             engine = std::move(sisa);
         } else {
             engine = std::make_unique<core::CpuSetEngine>(
-                g.numVertices(), config.cpu, config.threads);
+                g.numVertices(), sim::CpuParams{}, config.threads);
         }
         std::optional<algorithms::OrientedSetGraph> osg;
         std::optional<core::SetGraph> sg;

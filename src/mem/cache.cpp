@@ -5,103 +5,61 @@
 
 namespace sisa::mem {
 
-Cache::Cache(const CacheConfig &config) : config_(config)
+Cache::Cache(const CacheConfig &config)
+    : associativity_(config.associativity)
 {
     sisa_assert(support::isPowerOfTwo(config.lineBytes),
                 "cache line size must be a power of two");
     const std::uint64_t lines = config.sizeBytes / config.lineBytes;
-    sisa_assert(lines % config.associativity == 0,
-                "cache size / line size must be divisible by assoc");
-    numSets_ = static_cast<std::uint32_t>(lines / config.associativity);
-    sisa_assert(numSets_ >= 1, "cache must have at least one set");
+    const std::uint64_t sets = lines / config.associativity;
+    sisa_assert(support::isPowerOfTwo(sets) &&
+                    sets * config.associativity == lines,
+                "cache set count must be a power of two");
+    lineShift_ = support::floorLog2(config.lineBytes);
+    setShift_ = support::floorLog2(sets);
     lines_.resize(lines);
-}
-
-std::uint64_t
-Cache::setIndex(Addr addr) const
-{
-    return (addr / config_.lineBytes) % numSets_;
-}
-
-std::uint64_t
-Cache::tagOf(Addr addr) const
-{
-    return addr / config_.lineBytes / numSets_;
 }
 
 bool
 Cache::access(Addr addr)
 {
+    const std::uint64_t line = addr >> lineShift_;
+    const std::uint64_t tag = line >> setShift_;
+    Line *const set =
+        &lines_[(line & ((1ull << setShift_) - 1)) * associativity_];
+    Line *victim = set;
     ++tick_;
-    const std::uint64_t set = setIndex(addr);
-    const std::uint64_t tag = tagOf(addr);
-    Line *base = &lines_[set * config_.associativity];
-
-    Line *victim = base;
-    for (std::uint32_t way = 0; way < config_.associativity; ++way) {
-        Line &line = base[way];
-        if (line.valid && line.tag == tag) {
-            line.lastUse = tick_;
+    for (Line *way = set; way != set + associativity_; ++way) {
+        if (way->tag == tag) {
+            way->age = tick_;
             ++hits_;
             return true;
         }
-        if (!line.valid) {
-            victim = &line;
-        } else if (victim->valid && line.lastUse < victim->lastUse) {
-            victim = &line;
-        }
+        if (way->age < victim->age)
+            victim = way;
     }
-    victim->valid = true;
-    victim->tag = tag;
-    victim->lastUse = tick_;
+    *victim = {tag, tick_};
     ++misses_;
     return false;
 }
 
-bool
-Cache::contains(Addr addr) const
-{
-    const std::uint64_t set = setIndex(addr);
-    const std::uint64_t tag = tagOf(addr);
-    const Line *base = &lines_[set * config_.associativity];
-    for (std::uint32_t way = 0; way < config_.associativity; ++way) {
-        if (base[way].valid && base[way].tag == tag)
-            return true;
-    }
-    return false;
-}
+CacheHierarchy::CacheHierarchy(Cache &shared_l3) : l3_(&shared_l3) {}
 
-void
-Cache::flush()
+CacheHierarchy::Load
+CacheHierarchy::load(Addr addr)
 {
-    for (auto &line : lines_)
-        line.valid = false;
-}
-
-CacheHierarchy::CacheHierarchy(const HierarchyConfig &config,
-                               std::shared_ptr<Cache> shared_l3)
-    : config_(config), l1_(config.l1), l2_(config.l2),
-      l3_(shared_l3 ? std::move(shared_l3)
-                    : std::make_shared<Cache>(config.l3)),
-      dtlb_(config.dtlb)
-{
-}
-
-Cycles
-CacheHierarchy::loadLatency(Addr addr)
-{
-    Cycles latency = dtlb_.access(addr) ? 0 : config_.tlbMissPenalty;
-    latency += config_.l1.hitLatency;
+    Cycles latency = dtlb_.access(addr) ? 0 : kTlbMissPenalty;
+    latency += kL1.hitLatency;
     if (l1_.access(addr))
-        return latency;
-    latency += config_.l2.hitLatency;
+        return {latency, true};
+    latency += kL2.hitLatency;
     if (l2_.access(addr))
-        return latency;
-    latency += config_.l3.hitLatency;
+        return {latency, false};
+    latency += kL3.hitLatency;
     if (l3_->access(addr))
-        return latency;
+        return {latency, false};
     ++dramAccesses_;
-    return latency + config_.dramLatency;
+    return {latency + kDramLatency, false};
 }
 
 } // namespace sisa::mem

@@ -13,7 +13,6 @@
 #define SISA_MEM_CACHE_HPP
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "mem/address_space.hpp"
@@ -30,7 +29,18 @@ struct CacheConfig
     Cycles hitLatency = 4;
 };
 
-/** One set-associative LRU cache (or TLB when lineBytes = pageBytes). */
+/** The Section 9.1 hierarchy: private L1 and L2, shared L3, D-TLB. */
+inline constexpr CacheConfig kL1{32 * 1024, 8, 64, 4};
+inline constexpr CacheConfig kL2{256 * 1024, 8, 64, 12};
+inline constexpr CacheConfig kL3{8 * 1024 * 1024, 16, 64, 38};
+inline constexpr CacheConfig kDtlb{64 * 4096, 4, 4096, 0}; ///< 64 x 4KB.
+inline constexpr Cycles kTlbMissPenalty = 30;
+inline constexpr Cycles kDramLatency = 100; ///< l_M.
+
+/**
+ * One set-associative LRU cache (or TLB when lineBytes = pageBytes).
+ * Its line size and set count must be powers of two.
+ */
 class Cache
 {
   public:
@@ -39,78 +49,60 @@ class Cache
     /** Look up @p addr; inserts on miss. @return true on hit. */
     bool access(Addr addr);
 
-    /** Probe without modifying state. */
-    bool contains(Addr addr) const;
-
-    /** Drop all contents. */
-    void flush();
-
-    const CacheConfig &config() const { return config_; }
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
 
   private:
+    /**
+     * One way. An empty way has the sentinel tag (no address maps to
+     * it) and age 0, older than any filled way, so the victim is
+     * simply the first way of minimum age.
+     */
     struct Line
     {
         std::uint64_t tag = ~0ull;
-        std::uint64_t lastUse = 0;
-        bool valid = false;
+        std::uint64_t age = 0;
     };
 
-    std::uint64_t setIndex(Addr addr) const;
-    std::uint64_t tagOf(Addr addr) const;
-
-    CacheConfig config_;
-    std::uint32_t numSets_;
-    std::vector<Line> lines_; ///< numSets_ x associativity, row-major.
+    std::uint32_t associativity_;
+    unsigned lineShift_; ///< log2(line bytes).
+    unsigned setShift_;  ///< log2(set count).
+    std::vector<Line> lines_; ///< set count x associativity, row-major.
     std::uint64_t tick_ = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
 };
 
-/** Configuration of the full per-core hierarchy. */
-struct HierarchyConfig
-{
-    CacheConfig l1{32 * 1024, 8, 64, 4};
-    CacheConfig l2{256 * 1024, 8, 64, 12};
-    CacheConfig l3{8 * 1024 * 1024, 16, 64, 38}; ///< Shared across cores.
-    CacheConfig dtlb{64 * 4096, 4, 4096, 0};     ///< 64 x 4KB pages.
-    Cycles tlbMissPenalty = 30;
-    Cycles dramLatency = 100; ///< l_M.
-};
-
 /**
- * Private L1 + L2 per core with a shared L3 and a private D-TLB.
- * access() returns the latency of one load in cycles.
+ * One core of the Section 9.1 hierarchy: private L1, L2 and D-TLB over
+ * an L3 that every core shares.
  */
 class CacheHierarchy
 {
   public:
-    /**
-     * @param config Geometry; the L3 is shared via @p shared_l3 when
-     *               non-null (all cores must pass the same object).
-     */
-    CacheHierarchy(const HierarchyConfig &config,
-                   std::shared_ptr<Cache> shared_l3 = nullptr);
+    /** @param shared_l3 A kL3 cache, the same object for every core. */
+    explicit CacheHierarchy(Cache &shared_l3);
 
-    /** Latency of a single load of @p addr (line granularity). */
-    Cycles loadLatency(Addr addr);
+    /** Outcome of one load. */
+    struct Load
+    {
+        Cycles latency;
+        bool l1Hit;
+    };
 
-    /** True iff the line holding @p addr hits in L1 (no state change). */
-    bool inL1(Addr addr) const { return l1_.contains(addr); }
+    /** Look up @p addr at line granularity, level by level. */
+    Load load(Addr addr);
 
     std::uint64_t dramAccesses() const { return dramAccesses_; }
 
-    Cache &l1() { return l1_; }
-    Cache &l2() { return l2_; }
-    Cache &l3() { return *l3_; }
+    const Cache &l1() const { return l1_; }
+    const Cache &l2() const { return l2_; }
 
   private:
-    HierarchyConfig config_;
-    Cache l1_;
-    Cache l2_;
-    std::shared_ptr<Cache> l3_;
-    Cache dtlb_;
+    Cache l1_{kL1};
+    Cache l2_{kL2};
+    Cache *l3_;
+    Cache dtlb_{kDtlb};
     std::uint64_t dramAccesses_ = 0;
 };
 

@@ -7,12 +7,9 @@
 namespace sisa::sim {
 
 CpuModel::CpuModel(const CpuParams &params, std::uint32_t num_threads)
-    : params_(params),
-      sharedL3_(std::make_shared<mem::Cache>(params.hierarchy.l3))
+    : params_(params), sharedL3_(std::make_unique<mem::Cache>(mem::kL3)),
+      perThread_(num_threads, mem::CacheHierarchy(*sharedL3_))
 {
-    perThread_.reserve(num_threads);
-    for (std::uint32_t t = 0; t < num_threads; ++t)
-        perThread_.emplace_back(params_.hierarchy, sharedL3_);
 }
 
 double
@@ -20,16 +17,15 @@ CpuModel::contentionFactor(const SimContext &ctx) const
 {
     if (params_.scalableBandwidth)
         return 1.0;
-    return 1.0 +
-           params_.contentionPerThread *
-               static_cast<double>(ctx.numThreads() - 1);
+    return 1.0 + kContentionPerThread *
+                     static_cast<double>(ctx.numThreads() - 1);
 }
 
 void
 CpuModel::compute(SimContext &ctx, ThreadId tid, std::uint64_t ops)
 {
     const auto cycles = static_cast<mem::Cycles>(
-        std::ceil(static_cast<double>(ops) / params_.ipc));
+        std::ceil(static_cast<double>(ops) / kIpc));
     ctx.chargeBusy(tid, cycles);
 }
 
@@ -38,26 +34,21 @@ CpuModel::load(SimContext &ctx, ThreadId tid, mem::Addr addr,
                AccessKind kind)
 {
     sisa_assert(tid < perThread_.size(), "thread id out of range");
-    mem::CacheHierarchy &hier = perThread_[tid];
+    const mem::CacheHierarchy::Load result = perThread_[tid].load(addr);
 
-    const bool was_l1_hit = hier.inL1(addr);
-    const mem::Cycles latency = hier.loadLatency(addr);
-
-    const mem::Cycles l1_lat = params_.hierarchy.l1.hitLatency;
-    if (was_l1_hit || latency <= l1_lat) {
-        ctx.chargeBusy(tid, l1_lat);
+    constexpr mem::Cycles l1_lat = mem::kL1.hitLatency;
+    ctx.chargeBusy(tid, l1_lat);
+    if (result.l1Hit)
         return l1_lat;
-    }
 
     // Beyond-L1 cycles are stalls; streamed misses overlap via MLP,
     // and on a fixed-bandwidth uncore (Figure 1 config) they queue
     // behind the other threads' traffic.
-    auto beyond = static_cast<double>(latency - l1_lat);
+    auto beyond = static_cast<double>(result.latency - l1_lat);
     beyond *= contentionFactor(ctx);
     if (kind == AccessKind::Sequential)
-        beyond /= params_.streamMlp;
+        beyond /= kStreamMlp;
     const auto stall = static_cast<mem::Cycles>(std::ceil(beyond));
-    ctx.chargeBusy(tid, l1_lat);
     ctx.chargeStall(tid, stall);
     return l1_lat + stall;
 }
@@ -65,10 +56,8 @@ CpuModel::load(SimContext &ctx, ThreadId tid, mem::Addr addr,
 void
 CpuModel::elementWork(SimContext &ctx, ThreadId tid, std::uint64_t count)
 {
-    ctx.chargeBusy(tid,
-                   static_cast<mem::Cycles>(std::ceil(
-                       params_.elementCycles *
-                       static_cast<double>(count))));
+    ctx.chargeBusy(tid, static_cast<mem::Cycles>(std::ceil(
+                            kElementCycles * static_cast<double>(count))));
 }
 
 void
@@ -77,7 +66,7 @@ CpuModel::stream(SimContext &ctx, ThreadId tid, mem::Addr base,
 {
     if (count == 0)
         return;
-    const std::uint32_t line = params_.hierarchy.l1.lineBytes;
+    constexpr std::uint32_t line = mem::kL1.lineBytes;
     const mem::Addr first_line = base / line;
     const mem::Addr last_line = (base + count * elem_bytes - 1) / line;
     for (mem::Addr l = first_line; l <= last_line; ++l)

@@ -6,7 +6,7 @@
  * hierarchy of src/mem; the core model layers on top of it:
  *
  *  - memory-level parallelism: the OoO window overlaps independent
- *    (streaming) misses, dividing their latency by `streamMlp`;
+ *    (streaming) misses, dividing their latency by `kStreamMlp`;
  *    dependent accesses (pointer chases, binary-search probes) cannot
  *    be overlapped and pay full latency;
  *  - bandwidth contention: in the fixed-bandwidth configuration used
@@ -17,7 +17,9 @@
  *    memory bandwidth with the number of cores".
  *
  * Cycles beyond the L1 hit latency are charged as stall cycles; L1
- * hits and arithmetic are charged as busy cycles.
+ * hits (also after a D-TLB miss) and arithmetic are charged as busy
+ * cycles. The constants below fix the Section 9.1 core; the only
+ * choice left to callers is the bandwidth switch in CpuParams.
  */
 
 #ifndef SISA_SIM_CPU_MODEL_HPP
@@ -32,37 +34,38 @@
 
 namespace sisa::sim {
 
-/** Core-model knobs. */
+/** Sustained instructions/cycle for simple ALU work. */
+inline constexpr double kIpc = 2.0;
+/** Overlap factor for independent (streamed) misses. */
+inline constexpr double kStreamMlp = 4.0;
+/**
+ * Amortized cycles of per-element software work in data-dependent set
+ * loops (compare + advance + a hard-to-predict branch): ~4
+ * instructions at kIpc plus ~0.25 mispredictions of ~14 cycles.
+ * Charged via elementWork(); the PIM engines do this work inside the
+ * memory units instead.
+ */
+inline constexpr double kElementCycles = 5.0;
+/** Beyond-L1 latency growth per extra thread on a fixed uncore. */
+inline constexpr double kContentionPerThread = 0.18;
+
+/** The one core-model choice a paper figure varies. */
 struct CpuParams
 {
-    mem::HierarchyConfig hierarchy{};
-    /** Sustained instructions/cycle for simple ALU work. */
-    double ipc = 2.0;
-    /** Overlap factor for independent (streamed) misses. */
-    double streamMlp = 4.0;
-    /**
-     * Amortized cycles of per-element software work in data-dependent
-     * set loops (compare + advance + a hard-to-predict branch):
-     * ~4 instructions at the core IPC plus ~0.25 mispredictions of
-     * ~14 cycles. Charged via elementWork(); the PIM engines do this
-     * work inside the memory units instead.
-     */
-    double elementCycles = 5.0;
     /**
      * When false, every beyond-L1 latency (shared L3, memory bus,
-     * DRAM) is scaled by (1 + contentionPerThread * (T - 1)) to model
+     * DRAM) is scaled by (1 + kContentionPerThread * (T - 1)) to model
      * the fixed shared uncore of a conventional CPU (the Figure 1
      * configuration). The PIM-parametrized baselines of Figure 6 use
      * true: bandwidth scales with the core count.
      */
     bool scalableBandwidth = true;
-    double contentionPerThread = 0.18;
 };
 
 /** Kind of memory access, deciding the MLP overlap applied. */
 enum class AccessKind
 {
-    Sequential, ///< Part of a stream; misses overlap (streamMlp).
+    Sequential, ///< Part of a stream; misses overlap (kStreamMlp).
     Dependent,  ///< Serialized on prior loads; full latency.
 };
 
@@ -74,8 +77,6 @@ class CpuModel
 {
   public:
     CpuModel(const CpuParams &params, std::uint32_t num_threads);
-
-    const CpuParams &params() const { return params_; }
 
     /** Charge @p ops simple ALU operations to @p tid. */
     void compute(SimContext &ctx, ThreadId tid, std::uint64_t ops);
@@ -93,18 +94,11 @@ class CpuModel
 
     /**
      * Stream @p count elements of @p elem_bytes from @p base: touches
-     * each cache line once with Sequential overlap and charges one ALU
-     * op per element.
+     * each cache line once with Sequential overlap and charges
+     * elementWork() for the @p count elements.
      */
     void stream(SimContext &ctx, ThreadId tid, mem::Addr base,
                 std::uint64_t count, std::uint32_t elem_bytes);
-
-    /** Store modeled identically to a load (write-allocate). */
-    mem::Cycles
-    store(SimContext &ctx, ThreadId tid, mem::Addr addr, AccessKind kind)
-    {
-        return load(ctx, tid, addr, kind);
-    }
 
     /** DRAM accesses observed by @p tid's hierarchy. */
     std::uint64_t dramAccesses(ThreadId tid) const;
@@ -113,7 +107,7 @@ class CpuModel
     double contentionFactor(const SimContext &ctx) const;
 
     CpuParams params_;
-    std::shared_ptr<mem::Cache> sharedL3_;
+    std::unique_ptr<mem::Cache> sharedL3_;
     std::vector<mem::CacheHierarchy> perThread_;
 };
 

@@ -40,63 +40,63 @@ TEST(Cache, LruEviction)
     // 2-way, 64B lines, 2 sets (256B total).
     Cache cache({256, 2, 64, 1});
     // Three lines mapping to the same set (stride = 128).
-    cache.access(0x0000);
-    cache.access(0x0080);
-    cache.access(0x0100); // Evicts 0x0000 (LRU).
-    EXPECT_FALSE(cache.contains(0x0000));
-    EXPECT_TRUE(cache.contains(0x0080));
-    EXPECT_TRUE(cache.contains(0x0100));
-    // Touch 0x0080, then insert another: 0x0100 becomes the victim.
-    cache.access(0x0080);
-    cache.access(0x0180);
-    EXPECT_TRUE(cache.contains(0x0080));
-    EXPECT_FALSE(cache.contains(0x0100));
+    EXPECT_FALSE(cache.access(0x0000));
+    EXPECT_FALSE(cache.access(0x0080));
+    EXPECT_FALSE(cache.access(0x0100)); // Evicts 0x0000 (LRU).
+    EXPECT_TRUE(cache.access(0x0080));  // Now 0x0100 is the LRU way.
+    EXPECT_FALSE(cache.access(0x0000)); // Evicts 0x0100.
+    EXPECT_TRUE(cache.access(0x0080));
+    EXPECT_FALSE(cache.access(0x0100));
+    EXPECT_EQ(cache.hits(), 2u);
+    EXPECT_EQ(cache.misses(), 5u);
 }
 
-TEST(Cache, FlushClears)
+TEST(CacheDeathTest, RejectsNonPowerOfTwoGeometry)
 {
-    Cache cache({1024, 2, 64, 1});
-    cache.access(0x40);
-    cache.flush();
-    EXPECT_FALSE(cache.contains(0x40));
+    // 48-byte lines.
+    EXPECT_DEATH(Cache({3 * 1024, 2, 48, 1}), "line size");
+    // 3 sets of 2 ways.
+    EXPECT_DEATH(Cache({384, 2, 64, 1}), "set count");
+    // 5 lines cannot fill 2-way sets.
+    EXPECT_DEATH(Cache({320, 2, 64, 1}), "set count");
 }
 
 TEST(Hierarchy, LatencyOrdering)
 {
-    HierarchyConfig cfg;
-    CacheHierarchy hier(cfg);
-    const Cycles cold = hier.loadLatency(0x10000);
-    const Cycles warm = hier.loadLatency(0x10000);
-    EXPECT_GT(cold, warm);
+    Cache l3(kL3);
+    CacheHierarchy hier(l3);
+    const CacheHierarchy::Load cold = hier.load(0x10000);
+    const CacheHierarchy::Load warm = hier.load(0x10000);
     // Warm hit = L1 latency (TLB entry cached too).
-    EXPECT_EQ(warm, cfg.l1.hitLatency);
+    EXPECT_TRUE(warm.l1Hit);
+    EXPECT_EQ(warm.latency, kL1.hitLatency);
     // Cold miss pays every level plus DRAM plus the TLB walk.
-    EXPECT_EQ(cold, cfg.tlbMissPenalty + cfg.l1.hitLatency +
-                        cfg.l2.hitLatency + cfg.l3.hitLatency +
-                        cfg.dramLatency);
+    EXPECT_FALSE(cold.l1Hit);
+    EXPECT_EQ(cold.latency, kTlbMissPenalty + kL1.hitLatency +
+                                kL2.hitLatency + kL3.hitLatency +
+                                kDramLatency);
 }
 
 TEST(Hierarchy, SharedL3VisibleToPeers)
 {
-    HierarchyConfig cfg;
-    auto l3 = std::make_shared<Cache>(cfg.l3);
-    CacheHierarchy a(cfg, l3);
-    CacheHierarchy b(cfg, l3);
-    a.loadLatency(0x20000); // a warms the shared L3...
-    const Cycles b_first = b.loadLatency(0x20000);
+    Cache l3(kL3);
+    CacheHierarchy a(l3);
+    CacheHierarchy b(l3);
+    a.load(0x20000); // a warms the shared L3...
+    const Cycles b_first = b.load(0x20000).latency;
     // ...so b misses L1/L2 but hits L3 (no DRAM access).
-    EXPECT_EQ(b_first, cfg.tlbMissPenalty + cfg.l1.hitLatency +
-                           cfg.l2.hitLatency + cfg.l3.hitLatency);
+    EXPECT_EQ(b_first, kTlbMissPenalty + kL1.hitLatency +
+                           kL2.hitLatency + kL3.hitLatency);
     EXPECT_EQ(b.dramAccesses(), 0u);
 }
 
 TEST(Hierarchy, CountsDramAccesses)
 {
-    HierarchyConfig cfg;
-    CacheHierarchy hier(cfg);
-    hier.loadLatency(0x0);
-    hier.loadLatency(0x100000);
-    hier.loadLatency(0x0); // Hit.
+    Cache l3(kL3);
+    CacheHierarchy hier(l3);
+    hier.load(0x0);
+    hier.load(0x100000);
+    hier.load(0x0); // Hit.
     EXPECT_EQ(hier.dramAccesses(), 2u);
 }
 
@@ -123,9 +123,8 @@ struct SharedL3Replay
 {
     static constexpr std::uint64_t kLoads = 1u << 17;
 
-    std::shared_ptr<Cache> l3 = std::make_shared<Cache>(HierarchyConfig{}.l3);
-    CacheHierarchy cores[2] = {CacheHierarchy(HierarchyConfig{}, l3),
-                               CacheHierarchy(HierarchyConfig{}, l3)};
+    Cache l3{kL3};
+    CacheHierarchy cores[2] = {CacheHierarchy(l3), CacheHierarchy(l3)};
     std::uint64_t loads[2] = {0, 0};
     std::uint64_t digest = 0xcbf29ce484222325ULL;
     std::map<Cycles, std::uint64_t> latencies; ///< Latency -> loads.
@@ -139,7 +138,7 @@ struct SharedL3Replay
             const std::uint64_t r = rng();
             const std::size_t core = (r >> 2) & 1;
             const Addr addr = 0x10000000 + (r >> 3) % kRanges[r & 3];
-            const Cycles latency = cores[core].loadLatency(addr);
+            const Cycles latency = cores[core].load(addr).latency;
             ++loads[core];
             ++latencies[latency];
             digest = fnv(fnv(digest, core), latency);
@@ -166,7 +165,7 @@ TEST(Hierarchy, SharedL3ReplayConservesLookups)
     std::uint64_t l2_misses = 0;
     std::uint64_t dram = 0;
     for (std::size_t core = 0; core < 2; ++core) {
-        CacheHierarchy &hier = replay.cores[core];
+        const CacheHierarchy &hier = replay.cores[core];
         EXPECT_EQ(hier.l1().hits() + hier.l1().misses(),
                   replay.loads[core]);
         EXPECT_EQ(hier.l2().hits() + hier.l2().misses(),
@@ -174,8 +173,8 @@ TEST(Hierarchy, SharedL3ReplayConservesLookups)
         l2_misses += hier.l2().misses();
         dram += hier.dramAccesses();
     }
-    EXPECT_EQ(replay.l3->hits() + replay.l3->misses(), l2_misses);
-    EXPECT_EQ(dram, replay.l3->misses());
+    EXPECT_EQ(replay.l3.hits() + replay.l3.misses(), l2_misses);
+    EXPECT_EQ(dram, replay.l3.misses());
 }
 
 TEST(Cache, SmbReplayDigestPinned)

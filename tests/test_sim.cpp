@@ -274,12 +274,10 @@ TEST(CounterRegistry, ConcurrentInterningGivesOneIdPerName)
 
 TEST(CpuModel, ComputeUsesIpc)
 {
-    CpuParams params;
-    params.ipc = 2.0;
     SimContext ctx(1);
-    CpuModel cpu(params, 1);
+    CpuModel cpu(CpuParams{}, 1);
     cpu.compute(ctx, 0, 10);
-    EXPECT_EQ(ctx.threadBusy(0), 5u);
+    EXPECT_EQ(ctx.threadBusy(0), 5u); // 10 ops at kIpc = 2.
 }
 
 TEST(CpuModel, DependentMissCostsMoreThanStreamMiss)
