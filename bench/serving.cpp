@@ -82,16 +82,13 @@ mixedWorkload(isa::SchedPolicy policy)
     config.quantum = 2000; // Well below the straggler's appetite.
     // The straggler: a deep clique enumeration whose batched
     // dispatches occupy the shared vaults for ~2M modeled cycles.
-    config.queries.push_back(
-        {.problem = "kcc-6", .priority = 0, .cutoff = 20000});
+    config.queries.push_back({.problem = "kcc-6", .cutoff = 20000});
     // Bron-Kerbosch runs serial set ops (no batched dispatches), so
     // it contends for nothing -- it seasons the mix and pins that
     // unbatched co-tenants pass through the scheduler unharmed.
-    config.queries.push_back(
-        {.problem = "mc", .priority = 0, .cutoff = 60});
+    config.queries.push_back({.problem = "mc", .cutoff = 60});
     for (int i = 0; i < 98; ++i)
-        config.queries.push_back(
-            {.problem = "tc", .priority = 0, .cutoff = 500});
+        config.queries.push_back({.problem = "tc", .cutoff = 500});
     return config;
 }
 

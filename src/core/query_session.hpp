@@ -44,24 +44,13 @@ class QuerySession
   public:
     /**
      * Enroll a new query with @p sched. @p threads is the session's
-     * modeled thread count (its private SimContext); @p priority
-     * only matters under SchedPolicy::Priority.
+     * modeled thread count (its private SimContext); @p spec is its
+     * lifecycle contract (arrival offset, deadline, fault budget).
+     * The scheduler's ServingModel owns the resulting lifecycle
+     * verdict; query it via state() after finish().
      */
     QuerySession(std::string label, isa::QueryScheduler &sched,
-                 std::uint32_t threads, std::uint32_t priority = 0)
-        : QuerySession(std::move(label), sched, threads,
-                       isa::AdmissionSpec{priority})
-    {
-    }
-
-    /**
-     * Enroll with a full lifecycle contract: arrival offset, deadline,
-     * and fault budget in addition to the priority. The scheduler's
-     * ServingModel owns the resulting lifecycle verdict; query it via
-     * state() after finish().
-     */
-    QuerySession(std::string label, isa::QueryScheduler &sched,
-                 std::uint32_t threads, const isa::AdmissionSpec &spec)
+                 std::uint32_t threads, const isa::AdmissionSpec &spec = {})
         : label_(std::move(label)), sched_(&sched),
           id_(sched.enroll(spec)), ctx_(threads)
     {

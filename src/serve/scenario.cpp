@@ -206,7 +206,6 @@ serveMixedWorkload(const graph::Graph &graph,
                 graph.numVertices(), config.scu, config.threads);
         }
         isa::AdmissionSpec admission;
-        admission.priority = spec.priority;
         admission.arrival = spec.arrival;
         admission.deadline = spec.deadline;
         admission.faultBudget = spec.faultBudget;

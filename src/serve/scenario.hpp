@@ -53,8 +53,6 @@ struct QuerySpec
      * a string there before it reaches the scenario, which asserts.
      */
     std::string problem;
-    /** Scheduler priority (SchedPolicy::Priority only). */
-    std::uint32_t priority = 0;
     /** Pattern cutoff; 0 picks the problem's serving default. */
     std::uint64_t cutoff = 0;
     /** Virtual arrival offset (cycles); queries park until then. */

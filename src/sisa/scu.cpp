@@ -120,7 +120,6 @@ Scu::Scu(SetStore &store, const ScuConfig &config,
         smb_cfg.sizeBytes = config_.smbBytes;
         smb_cfg.associativity = 4;
         smb_cfg.lineBytes = 16;
-        smb_cfg.hitLatency = config_.pim.smbHitLatency;
         const std::uint32_t count = config_.smbShared ? 1 : num_threads;
         for (std::uint32_t i = 0; i < count; ++i)
             smbs_.push_back(std::make_unique<mem::Cache>(smb_cfg));

@@ -14,8 +14,6 @@ schedPolicyName(SchedPolicy policy)
         return "fcfs";
     case SchedPolicy::Credit:
         return "credit";
-    case SchedPolicy::Priority:
-        return "priority";
     }
     return "?";
 }
@@ -27,8 +25,6 @@ parseSchedPolicy(std::string_view name)
         return SchedPolicy::Fcfs;
     if (name == "credit")
         return SchedPolicy::Credit;
-    if (name == "priority")
-        return SchedPolicy::Priority;
     return std::nullopt;
 }
 
@@ -68,10 +64,6 @@ shedPolicyName(ShedPolicy policy)
     switch (policy) {
     case ShedPolicy::None:
         return "none";
-    case ShedPolicy::Reject:
-        return "reject";
-    case ShedPolicy::Oldest:
-        return "oldest";
     case ShedPolicy::Edf:
         return "edf";
     }
@@ -83,10 +75,6 @@ parseShedPolicy(std::string_view name)
 {
     if (name == "none")
         return ShedPolicy::None;
-    if (name == "reject")
-        return ShedPolicy::Reject;
-    if (name == "oldest")
-        return ShedPolicy::Oldest;
     if (name == "edf")
         return ShedPolicy::Edf;
     return std::nullopt;
@@ -178,35 +166,15 @@ ServingModel::admitArrival(sim::QueryId query)
         transition(query, QueryState::Admitted);
         return std::nullopt;
     }
-    // Pick the victim that makes room (or the newcomer itself).
+    // EDF victim: the latest deadline among the newcomer and the
+    // not-yet-running queries (no deadline sorts last; ties shed the
+    // newer enrollment).
     sim::QueryId victim = query;
-    switch (shed_) {
-    case ShedPolicy::Reject:
-        break; // Reject-on-full: the newcomer is the victim.
-    case ShedPolicy::Oldest:
-        // Drop the oldest query that has not started running; keep
-        // the newcomer out only if everyone queued already ran.
-        for (sim::QueryId q = 0; q < queries_.size(); ++q) {
-            if (queries_[q].state == QueryState::Admitted) {
-                victim = q;
-                break;
-            }
-        }
-        break;
-    case ShedPolicy::Edf: {
-        // Drop the latest deadline (no deadline sorts last; ties
-        // shed the newer enrollment).
-        for (sim::QueryId q = 0; q < queries_.size(); ++q) {
-            if (queries_[q].state != QueryState::Admitted)
-                continue;
-            if (queries_[q].spec.deadline >=
-                queries_[victim].spec.deadline)
-                victim = q;
-        }
-        break;
-    }
-    case ShedPolicy::None:
-        break; // Unreachable: !full above.
+    for (sim::QueryId q = 0; q < queries_.size(); ++q) {
+        if (queries_[q].state != QueryState::Admitted)
+            continue;
+        if (queries_[q].spec.deadline >= queries_[victim].spec.deadline)
+            victim = q;
     }
     if (victim != query)
         transition(query, QueryState::Admitted);
@@ -307,6 +275,7 @@ sim::QueryId
 ServingModel::pick(const std::vector<sim::QueryId> &waiting)
 {
     sisa_assert(!waiting.empty(), "pick() from an empty waiting set");
+    // FCFS: arrival order IS id order, and waiting is ascending.
     sim::QueryId winner = waiting.front();
     if (shed_ == ShedPolicy::Edf) {
         // Earliest deadline first (no deadline sorts last; ties
@@ -318,25 +287,7 @@ ServingModel::pick(const std::vector<sim::QueryId> &waiting)
                 queries_[winner].spec.deadline)
                 winner = q;
         }
-        admitted_.push_back(winner);
-        return winner;
-    }
-    switch (policy_) {
-    case SchedPolicy::Fcfs:
-        // Arrival order IS id order; waiting is ascending.
-        winner = waiting.front();
-        break;
-    case SchedPolicy::Priority:
-        // Highest priority wins; ties resolve by arrival. Evaluated
-        // at every dispatch boundary, so a higher-priority query
-        // preempts a long-running one between its batches.
-        for (const sim::QueryId q : waiting) {
-            if (queries_[q].spec.priority >
-                queries_[winner].spec.priority)
-                winner = q;
-        }
-        break;
-    case SchedPolicy::Credit: {
+    } else if (policy_ == SchedPolicy::Credit) {
         // Deficit round-robin: the cursor stays on a query while it
         // retains credit; exhausting it passes the turn. When no
         // waiting query has credit left, every live query refills by
@@ -365,8 +316,6 @@ ServingModel::pick(const std::vector<sim::QueryId> &waiting)
             }
         }
         cursor_ = winner;
-        break;
-    }
     }
     admitted_.push_back(winner);
     return winner;

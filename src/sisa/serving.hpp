@@ -2,11 +2,9 @@
  * @file
  * Multi-tenant admission layer over the SCU: K concurrent queries
  * (serve/scenario.hpp sessions) share the modeled vault time, with a
- * QueryScheduler deciding whose batch dispatches next. The policy
- * menu mirrors the SimpleSSD-ISC in-storage-compute scheduler registry
- * (FCFS / CREDIT / priority-based FLIN): FCFS grants strictly by
- * arrival, Credit is deficit round-robin over a cycle quantum,
- * Priority preempts at every dispatch boundary.
+ * QueryScheduler deciding whose batch dispatches next. FCFS grants
+ * strictly by arrival; Credit is deficit round-robin over a cycle
+ * quantum.
  *
  * Two layers, split for testability:
  *
@@ -72,12 +70,12 @@
 
 namespace sisa::isa {
 
-/** Admission policy menu (the SimpleSSD-ISC scheduler registry). */
-enum class SchedPolicy : std::uint8_t { Fcfs, Credit, Priority };
+/** Admission policy: arrival order, or deficit round-robin. */
+enum class SchedPolicy : std::uint8_t { Fcfs, Credit };
 
 const char *schedPolicyName(SchedPolicy policy);
 
-/** Parse "fcfs" / "credit" / "priority" (nullopt on anything else). */
+/** Parse "fcfs" / "credit" (nullopt on anything else). */
 std::optional<SchedPolicy> parseSchedPolicy(std::string_view name);
 
 /**
@@ -103,22 +101,19 @@ bool queryStateTerminal(QueryState state);
 /**
  * Overload shedding policy of the bounded admission queue:
  *
- *  - none:   unbounded queue, nothing is ever shed;
- *  - reject: a query arriving into a full queue is shed;
- *  - oldest: a full queue sheds its oldest not-yet-running query to
- *            make room (the newcomer is shed if every queued query
- *            already ran);
- *  - edf:    grants go earliest-deadline-first, a full queue sheds
- *            the LATEST-deadline not-yet-running query, and a query
- *            whose deadline is provably unreachable -- even if every
- *            vault lane were free at its earliest start -- is shed
- *            at the admission boundary instead of wasting capacity.
+ *  - none: unbounded queue, nothing is ever shed;
+ *  - edf:  grants go earliest-deadline-first, a full queue sheds the
+ *          LATEST-deadline not-yet-running query (the newcomer
+ *          included), and a query whose deadline is provably
+ *          unreachable -- even if every vault lane were free at its
+ *          earliest start -- is shed at the admission boundary
+ *          instead of wasting capacity.
  */
-enum class ShedPolicy : std::uint8_t { None, Reject, Oldest, Edf };
+enum class ShedPolicy : std::uint8_t { None, Edf };
 
 const char *shedPolicyName(ShedPolicy policy);
 
-/** Parse "none" / "reject" / "oldest" / "edf". */
+/** Parse "none" / "edf". */
 std::optional<ShedPolicy> parseShedPolicy(std::string_view name);
 
 /** QuerySpec sentinel: no deadline. */
@@ -134,8 +129,6 @@ inline constexpr std::uint64_t no_fault_budget = ~std::uint64_t{0};
  */
 struct AdmissionSpec
 {
-    /** Scheduler priority (SchedPolicy::Priority only). */
-    std::uint32_t priority = 0;
     /** Virtual-time arrival offset (open-loop; no wall clock). */
     mem::Cycles arrival = 0;
     /** Virtual-time completion deadline, or no_deadline. */
@@ -247,17 +240,9 @@ class ServingModel
 
     /**
      * Register a query; ids are dense and double as enrollment order
-     * (FCFS rank, Priority tie-break, Credit round-robin order).
+     * (FCFS rank, Credit round-robin order).
      */
-    sim::QueryId enroll(const AdmissionSpec &spec);
-
-    sim::QueryId
-    enroll(std::uint32_t priority = 0)
-    {
-        AdmissionSpec spec;
-        spec.priority = priority;
-        return enroll(spec);
-    }
+    sim::QueryId enroll(const AdmissionSpec &spec = {});
 
     std::size_t enrolled() const { return queries_.size(); }
 
@@ -448,15 +433,7 @@ class QueryScheduler
                      std::uint32_t vaultWidth = 0);
 
     /** Register a query BEFORE its session thread starts. */
-    sim::QueryId enroll(const AdmissionSpec &spec);
-
-    sim::QueryId
-    enroll(std::uint32_t priority = 0)
-    {
-        AdmissionSpec spec;
-        spec.priority = priority;
-        return enroll(spec);
-    }
+    sim::QueryId enroll(const AdmissionSpec &spec = {});
 
     /**
      * Block until the policy grants this query a dispatch slot.

@@ -1,8 +1,8 @@
 /**
  * @file
  * Multi-tenant serving tests: exact-cycle pins on the ServingModel
- * policy core (FCFS order, Credit deficit round-robin, Priority
- * preemption points, the virtual-time vault-queueing rule), lockstep
+ * policy core (FCFS order, Credit deficit round-robin, the
+ * virtual-time vault-queueing rule), lockstep
  * determinism of the QueryScheduler, and the headline isolation
  * differential -- every query's functional result and per-query
  * cycle/counter account is bit-identical solo vs. co-tenant, across
@@ -96,24 +96,6 @@ TEST(ServingModel, CreditDeepDeficitRefillsRepeatedly)
     // deficit: the next pick refills three times (-25 -> +5).
     EXPECT_EQ(model.pick({0}), 0u);
     EXPECT_EQ(model.credit(0), 5);
-}
-
-TEST(ServingModel, PriorityPreemptsAtDispatchBoundaries)
-{
-    isa::ServingModel model(isa::SchedPolicy::Priority);
-    model.enroll(/*priority=*/0);
-    model.enroll(/*priority=*/5);
-    model.enroll(/*priority=*/5);
-
-    // Highest priority wins; ties resolve by arrival order.
-    EXPECT_EQ(model.pick({0, 1, 2}), 1u);
-    model.charge(1, {.own = 1000, .lanes = {}});
-    // Re-evaluated at every boundary: q1 keeps winning while alive.
-    EXPECT_EQ(model.pick({0, 1, 2}), 1u);
-    model.finish(1);
-    EXPECT_EQ(model.pick({0, 2}), 2u);
-    model.finish(2);
-    EXPECT_EQ(model.pick({0}), 0u);
 }
 
 TEST(ServingModel, VaultClocksQueueCoTenantLanes)
@@ -223,9 +205,9 @@ baseConfig()
 {
     serve::ScenarioConfig config;
     config.policy = isa::SchedPolicy::Fcfs;
-    config.queries = {{.problem = "tc", .priority = 0, .cutoff = 500},
-                      {.problem = "mc", .priority = 2, .cutoff = 40},
-                      {.problem = "kcc-4", .priority = 5, .cutoff = 150}};
+    config.queries = {{.problem = "tc", .cutoff = 500},
+                      {.problem = "mc", .cutoff = 40},
+                      {.problem = "kcc-4", .cutoff = 150}};
     return config;
 }
 
@@ -326,8 +308,7 @@ TEST(ServingScenario, IsolationUnderAsyncPlusFaults)
     // async window, and fault injection all on at once.
     const graph::Graph graph = testGraph();
     serve::ScenarioConfig config = baseConfig();
-    config.queries.push_back(
-        {.problem = "cl-jac", .priority = 1, .cutoff = 300});
+    config.queries.push_back({.problem = "cl-jac", .cutoff = 300});
     config.scu.routing = isa::Routing::Balanced;
     config.scu.asyncDepth = 8;
     config.scu.faults.enabled = true;
@@ -353,20 +334,16 @@ TEST(ServingScenario, PolicyChangesTimingNotResults)
     serve::ScenarioConfig config = baseConfig();
     const serve::ScenarioReport fcfs =
         serve::serveMixedWorkload(graph, config);
-    for (isa::SchedPolicy policy :
-         {isa::SchedPolicy::Credit, isa::SchedPolicy::Priority}) {
-        config.policy = policy;
-        const serve::ScenarioReport other =
-            serve::serveMixedWorkload(graph, config);
-        ASSERT_EQ(other.queries.size(), fcfs.queries.size());
-        for (std::size_t i = 0; i < fcfs.queries.size(); ++i) {
-            SCOPED_TRACE(fcfs.queries[i].problem);
-            EXPECT_EQ(other.queries[i].value, fcfs.queries[i].value);
-            EXPECT_EQ(other.queries[i].account.counters,
-                      fcfs.queries[i].account.counters);
-            EXPECT_EQ(other.queries[i].ownCycles,
-                      fcfs.queries[i].ownCycles);
-        }
+    config.policy = isa::SchedPolicy::Credit;
+    const serve::ScenarioReport credit =
+        serve::serveMixedWorkload(graph, config);
+    ASSERT_EQ(credit.queries.size(), fcfs.queries.size());
+    for (std::size_t i = 0; i < fcfs.queries.size(); ++i) {
+        SCOPED_TRACE(fcfs.queries[i].problem);
+        EXPECT_EQ(credit.queries[i].value, fcfs.queries[i].value);
+        EXPECT_EQ(credit.queries[i].account.counters,
+                  fcfs.queries[i].account.counters);
+        EXPECT_EQ(credit.queries[i].ownCycles, fcfs.queries[i].ownCycles);
     }
 }
 
@@ -387,28 +364,6 @@ TEST(ServingScenario, AdmissionLogIsDeterministic)
     }
 }
 
-TEST(ServingScenario, PriorityQueryIsGrantedFirst)
-{
-    const graph::Graph graph = testGraph();
-    serve::ScenarioConfig config = baseConfig();
-    config.policy = isa::SchedPolicy::Priority;
-    const serve::ScenarioReport report =
-        serve::serveMixedWorkload(graph, config);
-    // kcc-4 (priority 5) outranks mc (2) and tc (0): it owns the
-    // first grant and every grant until it completes.
-    ASSERT_FALSE(report.admissionLog.empty());
-    const sim::QueryId top = report.queries[2].id;
-    EXPECT_EQ(report.admissionLog.front(), top);
-    bool top_done = false;
-    for (const sim::QueryId q : report.admissionLog) {
-        if (q != top)
-            top_done = true;
-        else
-            EXPECT_FALSE(top_done)
-                << "priority query granted after losing a turn";
-    }
-}
-
 TEST(ServingScenario, MatchesPlainEngineRun)
 {
     // The serving stack must not perturb the modeled work at all: a
@@ -426,7 +381,7 @@ TEST(ServingScenario, MatchesPlainEngineRun)
     const sim::QueryAccount &plain = ctx.queryAccount(0);
 
     serve::ScenarioConfig config;
-    config.queries = {{.problem = "tc", .priority = 0, .cutoff = 500}};
+    config.queries = {{.problem = "tc", .cutoff = 500}};
     const serve::ScenarioReport report =
         serve::serveMixedWorkload(graph, config);
     EXPECT_EQ(report.queries[0].value, plain_value);
@@ -715,72 +670,64 @@ TEST(LifecycleModel, DeadlineBoundaryIsInclusive)
     EXPECT_TRUE(model.deadlineMet(0));
 }
 
-TEST(LifecycleModel, RejectShedsTheNewcomer)
-{
-    isa::ServingModel model(isa::SchedPolicy::Fcfs);
-    model.setOverload(isa::ShedPolicy::Reject, /*capacity=*/1);
-    model.enroll();
-    model.enroll();
-
-    // q0 fills the only slot; arriving into a full queue sheds q1 at
-    // its arrival instant, before it ever runs.
-    const isa::ServingModel::Decision d = model.decide({0, 1});
-    EXPECT_EQ(d.query, 1u);
-    EXPECT_EQ(d.verdict, isa::QueryState::Shed);
-    model.finish(1); // The woken victim retires.
-    EXPECT_EQ(model.state(1), isa::QueryState::Shed);
-    EXPECT_EQ(model.completion(1), 0u); // Frozen at its arrival.
-
-    // The incumbent is unaffected and completes normally.
-    EXPECT_EQ(model.decide({0}).verdict, isa::QueryState::Running);
-    model.charge(0, {.own = 40, .lanes = {}});
-    model.finish(0);
-    EXPECT_EQ(model.state(0), isa::QueryState::Completed);
-    EXPECT_EQ(model.lifecycleLog(),
-              (std::vector<Event>{{0, isa::QueryState::Admitted},
-                                  {1, isa::QueryState::Shed},
-                                  {0, isa::QueryState::Running},
-                                  {0, isa::QueryState::Completed}}));
-}
-
-TEST(LifecycleModel, OldestShedsTheEldestQueuedQuery)
-{
-    isa::ServingModel model(isa::SchedPolicy::Fcfs);
-    model.setOverload(isa::ShedPolicy::Oldest, /*capacity=*/1);
-    model.enroll();
-    model.enroll();
-
-    // shed=oldest evicts the incumbent to make room for the newcomer.
-    const isa::ServingModel::Decision d = model.decide({0, 1});
-    EXPECT_EQ(d.query, 0u);
-    EXPECT_EQ(d.verdict, isa::QueryState::Shed);
-    EXPECT_EQ(model.state(1), isa::QueryState::Admitted);
-    model.finish(0);
-    EXPECT_EQ(model.decide({1}).verdict, isa::QueryState::Running);
-    EXPECT_EQ(model.lifecycleLog(),
-              (std::vector<Event>{{0, isa::QueryState::Admitted},
-                                  {1, isa::QueryState::Admitted},
-                                  {0, isa::QueryState::Shed},
-                                  {1, isa::QueryState::Running}}));
-}
-
 TEST(LifecycleModel, EdfShedsTheLatestDeadlineOnOverflow)
 {
-    isa::ServingModel model(isa::SchedPolicy::Fcfs);
-    model.setOverload(isa::ShedPolicy::Edf, /*capacity=*/1);
-    isa::AdmissionSpec lax;
-    lax.deadline = 5000;
-    isa::AdmissionSpec urgent;
-    urgent.deadline = 100;
-    model.enroll(lax);
-    model.enroll(urgent);
+    // Two queries arrive at 300 into a one-slot queue: EDF sheds the
+    // later deadline, whether that is the incumbent or the newcomer.
+    struct Case
+    {
+        mem::Cycles incumbentDeadline;
+        mem::Cycles newcomerDeadline;
+        sim::QueryId victim;
+        std::vector<Event> log;
+    };
+    const Case cases[] = {
+        // An urgent newcomer evicts the laxer incumbent.
+        {5000,
+         1000,
+         0,
+         {{0, isa::QueryState::Admitted},
+          {1, isa::QueryState::Admitted},
+          {0, isa::QueryState::Shed},
+          {1, isa::QueryState::Running},
+          {1, isa::QueryState::Completed}}},
+        // A lax newcomer is the victim itself: shed at its arrival
+        // instant, never Admitted.
+        {1000,
+         5000,
+         1,
+         {{0, isa::QueryState::Admitted},
+          {1, isa::QueryState::Shed},
+          {0, isa::QueryState::Running},
+          {0, isa::QueryState::Completed}}},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.victim);
+        isa::ServingModel model(isa::SchedPolicy::Fcfs);
+        model.setOverload(isa::ShedPolicy::Edf, /*capacity=*/1);
+        isa::AdmissionSpec spec;
+        spec.arrival = 300;
+        spec.deadline = c.incumbentDeadline;
+        model.enroll(spec);
+        spec.deadline = c.newcomerDeadline;
+        model.enroll(spec);
 
-    // The queue is full when the urgent query arrives: EDF evicts the
-    // laxer incumbent rather than the newcomer.
-    const isa::ServingModel::Decision d = model.decide({0, 1});
-    EXPECT_EQ(d.query, 0u);
-    EXPECT_EQ(d.verdict, isa::QueryState::Shed);
-    EXPECT_EQ(model.state(1), isa::QueryState::Admitted);
+        const isa::ServingModel::Decision d = model.decide({0, 1});
+        EXPECT_EQ(d.query, c.victim);
+        EXPECT_EQ(d.verdict, isa::QueryState::Shed);
+        model.finish(c.victim); // The woken victim retires.
+        EXPECT_EQ(model.state(c.victim), isa::QueryState::Shed);
+        EXPECT_EQ(model.completion(c.victim), 300u); // Its arrival.
+
+        // The survivor is unaffected and completes normally.
+        const sim::QueryId survivor = 1 - c.victim;
+        EXPECT_EQ(model.decide({survivor}).verdict,
+                  isa::QueryState::Running);
+        model.charge(survivor, {.own = 40, .lanes = {}});
+        model.finish(survivor);
+        EXPECT_EQ(model.completion(survivor), 340u);
+        EXPECT_EQ(model.lifecycleLog(), c.log);
+    }
 }
 
 TEST(LifecycleModel, EdfShedsUnreachableDeadlines)
@@ -880,7 +827,6 @@ TEST(ServingLifecycle, CancelMidWindowLeavesSurvivorsBitIdentical)
     // tight to finish -- it is cancelled between dispatches with its
     // async window still open.
     config.queries.push_back({.problem = "tc",
-                              .priority = 0,
                               .cutoff = 500,
                               .arrival = 0,
                               .deadline = 2000});

@@ -73,7 +73,7 @@ struct ArgDoc
 const ArgDoc kPositionalDocs[] = {
     {"problem", "<problem>",
      Problem::list(EntryPoint::Solo) +
-         "; under serve=, a comma list of PROBLEM[:PRIORITY] of " +
+         "; under serve=, a comma list of " +
          Problem::list(EntryPoint::Serve)},
     {"dataset", "<dataset>",
      "registry name (--list) or file:PATH (edge list)"},
@@ -99,8 +99,8 @@ const ArgDoc kKeyArgDocs[] = {
     {"async", "[async=SPEC]",
      "async=on[:DEPTH] | off (sisa mode only; default depth 8)"},
     {"serve", "[serve=SPEC]",
-     "serve=fcfs | credit[:QUANTUM] | priority (sisa mode only): run "
-     "the problem comma list as co-tenant queries"},
+     "serve=fcfs | credit[:QUANTUM] (sisa mode only): run the problem "
+     "comma list as co-tenant queries"},
     {"deadline", "[deadline=CYCLES]",
      "deadline=CYCLES (serve= only): cancel queries that cannot "
      "complete within CYCLES of their arrival"},
@@ -109,8 +109,8 @@ const ArgDoc kKeyArgDocs[] = {
      "virtual arrival times (query i at i*OFFSET, or seeded "
      "exponential inter-arrivals)"},
     {"shed", "[shed=SPEC]",
-     "shed=none | reject | oldest | edf[:CAPACITY] (serve= only): "
-     "admission-queue overload policy"},
+     "shed=none | edf[:CAPACITY] (serve= only): admission-queue "
+     "overload policy"},
 };
 
 int
@@ -166,12 +166,12 @@ struct ServeOptions
 };
 
 /**
- * serve= mode: parse the problem comma list (PROBLEM[:PRIORITY]
- * items), run the mixed workload co-tenant, and print one row per
- * query -- the algorithm's value, the query's own modeled cycles,
- * its virtual completion under the admission policy, its lifecycle
- * verdict, and its fault summary -- plus completion percentiles and
- * goodput over the query population. Returns an exit code.
+ * serve= mode: parse the problem comma list, run the mixed workload
+ * co-tenant, and print one row per query -- the algorithm's value,
+ * the query's own modeled cycles, its virtual completion under the
+ * admission policy, its lifecycle verdict, and its fault summary --
+ * plus completion percentiles and goodput over the query population.
+ * Returns an exit code.
  */
 int
 runServe(const graph::Graph &g, const std::string &problems,
@@ -194,19 +194,9 @@ runServe(const graph::Graph &g, const std::string &problems,
         std::size_t comma = problems.find(',', start);
         if (comma == std::string::npos)
             comma = problems.size();
-        std::string item = problems.substr(start, comma - start);
-        start = comma + 1;
         serve::QuerySpec spec;
-        const std::size_t colon = item.find(':');
-        if (colon != std::string::npos) {
-            if (!parseCount(item.c_str() + colon + 1, spec.priority)) {
-                std::fprintf(stderr, "bad query priority in '%s'\n",
-                             item.c_str());
-                return usage(argv0);
-            }
-            item.resize(colon);
-        }
-        spec.problem = item;
+        spec.problem = problems.substr(start, comma - start);
+        start = comma + 1;
         if (!Problem::parse(spec.problem, EntryPoint::Serve)) {
             std::fprintf(stderr, "unknown serve problem '%s' (%s)\n",
                          spec.problem.c_str(),
@@ -506,8 +496,14 @@ main(int argc, char **argv)
             if (!policy) {
                 std::fprintf(stderr,
                              "bad serve policy '%s' (fcfs | "
-                             "credit[:QUANTUM] | priority)\n",
+                             "credit[:QUANTUM])\n",
                              value.c_str());
+                return usage(argv[0]);
+            }
+            if (colon != std::string::npos &&
+                *policy != isa::SchedPolicy::Credit) {
+                std::fprintf(stderr, "a serve quantum is only "
+                                     "meaningful with credit\n");
                 return usage(argv[0]);
             }
             serve_opts.policy = *policy;
@@ -584,9 +580,15 @@ main(int argc, char **argv)
             const auto shed = isa::parseShedPolicy(value);
             if (!shed) {
                 std::fprintf(stderr,
-                             "bad shed policy '%s' (none | reject | "
-                             "oldest | edf[:CAPACITY])\n",
+                             "bad shed policy '%s' (none | "
+                             "edf[:CAPACITY])\n",
                              value.c_str());
+                return usage(argv[0]);
+            }
+            if (colon != std::string::npos &&
+                *shed != isa::ShedPolicy::Edf) {
+                std::fprintf(stderr, "a shed capacity is only "
+                                     "meaningful with edf\n");
                 return usage(argv[0]);
             }
             serve_opts.shed = *shed;
