@@ -74,13 +74,6 @@ struct RunConfig
      * results are invariant.
      */
     std::string routing{};
-    /**
-     * Record the run's full encoded SISA instruction stream (Sisa
-     * mode): the caller-owned trace attaches to the SCU before any
-     * set exists, so offline linting (`sisa_run ... analyze=trace`,
-     * sisa/analysis.hpp) sees every instruction the run issued.
-     */
-    isa::InstructionTrace *trace = nullptr;
 };
 
 /** Outcome of one run. */
@@ -193,8 +186,6 @@ runProblem(const std::string &name, const Graph &graph, Mode mode,
             auto sisa = std::make_unique<core::SisaEngine>(
                 g.numVertices(), scu_cfg, config.threads);
             sisa_engine = sisa.get();
-            if (config.trace)
-                sisa_engine->scu().setTrace(config.trace);
             engine = std::move(sisa);
         } else {
             engine = std::make_unique<core::CpuSetEngine>(

@@ -130,9 +130,9 @@ std::vector<mem::Cycles> poissonArrivals(std::uint64_t seed,
  * Run every query of @p config concurrently against @p graph and
  * report per-query results, virtual completions, fault summaries,
  * and tagged accounts. Throws on invalid specs; exceptions thrown
- * by a query's algorithm (e.g. strict-analyze rejects) are captured
- * per query, the scenario still drains cleanly, and the first one
- * is rethrown after all sessions retired.
+ * by a query's algorithm or engine set-up are captured per query,
+ * the scenario still drains cleanly, and the first one is rethrown
+ * after all sessions retired.
  */
 ScenarioReport serveMixedWorkload(const graph::Graph &graph,
                                   const ScenarioConfig &config);

@@ -56,12 +56,13 @@ enum class BatchOpKind : std::uint8_t
  *  3. Operand ids resolve to vaults within config().pim.vaults under
  *     the installed placement policy.
  *
- * Violations are undefined behaviour of the simulation model (NOT of
- * the host process -- the store bounds-checks). ScuConfig.analyze
- * verifies 1-3 statically before execution (sisa/analysis.hpp):
- * Warn reports, Strict rejects the dispatch with AnalysisError.
+ * Rule 1 is enforced at dispatch: reading a dead operand trips
+ * SetStore's liveness assert ("metadata of a dead set"), which aborts
+ * the run in every build type. Rule 2 holds by construction. Rule 3
+ * is enforced by Scu::setPlacement, which replaces a policy built for
+ * a different vault count with a correct-width HashPlacement.
  * Issuing the same scalar op twice in one batch is legal but wastes
- * a lane; the analyzer flags it as an INFO-grade RedundantOp.
+ * a lane.
  *
  * CROSS-BATCH HAZARDS -- what the async window adds on top. With
  * ScuConfig.asyncDepth > 0 the SCU keeps up to asyncDepth dispatches
@@ -69,7 +70,7 @@ enum class BatchOpKind : std::uint8_t
  * time. The in-order front end preserves the contract: every dispatch
  * still executes functionally, adopts result ids, records its trace,
  * and bumps its counters in program order at dispatch time, and the
- * window's scoreboard (analysis::DependencyWindow) joins each new
+ * window's scoreboard (DependencyWindow) joins each new
  * batch's operands against the unretired defs so that
  *
  *  - RAW: an op reading a pending result cannot start before the
@@ -79,13 +80,11 @@ enum class BatchOpKind : std::uint8_t
  *  - WAW: destroy forgets the id from the scoreboard, so a recycled
  *    id starts with a clean dependency slate.
  *
- * Because the functional front end is in-order, `analyze=strict`
- * under overlap verifies exactly what it verifies in barriered mode:
- * each batch is checked (and rejected, with the window intact)
- * against the store state produced by every earlier dispatch and
- * serial op, before its ops enter the window. Overlap moves cycle
- * charges only; results, ids, traces, and functional counters are
- * bit-identical to asyncDepth = 0.
+ * Because the functional front end is in-order, each batch's
+ * operands are checked for liveness against the store state produced
+ * by every earlier dispatch and serial op, exactly as in barriered
+ * mode. Overlap moves cycle charges only; results, ids, traces, and
+ * functional counters are bit-identical to asyncDepth = 0.
  *
  * CROSS-QUERY NON-INTERFERENCE -- what multi-tenant serving adds on
  * top. Under a QueryScheduler (core/query_session.hpp) several

@@ -6,7 +6,6 @@
 #include <string>
 #include <unordered_set>
 
-#include "sisa/analysis.hpp"
 #include "support/bits.hpp"
 #include "support/logging.hpp"
 
@@ -26,9 +25,6 @@ using sim::internCounter;
  */
 struct ScuCounters
 {
-    const CounterId analysisBatches = internCounter("scu.analysis_batches");
-    const CounterId analysisErrors = internCounter("scu.analysis_errors");
-    const CounterId analysisWarnings = internCounter("scu.analysis_warnings");
     const CounterId asyncDispatches = internCounter("scu.async_dispatches");
     const CounterId asyncDrains = internCounter("scu.async_drains");
     const CounterId asyncSyncs = internCounter("scu.async_syncs");
@@ -109,8 +105,10 @@ Scu::Scu(SetStore &store, const ScuConfig &config,
             ": batches always pre-execute inline on the dispatching "
             "thread, so the only accepted value is 1");
     }
-    setPlacement(config_.placement);
-    quarantine_.reset(std::max<std::uint32_t>(config_.pim.vaults, 1));
+    const std::uint32_t vaults =
+        std::max<std::uint32_t>(config_.pim.vaults, 1);
+    placement_ = std::make_shared<HashPlacement>(vaults);
+    quarantine_.reset(vaults);
     if (config_.faults.enabled)
         faults_ = std::make_unique<FaultInjector>(config_.faults);
     if (config_.smbEnabled) {
@@ -1494,11 +1492,11 @@ Scu::dispatch(sim::SimContext &ctx, sim::ThreadId tid,
 
     // --- Verify ----------------------------------------------------------
     // Permanent vault failures at this dispatch's coordinate, peeked
-    // BEFORE the analyzer and the sequence number. Watchdog
-    // detection, quarantine, and replay are barrier-shaped, so a
-    // windowed dispatch that carries fail points drains the window
-    // and retires as a barrier -- at the SAME coordinate, so recovery
-    // is bit-identical to an always-barriered run.
+    // BEFORE the sequence number. Watchdog detection, quarantine, and
+    // replay are barrier-shaped, so a windowed dispatch that carries
+    // fail points drains the window and retires as a barrier -- at
+    // the SAME coordinate, so recovery is bit-identical to an
+    // always-barriered run.
     failedVaults_.clear();
     if (faults_) {
         faults_->failuresAt(dispatchCounter_, failedVaults_);
@@ -1514,43 +1512,9 @@ Scu::dispatch(sim::SimContext &ctx, sim::ThreadId tid,
         windowed = false;
     }
 
-    // Static pre-execution verification (sisa/analysis.hpp). Sits
-    // BEFORE the dispatch counter so a strict-rejected batch never
-    // consumes a sequence number (fault coordinates stay stable when
-    // the offending batch is fixed and re-issued), and leaves an
-    // open window intact -- pending batches retire normally after
-    // the throw (the batch.hpp CROSS-BATCH HAZARDS contract). Charges
-    // no modeled cycles; with analyze off this branch is the whole
-    // cost.
-    if (config_.analyze != AnalyzeMode::Off) {
-        analysis::AnalysisContext actx;
-        actx.store = &store_;
-        actx.vaults = config_.pim.vaults;
-        actx.vaultOf = [this](SetId id) { return vaultOf(id); };
-        analysis::Report report =
-            analysis::analyze(analysis::Program::fromBatch(batch), actx);
-        ctx.bumpCounter(ids().analysisBatches);
-        if (report.errors > 0)
-            ctx.bumpCounter(ids().analysisErrors, report.errors);
-        if (report.warnings > 0)
-            ctx.bumpCounter(ids().analysisWarnings, report.warnings);
-        if (report.hasErrors()) {
-            if (config_.analyze == AnalyzeMode::Strict) {
-                // The rejected batch never touches the scratch, but
-                // the dispatch attempt still advances the shrink
-                // window like any other quiet dispatch.
-                maybeShrinkScratch(0);
-                throw analysis::AnalysisError(std::move(report));
-            }
-            sisa_warn("batch analysis found hazards:\n",
-                      report.toString());
-        }
-    }
-
     // --- Admit -----------------------------------------------------------
     // Serving admission: block until the scheduler grants this query
-    // a dispatch slot. Sits AFTER the analyzer (a strict reject must
-    // not strand a grant) and before any charge, so co-tenant
+    // a dispatch slot. Sits before any charge, so co-tenant
     // dispatches interleave at whole-dispatch boundaries. A
     // cancellation verdict cancel-drains the window and throws
     // QueryCancelledError from here.

@@ -38,8 +38,8 @@
 #include "mem/pim.hpp"
 #include "sets/operations.hpp"
 #include "sim/context.hpp"
-#include "sisa/analysis.hpp"
 #include "sisa/batch.hpp"
+#include "sisa/dependency_window.hpp"
 #include "sisa/faults.hpp"
 #include "sisa/isa.hpp"
 #include "sisa/placement.hpp"
@@ -81,20 +81,6 @@ std::optional<Routing> parseRouting(std::string_view name);
 /** The valid routing names, "primary | balanced". */
 std::string_view routingNames();
 
-/**
- * Static batch verification mode (sisa/analysis.hpp). Off skips the
- * analyzer entirely -- dispatchBatch is instruction-identical to a
- * build without the analysis layer (the zero-overhead guarantee,
- * pinned by the golden trace). Warn analyzes every batch before
- * execution and reports findings (scu.analysis_* counters, one
- * warning line per offending dispatch) but still executes; Strict
- * additionally hard-fails the dispatch with analysis::AnalysisError
- * on any ERROR-severity diagnostic, BEFORE the batch consumes a
- * dispatch sequence number or charges any cycle. The analyzer is
- * host-side tooling: no mode charges modeled cycles.
- */
-enum class AnalyzeMode : std::uint8_t { Off, Warn, Strict };
-
 /** SCU configuration (Sections 8.2, 8.4, 9.1). */
 struct ScuConfig
 {
@@ -119,16 +105,6 @@ struct ScuConfig
      * deleted together with the next benchmark change.
      */
     std::uint32_t batchWorkers = 1;
-    /**
-     * Set-to-vault placement policy consulted by dispatchBatch.
-     * nullptr selects HashPlacement over pim.vaults (the historical
-     * behavior). The policy's vault count MUST match pim.vaults:
-     * setPlacement rejects a mismatched policy (with a warning) and
-     * rebuilds the hash fallback at the correct width instead of
-     * silently folding out-of-range vaults by modulo, which skewed
-     * the placement distribution.
-     */
-    std::shared_ptr<const PlacementPolicy> placement;
     /** Execution-vault routing rule for batched dispatch. */
     Routing routing = Routing::Primary;
     /**
@@ -138,12 +114,6 @@ struct ScuConfig
      * without the fault layer (the zero-overhead guarantee).
      */
     FaultConfig faults{};
-    /**
-     * Static pre-execution verification of every dispatched batch
-     * (operand liveness, vault range, duplicate-lane waste -- the
-     * sisa/batch.hpp hazard contract). Off by default.
-     */
-    AnalyzeMode analyze = AnalyzeMode::Off;
     /**
      * In-flight dispatch window of Scu::dispatchAsync: up to
      * asyncDepth batches may be pending retirement at once, so a
@@ -254,7 +224,7 @@ class Scu
      * dispatchBatch, bit for bit -- but its modeled completion joins
      * an in-flight window instead of stalling the issuing thread.
      * Per-vault virtual lane clocks carry load across the window's
-     * batches; the scoreboard (analysis::DependencyWindow) joins the
+     * batches; the scoreboard (DependencyWindow) joins the
      * new batch's operands against the unretired defs, so an op
      * reading a pending result starts at that result's modeled
      * completion while independent ops start on idle lanes
@@ -610,14 +580,14 @@ class Scu
 
     /**
      * The one batched-dispatch pipeline behind dispatchBatch and
-     * dispatchAsync: verify (fail-point peek, analyzer gate) ->
-     * admit -> execute functionally -> route -> lay lanes out in
-     * modeled time -> reduce -> retire. The two differ only in the
-     * retire rule: a barrier (@p windowed false) drains any open
-     * window, lays its lanes from fresh clocks and charges the
-     * issuing thread busy(completion - issue) at once; a windowed
-     * dispatch joins the scoreboard and the ROB. A windowed dispatch
-     * whose coordinate carries fail points retires as a barrier.
+     * dispatchAsync: verify (fail-point peek) -> admit -> execute
+     * functionally -> route -> lay lanes out in modeled time ->
+     * reduce -> retire. The two differ only in the retire rule: a
+     * barrier (@p windowed false) drains any open window, lays its
+     * lanes from fresh clocks and charges the issuing thread
+     * busy(completion - issue) at once; a windowed dispatch joins
+     * the scoreboard and the ROB. A windowed dispatch whose
+     * coordinate carries fail points retires as a barrier.
      */
     BatchResult dispatch(sim::SimContext &ctx, sim::ThreadId tid,
                          const BatchRequest &batch, bool windowed);
@@ -981,7 +951,7 @@ class Scu
     /** Reduction-tree serialization point (one tree at a time). */
     mem::Cycles reduceEndV_ = 0;
     /** RAW/WAR scoreboard over unretired defs and payload reads. */
-    analysis::DependencyWindow deps_;
+    DependencyWindow deps_;
     /** In-flight completions in dispatch order (the ROB). */
     std::deque<mem::Cycles> pendingCompletions_;
     /** Dispatched-but-uncollected results (survive the drain). */

@@ -31,7 +31,6 @@
 #include "core/set_graph.hpp"
 #include "core/sisa_engine.hpp"
 #include "graph/generators.hpp"
-#include "sisa/analysis.hpp"
 #include "sisa/batch.hpp"
 #include "sisa/placement.hpp"
 #include "sisa/scu.hpp"
@@ -503,12 +502,10 @@ struct WindowFixture
     std::unique_ptr<Scu> scu;
     std::vector<SetId> pool;
 
-    explicit WindowFixture(std::uint32_t depth,
-                           AnalyzeMode analyze = AnalyzeMode::Off)
+    explicit WindowFixture(std::uint32_t depth)
     {
         ScuConfig config;
         config.asyncDepth = depth;
-        config.analyze = analyze;
         scu = std::make_unique<Scu>(store, config, 2);
         pool = makePool(store, 16, 2048, 3);
     }
@@ -561,26 +558,6 @@ TEST(AsyncWindow, RebindingThreadDrainsTheWindow)
     EXPECT_EQ(ctx.counter("scu.async_drains"), 2u);
 }
 
-TEST(AsyncWindow, StrictRejectionLeavesTheWindowIntact)
-{
-    // analyze=strict under overlap: a hazardous batch is rejected at
-    // the gate BEFORE joining the window, so prior in-flight batches
-    // keep their tickets and the window stays open.
-    WindowFixture fx(4, AnalyzeMode::Strict);
-    SimContext ctx(1);
-    const BatchHandle ok = fx.dispatch(ctx, 0, 21);
-    const SetId doomed =
-        fx.scu->create(ctx, 0, {1, 2, 3}, SetRepr::SparseArray);
-    fx.scu->destroy(ctx, 0, doomed);
-    BatchRequest bad;
-    bad.intersect(fx.pool[0], doomed);
-    EXPECT_THROW(fx.scu->dispatchAsync(ctx, 0, bad),
-                 analysis::AnalysisError);
-    EXPECT_TRUE(fx.scu->asyncWindowActive());
-    EXPECT_EQ(fx.scu->asyncInFlight(), 1u);
-    EXPECT_FALSE(fx.scu->collectBatch(ctx, 0, ok).entries.empty());
-}
-
 TEST(AsyncWindow, SerialOpsSynchronizeAgainstPendingResults)
 {
     // A serial SISA op reading a pending batch's result must stall
@@ -612,6 +589,31 @@ TEST(AsyncWindow, DepthZeroDegradesToTheBarrier)
     EXPECT_EQ(ctx.counter("scu.async_dispatches"), 0u);
     EXPECT_FALSE(
         fx.scu->collectBatch(ctx, 0, handle).entries.empty());
+}
+
+TEST(AsyncWindowDeathTest, DeadOperandAbortsTheDispatch)
+{
+    // Rule 1 of the batch.hpp HAZARD CONTRACT: a destroyed operand,
+    // in either position, trips SetStore's liveness assert whether
+    // the batch is barriered or joins an open window.
+    const char *msg = "metadata of a dead set";
+    for (const bool dead_is_a : {true, false}) {
+        WindowFixture fx(4);
+        SimContext ctx(1);
+        // Open the window first: its results would recycle the slot.
+        fx.dispatch(ctx, 0, 21);
+        ASSERT_TRUE(fx.scu->asyncWindowActive());
+        const SetId dead =
+            fx.scu->create(ctx, 0, {1, 2, 3}, SetRepr::SparseArray);
+        fx.scu->destroy(ctx, 0, dead);
+        BatchRequest bad;
+        if (dead_is_a)
+            bad.intersect(dead, fx.pool[0]);
+        else
+            bad.intersect(fx.pool[0], dead);
+        EXPECT_DEATH(fx.scu->dispatchAsync(ctx, 0, bad), msg);
+        EXPECT_DEATH(fx.scu->dispatchBatch(ctx, 0, bad), msg);
+    }
 }
 
 // --- lastBackend retention (batched vs serial) -----------------------------
@@ -657,7 +659,7 @@ TEST(LastBackend, MetadataOnlyBatchRetainsLikeSerialIssue)
 
 // --- Scratch high-watermark release ----------------------------------------
 
-TEST(ScratchRelease, EmptyAndRejectedBatchesAdvanceTheWindow)
+TEST(ScratchRelease, EmptyBatchesAdvanceTheWindow)
 {
     // A burst batch inflates the dispatch scratch; a full window of
     // EMPTY batches must still reset the high watermark and release
@@ -673,27 +675,6 @@ TEST(ScratchRelease, EmptyAndRejectedBatchesAdvanceTheWindow)
     for (int i = 0; i < 64; ++i)
         scu.dispatchBatch(ctx, 0, BatchRequest{});
     EXPECT_LT(scu.scratchCapacity(), burst);
-
-    // Strict-rejected batches advance the window the same way.
-    ScuConfig strict_cfg;
-    strict_cfg.analyze = AnalyzeMode::Strict;
-    SetStore strict_store(4096);
-    Scu strict_scu(strict_store, strict_cfg, 1);
-    SimContext strict_ctx(1);
-    const std::vector<SetId> strict_pool =
-        makePool(strict_store, 24, 2048, 9);
-    strict_scu.dispatchBatch(strict_ctx, 0,
-                             makeRequest(strict_pool, 512, 77));
-    const std::size_t strict_burst = strict_scu.scratchCapacity();
-    const SetId dead = strict_scu.create(strict_ctx, 0, {1, 2},
-                                         SetRepr::SparseArray);
-    strict_scu.destroy(strict_ctx, 0, dead);
-    BatchRequest bad;
-    bad.intersect(strict_pool[0], dead);
-    for (int i = 0; i < 64; ++i)
-        EXPECT_THROW(strict_scu.dispatchBatch(strict_ctx, 0, bad),
-                     analysis::AnalysisError);
-    EXPECT_LT(strict_scu.scratchCapacity(), strict_burst);
 }
 
 } // namespace

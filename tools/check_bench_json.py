@@ -9,16 +9,7 @@ CI runs this against the sweep's freshly emitted JSON and against the
 committed copy at the repo root, so a refactor that silently drops or
 garbles a row breaks the build instead of the perf trajectory.
 
-With --analysis, the arguments are instead reports emitted by the
-SISA static analyzer (sisa_run ... analyze=trace:FILE or
-analysis::Report::toJson), validated against the
-"sisa-analysis-report-v1" schema: top-level counts must be integers
-consistent with the diagnostics array, every diagnostic must carry a
-known kind/severity pair, and severities must match the analyzer's
-fixed kind->severity grading.
-
 Usage: check_bench_json.py BENCH_kernels.json [more.json ...]
-       check_bench_json.py --analysis report.json [more.json ...]
 """
 
 import json
@@ -172,106 +163,19 @@ def check(path: str) -> list[str]:
     return errors
 
 
-# Mirror of analysis.cpp's kind -> severity grading; a report whose
-# severities disagree was produced by a skewed serializer.
-ANALYSIS_SCHEMA = "sisa-analysis-report-v1"
-ANALYSIS_KINDS = {
-    "unknown-instruction": "error",
-    "use-before-def": "error",
-    "use-after-free": "error",
-    "raw-hazard": "error",
-    "war-hazard": "error",
-    "waw-hazard": "error",
-    "duplicate-destination": "error",
-    "dest-aliases-operand": "error",
-    "vault-out-of-range": "error",
-    "universe-out-of-range": "error",
-    "metadata-only-misuse": "warning",
-    "redundant-op": "info",
-}
-ANALYSIS_COUNTS = ("instructions", "errors", "warnings", "infos")
-
-
-def check_analysis(path: str) -> list[str]:
-    errors: list[str] = []
-    try:
-        with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        return [f"{path}: cannot parse: {exc}"]
-
-    if doc.get("schema") != ANALYSIS_SCHEMA:
-        errors.append(f"{path}: schema {doc.get('schema')!r} != "
-                      f"'{ANALYSIS_SCHEMA}'")
-    for key in ANALYSIS_COUNTS:
-        value = doc.get(key)
-        if not isinstance(value, int) or isinstance(value, bool) \
-                or value < 0:
-            errors.append(f"{path}: '{key}' is not a non-negative "
-                          f"integer")
-    diags = doc.get("diagnostics")
-    if not isinstance(diags, list):
-        return errors + [f"{path}: 'diagnostics' is not a list"]
-
-    tally = {"error": 0, "warning": 0, "info": 0}
-    for idx, diag in enumerate(diags):
-        where = f"{path}: diagnostics[{idx}]"
-        if not isinstance(diag, dict):
-            errors.append(f"{where}: not an object")
-            continue
-        kind = diag.get("kind")
-        if kind not in ANALYSIS_KINDS:
-            errors.append(f"{where}: unknown kind {kind!r}")
-        severity = diag.get("severity")
-        if severity not in tally:
-            errors.append(f"{where}: unknown severity {severity!r}")
-        else:
-            tally[severity] += 1
-        if kind in ANALYSIS_KINDS and severity in tally \
-                and ANALYSIS_KINDS[kind] != severity:
-            errors.append(f"{where}: kind {kind!r} graded {severity!r}"
-                          f" but the analyzer grades it "
-                          f"{ANALYSIS_KINDS[kind]!r}")
-        for key in ("op", "word"):
-            value = diag.get(key)
-            if not isinstance(value, int) or isinstance(value, bool) \
-                    or value < 0:
-                errors.append(f"{where}: '{key}' is not a "
-                              f"non-negative integer")
-        if not isinstance(diag.get("message"), str) \
-                or not diag.get("message"):
-            errors.append(f"{where}: 'message' is not a non-empty "
-                          f"string")
-    for severity, plural in (("error", "errors"),
-                             ("warning", "warnings"),
-                             ("info", "infos")):
-        count = doc.get(plural)
-        if isinstance(count, int) and not isinstance(count, bool) \
-                and count != tally[severity]:
-            errors.append(f"{path}: '{plural}' says {count} but the "
-                          f"diagnostics list {tally[severity]}")
-    return errors
-
-
 def main(argv: list[str]) -> int:
-    analysis_mode = "--analysis" in argv[1:]
-    paths = [a for a in argv[1:] if a != "--analysis"]
+    paths = argv[1:]
     if not paths:
         print(__doc__, file=sys.stderr)
         return 2
     failures: list[str] = []
     for path in paths:
-        failures.extend(
-            check_analysis(path) if analysis_mode else check(path))
+        failures.extend(check(path))
     for message in failures:
         print(f"error: {message}", file=sys.stderr)
     if not failures:
-        if analysis_mode:
-            print(f"ok: {len(paths)} analysis report(s) conform to "
-                  f"{ANALYSIS_SCHEMA}")
-        else:
-            print(f"ok: {len(paths)} file(s) well-formed, all "
-                  f"{len(REQUIRED_ROWS)} required rows present")
+        print(f"ok: {len(paths)} file(s) well-formed, all "
+              f"{len(REQUIRED_ROWS)} required rows present")
     return 1 if failures else 0
 
 

@@ -14,13 +14,12 @@
  * (algorithms/problem.hpp): a new argument or problem shows up in the
  * help by adding one table entry, so the banner cannot drift from the
  * parser. README.md describes the placement, routing, faults=,
- * analyze=, async=, serve=, deadline=, arrive= and shed= modes.
+ * async=, serve=, deadline=, arrive= and shed= modes.
  *
  * Every argument is validated up front: unknown tokens, non-numeric
- * counts, unknown datasets, and unreadable/malformed graph files all
- * print the usage and exit 2 instead of crashing mid-run. Exit 3 means
- * analyze=strict rejected a batch, exit 4 that analyze=trace found
- * ERROR findings.
+ * counts, unknown problems and serve lists, unknown datasets, and
+ * unreadable/malformed graph files all print the usage and exit 2
+ * instead of crashing mid-run.
  */
 
 #include <charconv>
@@ -34,10 +33,8 @@
 #include "graph/io.hpp"
 #include "harness.hpp"
 #include "serve/scenario.hpp"
-#include "sisa/analysis.hpp"
 #include "sisa/faults.hpp"
 #include "sisa/serving.hpp"
-#include "sisa/trace.hpp"
 #include "support/stats.hpp"
 
 using namespace sisa;
@@ -94,8 +91,6 @@ const ArgDoc kKeyArgDocs[] = {
     {"faults", "[faults=SPEC]",
      "faults=key=val,... e.g. faults=seed=7,corrupt=0.02,fail=3@2 "
      "(sisa mode only)"},
-    {"analyze", "[analyze=MODE]",
-     "analyze=off | warn | strict | trace[:FILE] (sisa mode only)"},
     {"async", "[async=SPEC]",
      "async=on[:DEPTH] | off (sisa mode only; default depth 8)"},
     {"serve", "[serve=SPEC]",
@@ -166,30 +161,15 @@ struct ServeOptions
 };
 
 /**
- * serve= mode: parse the problem comma list, run the mixed workload
- * co-tenant, and print one row per query -- the algorithm's value,
- * the query's own modeled cycles, its virtual completion under the
- * admission policy, its lifecycle verdict, and its fault summary --
- * plus completion percentiles and goodput over the query population.
- * Returns an exit code.
+ * Parse the serve= problem comma list into one query per problem.
+ * Runs with the other argument checks, before the graph is loaded;
+ * an unknown or solo-only problem returns nullopt after naming it.
  */
-int
-runServe(const graph::Graph &g, const std::string &problems,
-         const RunConfig &config, bool cutoff_given,
-         const ServeOptions &opts, const char *argv0)
+std::optional<std::vector<serve::QuerySpec>>
+parseServeList(const std::string &problems, bool cutoff_given,
+               std::uint64_t cutoff)
 {
-    serve::ScenarioConfig sc;
-    sc.policy = opts.policy;
-    sc.quantum = opts.quantum;
-    sc.shed = opts.shed;
-    sc.admitCapacity = opts.capacity;
-    sc.scu = config.scu;
-    sc.placement = config.placement;
-    sc.threads = config.threads;
-    if (const std::optional<isa::Routing> routing =
-            isa::parseRouting(config.routing))
-        sc.scu.routing = *routing; // Validated with the argv.
-
+    std::vector<serve::QuerySpec> queries;
     for (std::size_t start = 0; start <= problems.size();) {
         std::size_t comma = problems.find(',', start);
         if (comma == std::string::npos)
@@ -201,12 +181,38 @@ runServe(const graph::Graph &g, const std::string &problems,
             std::fprintf(stderr, "unknown serve problem '%s' (%s)\n",
                          spec.problem.c_str(),
                          Problem::list(EntryPoint::Serve).c_str());
-            return usage(argv0);
+            return std::nullopt;
         }
         if (cutoff_given)
-            spec.cutoff = config.cutoff;
-        sc.queries.push_back(std::move(spec));
+            spec.cutoff = cutoff;
+        queries.push_back(std::move(spec));
     }
+    return queries;
+}
+
+/**
+ * serve= mode: run the parsed queries co-tenant, and print one row
+ * per query -- the algorithm's value, the query's own modeled cycles,
+ * its virtual completion under the admission policy, its lifecycle
+ * verdict, and its fault summary -- plus completion percentiles and
+ * goodput over the query population. Returns an exit code.
+ */
+int
+runServe(const graph::Graph &g, std::vector<serve::QuerySpec> queries,
+         const RunConfig &config, const ServeOptions &opts)
+{
+    serve::ScenarioConfig sc;
+    sc.queries = std::move(queries);
+    sc.policy = opts.policy;
+    sc.quantum = opts.quantum;
+    sc.shed = opts.shed;
+    sc.admitCapacity = opts.capacity;
+    sc.scu = config.scu;
+    sc.placement = config.placement;
+    sc.threads = config.threads;
+    if (const std::optional<isa::Routing> routing =
+            isa::parseRouting(config.routing))
+        sc.scu.routing = *routing; // Validated with the argv.
 
     // Lifecycle contracts: arrival times first (explicit stride or
     // seeded open-loop), then deadlines relative to each arrival.
@@ -361,15 +367,12 @@ main(int argc, char **argv)
     }
     // Trailing arguments are order-flexible key=value specs.
     bool have_faults = false;
-    bool have_analyze = false;
     bool have_async = false;
     bool have_serve = false;
     bool have_deadline = false;
     bool have_arrive = false;
     bool have_shed = false;
-    bool lint_trace = false;
     ServeOptions serve_opts;
-    std::string trace_json;
     for (int i = first_spec; i < argc; ++i) {
         const std::string spec = argv[i];
         if (spec.rfind("faults=", 0) == 0) {
@@ -393,44 +396,6 @@ main(int argc, char **argv)
                 return usage(argv[0]);
             }
             config.scu.faults = *faults;
-        } else if (spec.rfind("analyze=", 0) == 0) {
-            if (have_analyze) {
-                std::fprintf(stderr, "duplicate analyze= spec\n");
-                return usage(argv[0]);
-            }
-            have_analyze = true;
-            if (mode != Mode::Sisa) {
-                std::fprintf(
-                    stderr,
-                    "analyze is only meaningful in sisa mode\n");
-                return usage(argv[0]);
-            }
-            const std::string value = spec.substr(8);
-            if (value == "off") {
-                config.scu.analyze = isa::AnalyzeMode::Off;
-            } else if (value == "warn") {
-                config.scu.analyze = isa::AnalyzeMode::Warn;
-            } else if (value == "strict") {
-                config.scu.analyze = isa::AnalyzeMode::Strict;
-            } else if (value == "trace" ||
-                       value.rfind("trace:", 0) == 0) {
-                lint_trace = true;
-                if (value.rfind("trace:", 0) == 0) {
-                    trace_json = value.substr(6);
-                    if (trace_json.empty()) {
-                        std::fprintf(stderr,
-                                     "analyze=trace: needs a file "
-                                     "path after the colon\n");
-                        return usage(argv[0]);
-                    }
-                }
-            } else {
-                std::fprintf(stderr,
-                             "bad analyze mode '%s' (off | warn | "
-                             "strict | trace[:FILE])\n",
-                             value.c_str());
-                return usage(argv[0]);
-            }
         } else if (spec.rfind("async=", 0) == 0) {
             if (have_async) {
                 std::fprintf(stderr, "duplicate async= spec\n");
@@ -598,16 +563,18 @@ main(int argc, char **argv)
             return usage(argv[0]);
         }
     }
-    if (have_serve && have_analyze) {
-        std::fprintf(stderr, "serve= does not combine with analyze=\n");
-        return usage(argv[0]);
-    }
     if ((have_deadline || have_arrive || have_shed) && !have_serve) {
         std::fprintf(stderr, "deadline=, arrive=, and shed= are "
                              "serve= mode arguments\n");
         return usage(argv[0]);
     }
-    if (!have_serve) {
+    std::vector<serve::QuerySpec> queries;
+    if (have_serve) {
+        auto parsed = parseServeList(problem, cutoff_given, config.cutoff);
+        if (!parsed)
+            return usage(argv[0]);
+        queries = std::move(*parsed);
+    } else {
         const std::optional<Problem> parsed =
             Problem::parse(problem, EntryPoint::Solo);
         if (!parsed) {
@@ -619,9 +586,6 @@ main(int argc, char **argv)
         if (!cutoff_given)
             config.cutoff = parsed->defaultCutoff();
     }
-    isa::InstructionTrace trace;
-    if (lint_trace)
-        config.trace = &trace;
 
     graph::Graph g;
     if (dataset.rfind("file:", 0) == 0) {
@@ -645,8 +609,7 @@ main(int argc, char **argv)
     }
     std::printf("dataset: %s\n", g.describe().c_str());
     if (have_serve) {
-        return runServe(g, problem, config, cutoff_given, serve_opts,
-                        argv[0]);
+        return runServe(g, std::move(queries), config, serve_opts);
     }
     std::printf("running %s in %s mode, T=%u, cutoff=%llu, "
                 "placement=%s, routing=%s\n",
@@ -659,15 +622,7 @@ main(int argc, char **argv)
                 : config.routing.empty() ? "primary"
                                          : config.routing.c_str());
 
-    RunOutcome outcome;
-    try {
-        outcome = runProblem(problem, g, mode, config);
-    } catch (const isa::analysis::AnalysisError &e) {
-        std::fprintf(stderr,
-                     "strict analysis rejected a batch:\n%s",
-                     e.report().toString().c_str());
-        return 3;
-    }
+    const RunOutcome outcome = runProblem(problem, g, mode, config);
 
     std::printf("\ncycles (makespan): %llu\n",
                 static_cast<unsigned long long>(outcome.cycles));
@@ -679,37 +634,6 @@ main(int argc, char **argv)
     for (const auto &[name, value] : outcome.ctx->counters()) {
         std::printf("  %-24s %llu\n", name.c_str(),
                     static_cast<unsigned long long>(value));
-    }
-
-    // Offline lint of the recorded instruction stream.
-    if (lint_trace) {
-        namespace analysis = isa::analysis;
-        const analysis::Program program =
-            analysis::Program::fromWords(trace.words());
-        const analysis::Report report = analysis::analyze(program);
-        const analysis::DependencyGraph dag(program);
-        std::printf("\nstatic analysis of the recorded trace:\n%s",
-                    report.toString().c_str());
-        std::printf("dependency graph: %llu ops, %llu edges, "
-                    "%u issue waves\n",
-                    static_cast<unsigned long long>(dag.size()),
-                    static_cast<unsigned long long>(dag.edgeCount()),
-                    dag.depth());
-        if (!trace_json.empty()) {
-            std::FILE *out = std::fopen(trace_json.c_str(), "w");
-            if (!out) {
-                std::fprintf(stderr, "cannot write '%s'\n",
-                             trace_json.c_str());
-                return 2;
-            }
-            const std::string json = report.toJson();
-            std::fwrite(json.data(), 1, json.size(), out);
-            std::fclose(out);
-            std::printf("analysis report written to %s\n",
-                        trace_json.c_str());
-        }
-        if (report.hasErrors())
-            return 4;
     }
     return 0;
 }
