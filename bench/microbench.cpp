@@ -440,41 +440,6 @@ runKernelSweep(const std::string &json_path)
         add("sched_tc_rmat9_cycles", g.numVertices(),
             static_cast<double>(locality.cycles),
             static_cast<double>(balanced.cycles), "cycles");
-        // Fault-campaign rows: the same fixed-seed TC under the PR 6
-        // fault model (transient corruption + stalls + drops + one
-        // permanent vault failure at dispatch 5). "scalar" is the
-        // fault-free run, "vector" the faulted one: cycles quantify
-        // the recovery overhead (speedup < 1 = slowdown), and the
-        // bytes row adds the recovery traffic (retransmits +
-        // quarantine evacuation) on top of the functional movement,
-        // which stays bit-identical to fault-free.
-        const auto run_faulted = [&] {
-            bench::RunConfig rc;
-            rc.threads = 4;
-            rc.cutoff = 0;
-            rc.placement = "locality";
-            rc.routing = "primary";
-            rc.scu.faults.enabled = true;
-            rc.scu.faults.seed = 7;
-            rc.scu.faults.corruptRate = 0.001;
-            rc.scu.faults.stallRate = 0.0005;
-            rc.scu.faults.dropRate = 0.0005;
-            rc.scu.faults.maxRetries = 8;
-            rc.scu.faults.vaultFailures.push_back({5, 3});
-            bench::RunOutcome out =
-                bench::runProblem("tc", g, bench::Mode::Sisa, rc);
-            return PlacementRun{
-                out.ctx->counter("setops.xvault_bytes") +
-                    out.ctx->counter("setops.recovery_bytes"),
-                out.cycles};
-        };
-        const PlacementRun faulted = run_faulted();
-        add("fault_tc_rmat9_cycles", g.numVertices(),
-            static_cast<double>(locality.cycles),
-            static_cast<double>(faulted.cycles), "cycles");
-        add("fault_tc_rmat9_xvault_bytes", g.numVertices(),
-            static_cast<double>(locality.moved_bytes),
-            static_cast<double>(faulted.moved_bytes), "bytes");
         // Async dispatch rows: the same fixed-seed kernels with the
         // SCU's in-flight batch window open (asyncDepth 8) vs the
         // per-batch barrier. Results, ids, traces, and work counters

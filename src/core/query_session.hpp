@@ -3,9 +3,9 @@
  * One tenant of a multi-query serving run. A QuerySession bundles
  * everything that must be PER QUERY when several queries share the
  * modeled hardware: the SimContext whose charges are tagged with the
- * session's QueryId, the engine executing on the query's behalf, the
- * admission scheduler enrollment, and the running fault summary. The
- * serving layer (serve/scenario.hpp) creates K sessions against one
+ * session's QueryId, the engine executing on the query's behalf, and
+ * the admission scheduler enrollment. The serving layer
+ * (serve/scenario.hpp) creates K sessions against one
  * QueryScheduler; the headline invariant is that a query's functional
  * results, ids, and setops.* totals are bit-identical whether it runs
  * solo or co-tenant -- scheduling moves modeled time only.
@@ -45,7 +45,7 @@ class QuerySession
     /**
      * Enroll a new query with @p sched. @p threads is the session's
      * modeled thread count (its private SimContext); @p spec is its
-     * lifecycle contract (arrival offset, deadline, fault budget).
+     * lifecycle contract (arrival offset, deadline).
      * The scheduler's ServingModel owns the resulting lifecycle
      * verdict; query it via state() after finish().
      */
@@ -111,19 +111,6 @@ class QuerySession
 
     bool attached() const { return engine_ != nullptr; }
 
-    /** Fold one dispatch's fault summary into the query's total. */
-    void
-    accumulateFaults(const isa::BatchFaultSummary &faults)
-    {
-        faults_.retries += faults.retries;
-        faults_.laneStalls += faults.laneStalls;
-        faults_.quarantinedVaults += faults.quarantinedVaults;
-        faults_.recoveryBytes += faults.recoveryBytes;
-    }
-
-    /** Faults this query absorbed across all its dispatches. */
-    const isa::BatchFaultSummary &faults() const { return faults_; }
-
     /** Makespan in the shared virtual timeline (after finish()). */
     mem::Cycles
     completion() const
@@ -146,7 +133,6 @@ class QuerySession
     sim::SimContext ctx_;
     /** Session ctx cycle total at attach() (served-time baseline). */
     mem::Cycles servedBase_ = 0;
-    isa::BatchFaultSummary faults_;
 };
 
 } // namespace sisa::core

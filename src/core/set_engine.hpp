@@ -66,8 +66,7 @@ class SetEngine
      * engine no longer assumes sole ownership of the modeled
      * hardware: batch dispatches gate through the session's
      * QueryScheduler (SisaEngine binds its SCU; CpuSetEngine gates
-     * executeBatch directly) and accumulate their BatchFaultSummary
-     * into the session. Binding never changes results, ids, or
+     * executeBatch directly). Binding never changes results, ids, or
      * setops.* totals -- only whose timeline the cycles land on.
      * The base implementation records the handle only; an engine
      * without admission hardware runs ungated and settles its whole

@@ -76,10 +76,7 @@ BatchResult
 SisaEngine::executeBatch(sim::SimContext &ctx, sim::ThreadId tid,
                          const BatchRequest &batch)
 {
-    BatchResult result = scu_.dispatchBatch(ctx, tid, batch);
-    if (session_)
-        session_->accumulateFaults(result.faults);
-    return result;
+    return scu_.dispatchBatch(ctx, tid, batch);
 }
 
 BatchHandle
@@ -93,10 +90,7 @@ BatchResult
 SisaEngine::collectBatch(sim::SimContext &ctx, sim::ThreadId tid,
                          BatchHandle handle)
 {
-    BatchResult result = scu_.collectBatch(ctx, tid, handle);
-    if (session_)
-        session_->accumulateFaults(result.faults);
-    return result;
+    return scu_.collectBatch(ctx, tid, handle);
 }
 
 void

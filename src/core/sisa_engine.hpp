@@ -51,8 +51,7 @@ class SisaEngine : public SetEngine
     /**
      * Session binding plugs the SCU into the session's scheduler:
      * every batch dispatch gates through admission and reports its
-     * DispatchDemand (own cycles + per-vault busy time), and each
-     * BatchResult's fault summary accumulates into the session.
+     * DispatchDemand (own cycles + per-vault busy time).
      */
     void bindSession(QuerySession &session) override;
     isa::DispatchDemand unbindSession() override;

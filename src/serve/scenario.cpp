@@ -208,7 +208,6 @@ serveMixedWorkload(const graph::Graph &graph,
         isa::AdmissionSpec admission;
         admission.arrival = spec.arrival;
         admission.deadline = spec.deadline;
-        admission.faultBudget = spec.faultBudget;
         t.session = std::make_unique<core::QuerySession>(
             spec.problem, sched, config.threads, admission);
         t.session->ctx().setPatternCutoff(
@@ -229,7 +228,7 @@ serveMixedWorkload(const graph::Graph &graph,
             try {
                 t.value = runQuery(t, problems[i], prep, graph);
             } catch (const isa::QueryCancelledError &) {
-                // A lifecycle verdict (TimedOut / Shed / Aborted),
+                // A lifecycle verdict (TimedOut / Shed),
                 // not an error: the report carries the state and the
                 // query's value stays 0.
             } catch (...) {
@@ -268,7 +267,6 @@ serveMixedWorkload(const graph::Graph &graph,
         qr.arrival = sched.model().arrival(qr.id);
         qr.deadline = sched.model().deadline(qr.id);
         qr.deadlineMet = sched.model().deadlineMet(qr.id);
-        qr.faults = t.session->faults();
         qr.account = t.session->ctx().queryAccount(qr.id);
         report.makespan = std::max(report.makespan, qr.completion);
         report.queries.push_back(std::move(qr));

@@ -38,7 +38,6 @@
 
 #include "graph/graph.hpp"
 #include "sim/context.hpp"
-#include "sisa/batch.hpp"
 #include "sisa/scu.hpp"
 #include "sisa/serving.hpp"
 
@@ -59,8 +58,6 @@ struct QuerySpec
     mem::Cycles arrival = 0;
     /** Absolute virtual deadline; no_deadline disables enforcement. */
     mem::Cycles deadline = isa::no_deadline;
-    /** Fault events this query may absorb before it is Aborted. */
-    std::uint64_t faultBudget = isa::no_fault_budget;
 };
 
 /** Whole-scenario configuration. */
@@ -69,8 +66,8 @@ struct ScenarioConfig
     isa::SchedPolicy policy = isa::SchedPolicy::Fcfs;
     mem::Cycles quantum = isa::ServingModel::default_quantum;
     /**
-     * Per-session SCU configuration (vaults, routing, asyncDepth,
-     * faults). Every session gets its own SCU with this config; they
+     * Per-session SCU configuration (vaults, routing, asyncDepth).
+     * Every session gets its own SCU with this config; they
      * share the modeled vault timeline through the scheduler.
      */
     isa::ScuConfig scu{};
@@ -97,7 +94,6 @@ struct QueryReport
     mem::Cycles arrival = 0;      ///< Virtual arrival offset.
     mem::Cycles deadline = isa::no_deadline; ///< Contract deadline.
     bool deadlineMet = true;      ///< Completed within deadline?
-    isa::BatchFaultSummary faults; ///< Faults across its dispatches.
     sim::QueryAccount account;    ///< Tagged busy/stall/counters.
 };
 
@@ -128,8 +124,8 @@ std::vector<mem::Cycles> poissonArrivals(std::uint64_t seed,
 
 /**
  * Run every query of @p config concurrently against @p graph and
- * report per-query results, virtual completions, fault summaries,
- * and tagged accounts. Throws on invalid specs; exceptions thrown
+ * report per-query results, virtual completions and tagged
+ * accounts. Throws on invalid specs; exceptions thrown
  * by a query's algorithm or engine set-up are captured per query,
  * the scenario still drains cleanly, and the first one is rethrown
  * after all sessions retired.

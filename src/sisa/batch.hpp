@@ -94,10 +94,9 @@ enum class BatchOpKind : std::uint8_t
  * and the scoreboard never sees a cross-query edge. Admission
  * scheduling moves MODELED TIME only -- grant order changes when a
  * query's lanes land on the shared vault clocks, never what its ops
- * compute -- so a query's results, result ids, fault coordinates,
- * and functional counters are bit-identical solo vs co-tenant (the
- * `serving` CTest label enforces this across routing x placement x
- * faults x async).
+ * compute -- so a query's results, result ids, and functional
+ * counters are bit-identical solo vs co-tenant (the `serving` CTest
+ * label enforces this across routing x placement x async).
  *
  * The guarantee survives the query lifecycle (sisa/serving.hpp):
  * deadlines, admission control, and overload shedding cancel a query
@@ -105,11 +104,11 @@ enum class BatchOpKind : std::uint8_t
  * admit), and a cancellation drains only the victim's own async
  * window, charging the drain to the victim (`scu.cancel_drains`,
  * `setops.cancelled_cycles`). So under any mix of deadlines,
- * arrivals, shedding, and fault budgets, every query that COMPLETES
- * still reports results, ids, and setops.* totals bit-identical to
- * its solo run, and the lifecycle verdicts themselves (TimedOut /
- * Shed / Aborted, and the lifecycle log recording them) are pure
- * functions of modeled time -- independent of host thread timing.
+ * arrivals, and shedding, every query that COMPLETES still reports
+ * results, ids, and setops.* totals bit-identical to its solo run,
+ * and the lifecycle verdicts themselves (TimedOut / Shed, and the
+ * lifecycle log recording them) are pure functions of modeled time
+ * -- independent of host thread timing.
  *
  * Operand `a` is the PRIMARY operand: under Routing::Primary the SCU
  * routes the op to `a`'s vault, and ops on the same vault
@@ -187,29 +186,10 @@ struct BatchEntry
     std::uint64_t value = 0;
 };
 
-/**
- * Fault-recovery accounting of one dispatch (sisa/faults.hpp). All
- * zero when the injector is disabled or nothing fired; recoverable
- * faults never change the functional entries, only this summary and
- * the cycle/counter charges.
- */
-struct BatchFaultSummary
-{
-    /** Transient re-executions plus transfer retransmissions. */
-    std::uint64_t retries = 0;
-    /** Injected lane-stall events. */
-    std::uint64_t laneStalls = 0;
-    /** Vaults newly quarantined during this dispatch. */
-    std::uint32_t quarantinedVaults = 0;
-    /** Retransmitted plus evacuated bytes (setops.recovery_bytes). */
-    std::uint64_t recoveryBytes = 0;
-};
-
 /** Results of one batch dispatch, entry i matching request op i. */
 struct BatchResult
 {
     std::vector<BatchEntry> entries;
-    BatchFaultSummary faults;
 
     std::size_t size() const { return entries.size(); }
 };

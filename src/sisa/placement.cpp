@@ -3,44 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "sisa/faults.hpp"
-#include "support/logging.hpp"
-
 namespace sisa::isa {
-
-void
-QuarantineSet::reset(std::uint32_t vaults)
-{
-    dead_.assign(std::max<std::uint32_t>(vaults, 1), false);
-    deadCount_ = 0;
-}
-
-bool
-QuarantineSet::add(std::uint32_t vault)
-{
-    sisa_assert(vault < dead_.size(), "quarantine of vault ", vault,
-                " on a ", dead_.size(), "-vault system");
-    if (dead_[vault])
-        return false;
-    if (deadCount_ + 1 >= dead_.size()) {
-        throw UnrecoverableFaultError(
-            "vault " + std::to_string(vault) +
-            " failed with no live vault left to re-place onto");
-    }
-    dead_[vault] = true;
-    ++deadCount_;
-    return true;
-}
-
-std::uint32_t
-QuarantineSet::remap(std::uint32_t vault) const
-{
-    const auto vaults = static_cast<std::uint32_t>(dead_.size());
-    std::uint32_t v = vault;
-    while (dead_[v])
-        v = (v + 1) % vaults;
-    return v;
-}
 
 std::uint32_t
 HashPlacement::vaultOf(SetId id) const

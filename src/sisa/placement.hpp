@@ -178,54 +178,6 @@ class VaultLoads
 };
 
 /**
- * Permanently failed vaults and the deterministic remap off them
- * (the fault model's quarantine protocol, see sisa/faults.hpp). A
- * quarantined vault stops receiving placements: Scu::vaultOf remaps
- * every assignment that lands on a dead vault to the next live vault
- * scanning upward with wraparound -- a pure function of the dead set,
- * so re-placement stays deterministic and identical for policy and
- * overlay assignments alike. The last live
- * vault can never be quarantined (add refuses).
- */
-class QuarantineSet
-{
-  public:
-    /** Forget all failures; (re)size to @p vaults vaults. */
-    void reset(std::uint32_t vaults);
-
-    /** Any vault quarantined? (The vaultOf fast-path guard.) */
-    bool any() const { return deadCount_ != 0; }
-
-    std::uint32_t deadCount() const { return deadCount_; }
-    std::uint32_t vaults() const
-    {
-        return static_cast<std::uint32_t>(dead_.size());
-    }
-
-    bool contains(std::uint32_t vault) const
-    {
-        return vault < dead_.size() && dead_[vault];
-    }
-
-    /**
-     * Quarantine @p vault. Returns false if it already was (no-op).
-     * Throws UnrecoverableFaultError when @p vault is the last live
-     * vault -- with nowhere left to re-place, the failure is fatal.
-     */
-    bool add(std::uint32_t vault);
-
-    /**
-     * The vault @p vault's residents and operations re-place to: the
-     * next non-quarantined vault at or above @p vault, wrapping.
-     */
-    std::uint32_t remap(std::uint32_t vault) const;
-
-  private:
-    std::vector<bool> dead_;
-    std::uint32_t deadCount_ = 0;
-};
-
-/**
  * One expected operand pairing: the workload will issue operations
  * routed to @p a's vault with @p b as the co-operand (so co-locating
  * them saves @p weight interconnect transfers).

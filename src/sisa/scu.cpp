@@ -1,7 +1,6 @@
 #include "sisa/scu.hpp"
 
 #include <algorithm>
-#include <ranges>
 #include <stdexcept>
 #include <string>
 #include <unordered_set>
@@ -31,13 +30,9 @@ struct ScuCounters
     const CounterId batchDispatches = internCounter("scu.batch_dispatches");
     const CounterId batchOps = internCounter("scu.batch_ops");
     const CounterId cancelDrains = internCounter("scu.cancel_drains");
-    const CounterId checksumVerifies = internCounter("scu.checksum_verifies");
-    const CounterId laneStalls = internCounter("scu.lane_stalls");
     const CounterId pnmRandomOps = internCounter("scu.pnm_random_ops");
     const CounterId pnmStreamOps = internCounter("scu.pnm_stream_ops");
     const CounterId pumOps = internCounter("scu.pum_ops");
-    const CounterId quarantines = internCounter("scu.quarantines");
-    const CounterId retries = internCounter("scu.retries");
     const CounterId shortCircuits = internCounter("scu.short_circuits");
     const CounterId smDramLookups = internCounter("scu.sm_dram_lookups");
     const CounterId smbHits = internCounter("scu.smb_hits");
@@ -46,7 +41,6 @@ struct ScuCounters
     const CounterId cancelledCycles = internCounter("setops.cancelled_cycles");
     const CounterId output = internCounter("setops.output");
     const CounterId probes = internCounter("setops.probes");
-    const CounterId recoveryBytes = internCounter("setops.recovery_bytes");
     const CounterId streamed = internCounter("setops.streamed");
     const CounterId words = internCounter("setops.words");
     const CounterId xvaultBytes = internCounter("setops.xvault_bytes");
@@ -108,9 +102,6 @@ Scu::Scu(SetStore &store, const ScuConfig &config,
     const std::uint32_t vaults =
         std::max<std::uint32_t>(config_.pim.vaults, 1);
     placement_ = std::make_shared<HashPlacement>(vaults);
-    quarantine_.reset(vaults);
-    if (config_.faults.enabled)
-        faults_ = std::make_unique<FaultInjector>(config_.faults);
     if (config_.smbEnabled) {
         // The SMB is a small associative scratchpad over SM entries;
         // model it as a 4-way cache with 16-byte lines (one entry).
@@ -508,13 +499,6 @@ Scu::chargeOutcome(sim::SimContext &ctx, sim::ThreadId tid,
     }
     if (outcome.shortCircuited)
         ctx.bumpCounter(ids().shortCircuits);
-    if (outcome.faultRetries) {
-        // The retry penalty executeOp accumulated (wasted executions,
-        // failed verifies, backoff) lands on the lane that owns the
-        // op -- pure delay, never extra setops.* work.
-        ctx.chargeBusy(tid, outcome.faultCycles);
-        ctx.bumpCounter(ids().retries, outcome.faultRetries);
-    }
     recordWork(ctx, outcome.work);
 }
 
@@ -719,16 +703,7 @@ Scu::vaultOf(SetId id) const
     // silently skewed mismatched policies).
     const auto it =
         overlay_.empty() ? overlay_.end() : overlay_.find(id);
-    const std::uint32_t vault =
-        it != overlay_.end() ? it->second : placement_->vaultOf(id);
-    // Quarantined vaults are out of service: every assignment that
-    // still resolves there (a policy hash, a stale overlay pin)
-    // deterministically remaps to the next live vault, so routing
-    // and the balanced scheduler can never target a dead vault. A
-    // no-op (one counter test) while nothing is quarantined.
-    if (quarantine_.any())
-        return quarantine_.remap(vault);
-    return vault;
+    return it != overlay_.end() ? it->second : placement_->vaultOf(id);
 }
 
 std::uint32_t
@@ -834,7 +809,6 @@ Scu::bindQuery(QueryScheduler &sched, sim::QueryId query,
     query_ = query;
     schedBase_ = ctx.totalCycles();
     demand_.lanes.clear();
-    demand_.faultEvents = 0;
     cancelled_ = false;
     cancelVerdict_ = QueryState::Running;
 }
@@ -846,12 +820,10 @@ Scu::unbindQuery(const sim::SimContext &ctx)
     DispatchDemand tail;
     tail.own = ctx.totalCycles() - schedBase_;
     tail.lanes = std::move(demand_.lanes);
-    tail.faultEvents = demand_.faultEvents;
     sched_ = nullptr;
     query_ = sim::no_query;
     schedBase_ = 0;
     demand_.lanes.clear();
-    demand_.faultEvents = 0;
     cancelled_ = false;
     cancelVerdict_ = QueryState::Running;
     return tail;
@@ -904,9 +876,7 @@ Scu::reportDispatch(const sim::SimContext &ctx)
     demand.own = ctx.totalCycles() - schedBase_;
     schedBase_ = ctx.totalCycles();
     demand.lanes = std::move(demand_.lanes);
-    demand.faultEvents = demand_.faultEvents;
     demand_.lanes.clear();
-    demand_.faultEvents = 0;
     sched_->report(query_, std::move(demand));
 }
 
@@ -919,127 +889,33 @@ Scu::outcomeCycles(const OpOutcome &outcome)
     return total;
 }
 
-// --- Fault injection, detection, recovery ---------------------------------
-
-mem::Cycles
-Scu::verifyCycles(std::uint64_t bytes) const
-{
-    return mem::pnmStreamBytesCycles(config_.pim, bytes);
-}
-
-std::uint64_t
-Scu::outcomeChecksum(const OpOutcome &outcome)
-{
-    if (std::holds_alternative<SortedArraySet>(outcome.payload)) {
-        const auto elems =
-            std::get<SortedArraySet>(outcome.payload).elements();
-        return fnvChecksum32(elems.data(), elems.size());
-    }
-    if (std::holds_alternative<DenseBitset>(outcome.payload)) {
-        const auto words =
-            std::get<DenseBitset>(outcome.payload).words();
-        return fnvChecksum64(words.data(), words.size());
-    }
-    return fnvChecksum64(&outcome.scalar, 1);
-}
-
-Scu::OpOutcome
-Scu::executeOp(std::uint64_t dispatch, std::uint32_t op_index,
-               const BatchOp &op) const
-{
-    OpOutcome out = executeBinary(op.kind, op.a, op.b, op.variant);
-    // Metadata-only short circuits never executed in a vault, so a
-    // transient vault fault has nothing to corrupt.
-    if (!faults_ || out.numCharges == 0)
-        return out;
-    mem::Cycles penalty = 0;
-    std::uint32_t attempt = 0;
-    while (faults_->corruptsResult(dispatch, op_index, attempt)) {
-        if (attempt >= faults_->config().maxRetries) {
-            throw UnrecoverableFaultError(
-                "result of op " + std::to_string(op_index) +
-                " in dispatch " + std::to_string(dispatch) +
-                " still corrupt after " + std::to_string(attempt) +
-                " retries");
-        }
-        // The vault computed a result whose payload flipped a bit in
-        // flight: the checksum it shipped disagrees with the one the
-        // SCU recomputes on adoption, which is the detection event.
-        const std::uint64_t recomputed = outcomeChecksum(out);
-        const std::uint64_t shipped =
-            recomputed ^ (1ULL << (attempt % 64));
-        sisa_assert(shipped != recomputed,
-                    "corrupted payload must fail its checksum");
-        // Charge the wasted execution, the failed verify, and the
-        // exponential backoff, then re-execute. executeBinary is
-        // deterministic, so the surviving clean attempt reproduces
-        // `out` bit for bit -- no host recompute, and the setops.*
-        // work counters stay those of exactly one execution.
-        penalty += outcomeCycles(out) + verifyCycles(resultBytes(out)) +
-                   faults_->backoff(attempt);
-        ++attempt;
-    }
-    out.faultRetries = attempt;
-    out.faultCycles = penalty;
-    return out;
-}
-
 void
-Scu::quarantineVault(sim::SimContext &ctx, sim::ThreadId tid,
-                     std::uint32_t vault)
-{
-    if (quarantine_.contains(vault))
-        return;
-    // Collect the residents BEFORE the quarantine takes effect:
-    // vaultOf must still report the dying vault as their home.
-    std::vector<SetId> evacuees;
-    store_.forEachLive([&](SetId id) {
-        if (vaultOf(id) == vault)
-            evacuees.push_back(id);
-    });
-    quarantine_.add(vault); // Throws when no live vault would remain.
-    ctx.bumpCounter(ids().quarantines);
-    const std::uint32_t target = quarantine_.remap(vault);
-    for (const SetId id : evacuees) {
-        // Emergency migration: the payload streams once over the
-        // interconnect to the remap target, serialized on the issuing
-        // thread (the SCU drives the repair). The overlay pin makes
-        // the move explicit (vaultOf's remap would resolve the same
-        // vault). Empty payloads move no bytes.
-        overlay_[id] = target;
-        const std::uint64_t bytes = store_.payloadBytes(id);
-        if (bytes) {
-            ctx.chargeBusy(tid,
-                           mem::interconnectCycles(config_.pim, bytes));
-            ctx.bumpCounter(ids().recoveryBytes, bytes);
-        }
-    }
-}
-
-void
-Scu::preExecuteOutcomes(const BatchRequest &batch,
-                        std::uint64_t dispatch)
+Scu::preExecuteOutcomes(const BatchRequest &batch)
 {
     // Nothing is charged here: lanes are laid out in modeled time
     // afterwards.
-    for (std::uint32_t i = 0; i < batch.size(); ++i)
-        outcomes_[i] = executeOp(dispatch, i, batch.ops[i]);
+    for (std::uint32_t i = 0; i < batch.size(); ++i) {
+        const BatchOp &op = batch.ops[i];
+        outcomes_[i] = executeBinary(op.kind, op.a, op.b, op.variant);
+    }
 }
 
 mem::Cycles
-Scu::routeLpt(const BatchRequest &batch,
-              std::vector<std::uint32_t> &order)
+Scu::routeLpt(const BatchRequest &batch)
 {
     // LPT order: most expensive operations choose their vault first
     // (stable, so equal-cost ops keep request order -- deterministic).
-    std::stable_sort(order.begin(), order.end(),
+    schedOrder_.resize(batch.size());
+    for (std::uint32_t i = 0; i < batch.size(); ++i)
+        schedOrder_[i] = i;
+    std::stable_sort(schedOrder_.begin(), schedOrder_.end(),
                      [&](std::uint32_t x, std::uint32_t y) {
                          return outcomeCycles(outcomes_[x]) >
                                 outcomeCycles(outcomes_[y]);
                      });
     schedLoads_.reset(std::max<std::uint32_t>(config_.pim.vaults, 1));
     schedFetched_.clear();
-    for (const std::uint32_t i : order) {
+    for (const std::uint32_t i : schedOrder_) {
         const BatchOp &op = batch.ops[i];
         const OpOutcome &out = outcomes_[i];
         const mem::Cycles exec = outcomeCycles(out);
@@ -1085,10 +961,6 @@ Scu::routeLpt(const BatchRequest &batch,
 void
 Scu::scheduleBalanced(const BatchRequest &batch)
 {
-    const std::size_t n = batch.size();
-    schedOrder_.resize(n);
-    for (std::uint32_t i = 0; i < n; ++i)
-        schedOrder_[i] = i;
     // Pass 1 -- LPT list scheduling on completion time alone
     // (routeLpt), with the once-per-(vault, operand) transfer dedup
     // the charge path applies priced in (so the scheduled depths
@@ -1096,7 +968,7 @@ Scu::scheduleBalanced(const BatchRequest &batch)
     // establishes the makespan M* a balanced schedule achieves;
     // every route is rewritten by pass 2, which re-runs the sweep
     // with byte harvesting under the M*-derived cap.
-    const mem::Cycles lpt_makespan = routeLpt(batch, schedOrder_);
+    const mem::Cycles lpt_makespan = routeLpt(batch);
 
     // Pass 2 -- transfer-aware byte harvesting: re-run the greedy
     // sweep, but among every candidate vault whose completion time
@@ -1208,20 +1080,18 @@ Scu::scheduleBalanced(const BatchRequest &batch)
     }
 }
 
-template <typename Ops>
 void
-Scu::appendLanes(const Ops &ops)
+Scu::appendLanes(std::uint32_t n)
 {
     // First-touch grouping of ops by execution vault: a new lane per
-    // vault first seen in this call, so lane order (= order of first
-    // appearance) is deterministic. The scratch vault->lane table
-    // persists across dispatches; the lanes created here reset their
-    // entries afterwards, which is also why recovery lanes never
-    // merge into a healthy lane on the same vault.
+    // vault first seen, so lane order (= order of first appearance)
+    // is deterministic. The scratch vault->lane table persists across
+    // dispatches; the lanes created here reset their entries
+    // afterwards.
     vaultLane_.resize(std::max<std::uint32_t>(config_.pim.vaults, 1),
                       UINT32_MAX);
-    const auto first = static_cast<std::uint32_t>(laneVault_.size());
-    for (const std::uint32_t i : ops) {
+    laneVault_.clear();
+    for (std::uint32_t i = 0; i < n; ++i) {
         const std::uint32_t vault = routes_[i].vault;
         std::uint32_t lane = vaultLane_[vault];
         if (lane == UINT32_MAX) {
@@ -1234,21 +1104,16 @@ Scu::appendLanes(const Ops &ops)
         }
         laneOps_[lane].push_back(i);
     }
-    for (std::uint32_t l = first; l < laneVault_.size(); ++l)
-        vaultLane_[laneVault_[l]] = UINT32_MAX;
+    for (const std::uint32_t vault : laneVault_)
+        vaultLane_[vault] = UINT32_MAX;
 }
 
 mem::Cycles
-Scu::chargeLaneOp(std::uint32_t l, std::uint32_t i,
-                  std::uint64_t dispatch_idx)
+Scu::chargeLaneOp(std::uint32_t i)
 {
-    // The accounting half of op i on lane l, billed into serialCtx_
-    // with serialFetched_ deduping the lane's remote operand pulls
-    // (scope: one lane within one dispatch). The fault hooks
-    // (transfer-drop retransmits, operand/result checksum verifies,
-    // lane stalls) all sit behind the faults_ gate -- with the
-    // injector off this body is bit-identical to the fault-free
-    // charge path.
+    // The accounting half of op i, billed into serialCtx_ with
+    // serialFetched_ deduping the lane's remote operand pulls (scope:
+    // one lane within one dispatch).
     sim::SimContext &wctx = serialCtx_;
     const mem::Cycles before = wctx.threadCycles(0);
     const OpRoute &route = routes_[i];
@@ -1257,84 +1122,35 @@ Scu::chargeLaneOp(std::uint32_t l, std::uint32_t i,
         route.remoteIsB ? outcome.readsB : outcome.readsA;
     if (route.bytes && reads_remote &&
         serialFetched_.insert(route.remote)) {
-        if (faults_) {
-            // Interconnect drops: every lost transfer pays its full
-            // b_L crossing plus the retry backoff, then retransmits;
-            // the payload lands only on the attempt that survives.
-            // The retransmitted bytes are recovery traffic, never
-            // setops.xvault_bytes -- functional accounting stays
-            // fault-free-identical.
-            std::uint32_t attempt = 0;
-            while (faults_->dropsTransfer(dispatch_idx, laneVault_[l],
-                                          route.remote, attempt)) {
-                if (attempt >= faults_->config().maxRetries) {
-                    throw UnrecoverableFaultError(
-                        "transfer of set " +
-                        std::to_string(route.remote) +
-                        " into vault " +
-                        std::to_string(laneVault_[l]) +
-                        " dropped past the retry budget");
-                }
-                wctx.chargeBusy(
-                    0, mem::interconnectCycles(config_.pim, route.bytes) +
-                           faults_->backoff(attempt));
-                wctx.bumpCounter(ids().retries);
-                wctx.bumpCounter(ids().recoveryBytes, route.bytes);
-                ++attempt;
-            }
-        }
         wctx.chargeBusy(0,
                         mem::interconnectCycles(config_.pim, route.bytes));
         wctx.bumpCounter(ids().xvaultTransfers);
         wctx.bumpCounter(ids().xvaultBytes, route.bytes);
-        if (faults_ && faults_->config().verifyChecksums) {
-            // Operand integrity: the receiving vault streams the
-            // fetched payload once through its checksum unit.
-            wctx.chargeBusy(0, verifyCycles(route.bytes));
-            wctx.bumpCounter(ids().checksumVerifies);
-        }
-    }
-    if (faults_) {
-        const mem::Cycles stall = faults_->stallCycles(dispatch_idx, i);
-        if (stall) {
-            // A transient lane hiccup (queue arbitration glitch,
-            // refresh collision): pure stall cycles, no work.
-            wctx.chargeStall(0, stall);
-            wctx.bumpCounter(ids().laneStalls);
-        }
     }
     chargeOutcome(wctx, 0, outcome);
-    if (faults_ && faults_->config().verifyChecksums &&
-        outcome.numCharges) {
-        // Result integrity: checksum the result as it streams out
-        // of the vault (the SCU compares on adoption).
-        wctx.chargeBusy(0, verifyCycles(resultBytes(outcome)));
-        wctx.bumpCounter(ids().checksumVerifies);
-    }
     return wctx.threadCycles(0) - before;
 }
 
 mem::Cycles
-Scu::layLanes(const BatchRequest &batch, std::uint32_t first,
-              mem::Cycles issue, const std::vector<std::uint64_t> *ready,
-              std::uint64_t dispatch_idx)
+Scu::layLanes(const BatchRequest &batch, mem::Cycles issue,
+              const std::vector<std::uint64_t> *ready)
 {
-    // Lanes [first, end) run concurrently; a lane's ops serialize.
-    // Each op's exact cost comes back from chargeLaneOp, and starts
-    // at its lane's clock -- and, in a window (@p ready set), no
-    // earlier than its scoreboard ready time, on a lane clock that
-    // persists across the window's batches: precisely where the
-    // overlap win comes from. A barrier lays every lane from
-    // @p issue, so the latest lane end is issue + the makespan.
+    // Lanes run concurrently; a lane's ops serialize. Each op's exact
+    // cost comes back from chargeLaneOp, and starts at its lane's
+    // clock -- and, in a window (@p ready set), no earlier than its
+    // scoreboard ready time, on a lane clock that persists across the
+    // window's batches: precisely where the overlap win comes from. A
+    // barrier lays every lane from @p issue, so the latest lane end is
+    // issue + the makespan.
     mem::Cycles end = issue;
-    for (std::uint32_t l = first; l < laneVault_.size(); ++l) {
+    for (std::uint32_t l = 0; l < laneVault_.size(); ++l) {
         const std::uint32_t vault = laneVault_[l];
         serialFetched_.clear();
         mem::Cycles clock =
             ready ? std::max(laneClockV_[vault], issue) : issue;
         mem::Cycles busy = 0;
         for (const std::uint32_t i : laneOps_[l]) {
-            const mem::Cycles cost = chargeLaneOp(l, i, dispatch_idx);
+            const mem::Cycles cost = chargeLaneOp(i);
             busy += cost;
             if (!ready) {
                 clock += cost;
@@ -1356,41 +1172,6 @@ Scu::layLanes(const BatchRequest &batch, std::uint32_t first,
         noteVaultBusy(vault, busy);
     }
     return end;
-}
-
-mem::Cycles
-Scu::recoverStranded(sim::SimContext &ctx, sim::ThreadId tid,
-                     const BatchRequest &batch, mem::Cycles healthy_end,
-                     std::uint64_t dispatch_idx)
-{
-    // The dead vaults' lanes were dropped from the layout, so the
-    // SCU's watchdog detects the failures one heartbeat timeout after
-    // the healthy lanes finish; it then quarantines the vaults,
-    // emergency-migrates their resident sets, and replays the
-    // stranded operations on live vaults -- re-routed through the
-    // SAME placement/scheduling rules (vaultOf now remaps dead vaults
-    // away) and billed by the SAME chargeLaneOp, so a recovered
-    // dispatch is bit-identical to a fault-free one in results, ids,
-    // and setops.* work counters.
-    for (const std::uint32_t v : failedVaults_)
-        quarantineVault(ctx, tid, v);
-    if (config_.routing == Routing::Balanced) {
-        // The balanced scheduler's LPT pass over just the stranded
-        // ops, on fresh loads: the healthy lanes already drained.
-        routeLpt(batch, recoveredOps_);
-    } else {
-        // vaultOf already masks the quarantine, so the plain per-op
-        // rule lands every stranded op on a live vault.
-        for (const std::uint32_t i : recoveredOps_)
-            routes_[i] = resolveRoute(batch.ops[i].a, batch.ops[i].b);
-    }
-    // One recovery lane per replacement vault, laid out after the
-    // watchdog fired: the replay's makespan adds to the dispatch's.
-    const auto first = static_cast<std::uint32_t>(laneVault_.size());
-    appendLanes(recoveredOps_);
-    return layLanes(batch, first,
-                    healthy_end + faults_->config().heartbeatTimeout,
-                    nullptr, dispatch_idx);
 }
 
 mem::Cycles
@@ -1481,35 +1262,13 @@ Scu::dispatch(sim::SimContext &ctx, sim::ThreadId tid,
     BatchResult result;
     const std::size_t n = batch.size();
     if (n == 0) {
-        // An empty dispatch takes no sequence number and charges
-        // nothing, but it is a size-0 use of the scratch: it must
-        // advance the shrink window (and reset its peak), or a burst
-        // followed by a quiet stream of empty dispatches would pin
-        // the burst's allocation forever. An open window stays open.
+        // An empty dispatch charges nothing, but it is a size-0 use
+        // of the scratch: it must advance the shrink window (and
+        // reset its peak), or a burst followed by a quiet stream of
+        // empty dispatches would pin the burst's allocation forever.
+        // An open window stays open.
         maybeShrinkScratch(0);
         return result;
-    }
-
-    // --- Verify ----------------------------------------------------------
-    // Permanent vault failures at this dispatch's coordinate, peeked
-    // BEFORE the sequence number. Watchdog detection, quarantine, and
-    // replay are barrier-shaped, so a windowed dispatch that carries
-    // fail points drains the window and retires as a barrier -- at
-    // the SAME coordinate, so recovery is bit-identical to an
-    // always-barriered run.
-    failedVaults_.clear();
-    if (faults_) {
-        faults_->failuresAt(dispatchCounter_, failedVaults_);
-        std::erase_if(failedVaults_, [&](std::uint32_t v) {
-            // Out-of-range points are config typos; an already-
-            // quarantined vault failed at an earlier dispatch and
-            // routing no longer targets it.
-            return v >= quarantine_.vaults() || quarantine_.contains(v);
-        });
-    }
-    if (windowed && !failedVaults_.empty()) {
-        drainWindow(ctx, tid);
-        windowed = false;
     }
 
     // --- Admit -----------------------------------------------------------
@@ -1531,22 +1290,6 @@ Scu::dispatch(sim::SimContext &ctx, sim::ThreadId tid,
         maxCompletionV_ = 0;
         reduceEndV_ = 0;
         deps_.clear();
-    }
-
-    // The dispatch coordinate fault points address; maintained even
-    // with the injector off (an integer increment) so enabling faults
-    // mid-run addresses the same dispatches either way.
-    const std::uint64_t dispatch_idx = dispatchCounter_++;
-    // Recovery accounting baseline for BatchResult.faults.
-    std::uint64_t base_retries = 0;
-    std::uint64_t base_stalls = 0;
-    std::uint64_t base_recovery = 0;
-    std::uint32_t base_dead = 0;
-    if (faults_) {
-        base_retries = ctx.counter(ids().retries);
-        base_stalls = ctx.counter(ids().laneStalls);
-        base_recovery = ctx.counter(ids().recoveryBytes);
-        base_dead = quarantine_.deadCount();
     }
 
     // In-order front end: one decode for the whole batch, then one
@@ -1571,7 +1314,7 @@ Scu::dispatch(sim::SimContext &ctx, sim::ThreadId tid,
         outcomes_.resize(n);
     if (routes_.size() < n)
         routes_.resize(n);
-    preExecuteOutcomes(batch, dispatch_idx);
+    preExecuteOutcomes(batch);
 
     // --- Route -----------------------------------------------------------
     // Primary resolves each op independently from metadata;
@@ -1587,21 +1330,7 @@ Scu::dispatch(sim::SimContext &ctx, sim::ThreadId tid,
         for (std::uint32_t i = 0; i < n; ++i)
             routes_[i] = resolveRoute(batch.ops[i].a, batch.ops[i].b);
     }
-    laneVault_.clear();
-    appendLanes(std::views::iota(std::uint32_t{0},
-                                 static_cast<std::uint32_t>(n)));
-    // Lanes on a vault failing at this dispatch fail-stop: their ops
-    // are stranded (in lane/op order) for the recovery replay, and
-    // the emptied lanes drop out of the layout and the reduction.
-    recoveredOps_.clear();
-    for (std::uint32_t l = 0; l < laneVault_.size(); ++l) {
-        if (std::binary_search(failedVaults_.begin(), failedVaults_.end(),
-                               laneVault_[l])) {
-            recoveredOps_.insert(recoveredOps_.end(),
-                                 laneOps_[l].begin(), laneOps_[l].end());
-            laneOps_[l].clear();
-        }
-    }
+    appendLanes(static_cast<std::uint32_t>(n));
 
     // --- Lay lanes out in modeled time -----------------------------------
     // Every lane is billed serially into serialCtx_ (tagged with the
@@ -1617,10 +1346,8 @@ Scu::dispatch(sim::SimContext &ctx, sim::ThreadId tid,
     std::vector<std::uint64_t> ready;
     if (windowed)
         ready = deps_.joinBatch(batch, issue);
-    mem::Cycles batch_end =
-        layLanes(batch, 0, issue, windowed ? &ready : nullptr, dispatch_idx);
-    if (!failedVaults_.empty())
-        batch_end = recoverStranded(ctx, tid, batch, batch_end, dispatch_idx);
+    const mem::Cycles batch_end =
+        layLanes(batch, issue, windowed ? &ready : nullptr);
 
     // --- Reduce ----------------------------------------------------------
     const mem::Cycles completion = reduceResults(ctx, batch_end, windowed);
@@ -1673,21 +1400,6 @@ Scu::dispatch(sim::SimContext &ctx, sim::ThreadId tid,
             traced = SisaOp::UnionCard;
         traceOp(traced, entry.set == invalid_set ? 0 : entry.set, op.a,
                 op.b);
-    }
-    if (faults_) {
-        result.faults.retries = ctx.counter(ids().retries) - base_retries;
-        result.faults.laneStalls =
-            ctx.counter(ids().laneStalls) - base_stalls;
-        result.faults.recoveryBytes =
-            ctx.counter(ids().recoveryBytes) - base_recovery;
-        result.faults.quarantinedVaults =
-            quarantine_.deadCount() - base_dead;
-        // Draw the dispatch's recovery events against the query's
-        // fault budget (reported at the next admission boundary).
-        if (sched_)
-            demand_.faultEvents += result.faults.retries +
-                                   result.faults.laneStalls +
-                                   result.faults.quarantinedVaults;
     }
     maybeShrinkScratch(n);
 

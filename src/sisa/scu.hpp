@@ -40,7 +40,6 @@
 #include "sim/context.hpp"
 #include "sisa/batch.hpp"
 #include "sisa/dependency_window.hpp"
-#include "sisa/faults.hpp"
 #include "sisa/isa.hpp"
 #include "sisa/placement.hpp"
 #include "sisa/serving.hpp"
@@ -107,13 +106,6 @@ struct ScuConfig
     std::uint32_t batchWorkers = 1;
     /** Execution-vault routing rule for batched dispatch. */
     Routing routing = Routing::Primary;
-    /**
-     * Fault-injection and recovery model (sisa/faults.hpp). Disabled
-     * by default; with faults.enabled false the SCU never constructs
-     * an injector and every dispatch is cycle-identical to a build
-     * without the fault layer (the zero-overhead guarantee).
-     */
-    FaultConfig faults{};
     /**
      * In-flight dispatch window of Scu::dispatchAsync: up to
      * asyncDepth batches may be pending retirement at once, so a
@@ -236,14 +228,8 @@ class Scu
      *
      * The window is bound to the dispatching (ctx, tid): a dispatch
      * or serial op from a different context/thread drains it first
-     * (charging the bound thread). Permanent vault failures fence the
-     * window: a dispatch whose sequence number carries fail points
-     * drains the window and retires as a barrier, so watchdog/
-     * quarantine/recovery semantics stay exactly barriered. With
-     * asyncDepth 0 every dispatch retires as a barrier. Transient
-     * faults
-     * (corruption, drops, stalls) flow through unchanged -- same
-     * dispatch coordinates, same charges, same BatchFaultSummary.
+     * (charging the bound thread). With asyncDepth 0 every dispatch
+     * retires as a barrier.
      *
      * The returned handle's BatchResult is complete immediately;
      * collectBatch forwards it without charging (the SCU's result
@@ -378,23 +364,6 @@ class Scu
     /** Would the SCU pick galloping for sizes (|A|, |B|)? */
     bool wouldGallop(std::uint64_t size_a, std::uint64_t size_b) const;
 
-    /** The fault injector, or nullptr when config().faults is off. */
-    const FaultInjector *faultInjector() const { return faults_.get(); }
-
-    /** Has @p vault been quarantined by a permanent failure? */
-    bool
-    vaultQuarantined(std::uint32_t vault) const
-    {
-        return quarantine_.contains(vault);
-    }
-
-    /**
-     * Sequence number the NEXT non-empty dispatchBatch will carry --
-     * the dispatch coordinate fault points are addressed by (empty
-     * batches return early and do not consume a number).
-     */
-    std::uint64_t dispatchIndex() const { return dispatchCounter_; }
-
     // --- Multi-tenant serving (sisa/serving.hpp) ----------------------
 
     /**
@@ -458,13 +427,6 @@ class Scu
          */
         bool readsA = true;
         bool readsB = true;
-        /**
-         * Fault-retry penalty accumulated by executeOp (wasted
-         * executions + failed verifies + backoff), charged by the
-         * owning lane in chargeOutcome. Zero on the fault-free path.
-         */
-        mem::Cycles faultCycles = 0;
-        std::uint32_t faultRetries = 0;
 
         void
         addCharge(Backend backend, mem::Cycles cycles)
@@ -493,45 +455,6 @@ class Scu
      */
     OpOutcome executeBinary(BatchOpKind kind, SetId a, SetId b,
                             SisaOp variant) const;
-
-    /**
-     * executeBinary plus the transient-fault retry loop of batched
-     * dispatch: while the injector corrupts attempt k of
-     * (@p dispatch, @p op_index), the checksum the vault shipped with
-     * the result disagrees with the one the SCU recomputes, and the
-     * op re-executes after an exponential backoff -- the wasted
-     * execution, the failed verify, and the backoff accumulate into
-     * the outcome's faultCycles (charged later with the op's lane).
-     * Because executeBinary is deterministic, the surviving clean
-     * execution is bit-identical to the fault-free result and the
-     * setops.* work counters are those of exactly one execution.
-     * Throws UnrecoverableFaultError past config.faults.maxRetries.
-     * With the injector off this IS executeBinary.
-     */
-    OpOutcome executeOp(std::uint64_t dispatch, std::uint32_t op_index,
-                        const BatchOp &op) const;
-
-    /**
-     * Modeled cost of one checksum verify over @p bytes: the payload
-     * streams once through the vault's checksum unit at the PNM
-     * word-stream rate (mem::pnmStreamBytesCycles).
-     */
-    mem::Cycles verifyCycles(std::uint64_t bytes) const;
-
-    /** FNV-1a checksum of an outcome's result payload (or scalar). */
-    static std::uint64_t outcomeChecksum(const OpOutcome &outcome);
-
-    /**
-     * Permanent-failure recovery step: mark @p vault dead (throws
-     * UnrecoverableFaultError if it is the last live vault) and
-     * emergency-migrate every set resident on it to its quarantine
-     * remap target, charging one b_L interconnect crossing per
-     * evacuated footprint to (@p ctx, @p tid) -- serialized on the
-     * issuing thread, since the SCU drives the repair. Counters:
-     * scu.quarantines, setops.recovery_bytes.
-     */
-    void quarantineVault(sim::SimContext &ctx, sim::ThreadId tid,
-                         std::uint32_t vault);
 
     /** Charge @p outcome's cycles and counters to (@p ctx, @p tid). */
     void chargeOutcome(sim::SimContext &ctx, sim::ThreadId tid,
@@ -580,14 +503,12 @@ class Scu
 
     /**
      * The one batched-dispatch pipeline behind dispatchBatch and
-     * dispatchAsync: verify (fail-point peek) -> admit -> execute
-     * functionally -> route -> lay lanes out in modeled time ->
-     * reduce -> retire. The two differ only in the retire rule: a
-     * barrier (@p windowed false) drains any open window, lays its
-     * lanes from fresh clocks and charges the issuing thread
-     * busy(completion - issue) at once; a windowed dispatch joins
-     * the scoreboard and the ROB. A windowed dispatch whose
-     * coordinate carries fail points retires as a barrier.
+     * dispatchAsync: admit -> execute functionally -> route -> lay
+     * lanes out in modeled time -> reduce -> retire. The two differ
+     * only in the retire rule: a barrier (@p windowed false) drains
+     * any open window, lays its lanes from fresh clocks and charges
+     * the issuing thread busy(completion - issue) at once; a windowed
+     * dispatch joins the scoreboard and the ROB.
      */
     BatchResult dispatch(sim::SimContext &ctx, sim::ThreadId tid,
                          const BatchRequest &batch, bool windowed);
@@ -595,24 +516,21 @@ class Scu
     /**
      * Execute every batch operation functionally into outcomes_, in
      * request order, WITHOUT charging anything -- lane layout and the
-     * Balanced scheduler need each op's exact cycle charges first. @p dispatch is the dispatch sequence number
-     * (fault coordinate).
+     * Balanced scheduler need each op's exact cycle charges first.
      */
-    void preExecuteOutcomes(const BatchRequest &batch,
-                            std::uint64_t dispatch);
+    void preExecuteOutcomes(const BatchRequest &batch);
 
     /**
-     * LPT list scheduling over the cached outcomes of the ops in
-     * @p order (sorted here into descending cost, stably): each op
-     * goes to whichever of its two operand vaults minimizes
+     * LPT list scheduling over the cached outcomes: schedOrder_ is
+     * filled with every op index in descending cost (stably), and
+     * each op goes to whichever of its two operand vaults minimizes
      * lane_depth + exec + interconnect(co-operand left remote) on
      * fresh loads, with the once-per-(vault, operand) transfer dedup
      * the charge path applies priced in. Ties keep a's vault. Writes
-     * routes_ and returns the scheduled makespan. Balanced routing's
-     * pass 1 and its permanent-failure replay.
+     * routes_ and returns the scheduled makespan: Balanced routing's
+     * pass 1.
      */
-    mem::Cycles routeLpt(const BatchRequest &batch,
-                         std::vector<std::uint32_t> &order);
+    mem::Cycles routeLpt(const BatchRequest &batch);
 
     /**
      * Balanced routing: routeLpt establishes the makespan M*, then a
@@ -638,43 +556,29 @@ class Scu
      * Shrink-to-high-watermark policy for the dispatch scratch:
      * every scratch_window dispatches, capacities far above the
      * window's peak batch size are released so a one-off burst does
-     * not pin its allocation for the process lifetime. Empty and
-     * strict-rejected dispatches count as size-0 uses of the scratch
-     * (they advance the window), so a burst followed by a quiet
-     * stream of them still releases the burst's allocation.
+     * not pin its allocation for the process lifetime. Empty
+     * dispatches count as size-0 uses of the scratch (they advance
+     * the window), so a burst followed by a quiet stream of them
+     * still releases the burst's allocation.
      */
     void maybeShrinkScratch(std::size_t n);
 
     /**
-     * First-touch lane build: append the op indices @p ops to lanes
-     * by routes_[i].vault, one new lane per vault first seen in this
-     * call (lane order = order of first appearance, deterministic).
+     * First-touch lane build: group ops [0, @p n) into lanes by
+     * routes_[i].vault, one lane per vault in order of first
+     * appearance (deterministic).
      */
-    template <typename Ops>
-    void appendLanes(const Ops &ops);
+    void appendLanes(std::uint32_t n);
 
     /**
-     * Lay lanes [@p first, end) out in modeled time from @p issue,
-     * billing every op through chargeLaneOp; returns the latest lane
-     * end. With @p ready (a window's scoreboard times) each op also
-     * waits for its operands and for the vault's persistent lane
-     * clock, and its payload reads are noted for WAR hazards.
+     * Lay every lane out in modeled time from @p issue, billing every
+     * op through chargeLaneOp; returns the latest lane end. With
+     * @p ready (a window's scoreboard times) each op also waits for
+     * its operands and for the vault's persistent lane clock, and its
+     * payload reads are noted for WAR hazards.
      */
-    mem::Cycles layLanes(const BatchRequest &batch, std::uint32_t first,
-                         mem::Cycles issue,
-                         const std::vector<std::uint64_t> *ready,
-                         std::uint64_t dispatch_idx);
-
-    /**
-     * Permanent-failure recovery (barrier only): quarantine
-     * failedVaults_, re-route the stranded recoveredOps_ and lay
-     * their lanes out one heartbeat timeout after @p healthy_end.
-     * Returns the replay's end.
-     */
-    mem::Cycles recoverStranded(sim::SimContext &ctx, sim::ThreadId tid,
-                                const BatchRequest &batch,
-                                mem::Cycles healthy_end,
-                                std::uint64_t dispatch_idx);
+    mem::Cycles layLanes(const BatchRequest &batch, mem::Cycles issue,
+                         const std::vector<std::uint64_t> *ready);
 
     /**
      * Lay the cross-vault result reduction tree out after
@@ -730,15 +634,12 @@ class Scu
     };
 
     /**
-     * The accounting half of batched op @p i on lane @p l: remote
-     * co-operand transfer (deduped per lane by serialFetched_, drop/
-     * retransmit and checksum fault hooks behind the faults_ gate),
-     * injected lane stalls, the op's cached charges, and the result
-     * checksum verify -- billed into serialCtx_. Returns the op's
-     * lane cycles, the cost layLanes lays out.
+     * The accounting half of batched op @p i: the remote co-operand
+     * transfer (deduped per lane by serialFetched_) and the op's
+     * cached charges, billed into serialCtx_. Returns the op's lane
+     * cycles, the cost layLanes lays out.
      */
-    mem::Cycles chargeLaneOp(std::uint32_t l, std::uint32_t i,
-                             std::uint64_t dispatch_idx);
+    mem::Cycles chargeLaneOp(std::uint32_t i);
 
     // --- Async dispatch window (dispatchAsync) ------------------------
 
@@ -818,7 +719,7 @@ class Scu
 
     /**
      * Block in the scheduler until this query may dispatch. On a
-     * cancellation verdict (deadline / shed / fault budget) the
+     * cancellation verdict (deadline / shed) the
      * dispatch must not run: the async window is cancel-drained --
      * its pending modeled completions are charged to (@p ctx, @p
      * tid) and priced in scu.cancel_drains / setops.cancelled_cycles
@@ -889,18 +790,6 @@ class Scu
     bool cancelled_ = false;
     /** The cancellation verdict (valid while cancelled_). */
     QueryState cancelVerdict_ = QueryState::Running;
-    /**
-     * Non-null iff config_.faults.enabled -- the single gate every
-     * fault hook sits behind, so a disabled injector costs one
-     * pointer test on paths that already branch.
-     */
-    std::unique_ptr<FaultInjector> faults_;
-    /** Vaults taken out of service by permanent failures. */
-    QuarantineSet quarantine_;
-    /** Monotonic dispatch sequence number (fault coordinates). */
-    std::uint64_t dispatchCounter_ = 0;
-    std::vector<std::uint32_t> failedVaults_;  ///< Recovery scratch.
-    std::vector<std::uint32_t> recoveredOps_;  ///< Recovery scratch.
 
     // Scratch reused across dispatches so a small batch does
     // not pay fresh allocations (instruction issue on one SCU is not

@@ -44,8 +44,6 @@ queryStateName(QueryState state)
         return "timed-out";
     case QueryState::Shed:
         return "shed";
-    case QueryState::Aborted:
-        return "aborted";
     }
     return "?";
 }
@@ -55,7 +53,7 @@ queryStateTerminal(QueryState state)
 {
     return state == QueryState::Completed ||
            state == QueryState::TimedOut ||
-           state == QueryState::Shed || state == QueryState::Aborted;
+           state == QueryState::Shed;
 }
 
 const char *
@@ -232,14 +230,7 @@ ServingModel::decide(const std::vector<sim::QueryId> &waiting)
             transition(q, QueryState::TimedOut);
             return {q, QueryState::TimedOut};
         }
-        // 4. Fault budget: a fault-storm tenant is aborted instead
-        //    of burning shared vault time on endless recovery.
-        if (cand.faultSpend > cand.spec.faultBudget) {
-            cand.wake = QueryState::Aborted;
-            transition(q, QueryState::Aborted);
-            return {q, QueryState::Aborted};
-        }
-        // 5. EDF reachability: shed a not-yet-running query whose
+        // 4. EDF reachability: shed a not-yet-running query whose
         //    deadline is provably unreachable -- even dispatching at
         //    its ready point onto the earliest-free vault lane, the
         //    clock is already past the deadline.
@@ -254,7 +245,7 @@ ServingModel::decide(const std::vector<sim::QueryId> &waiting)
         }
     }
 
-    // 6. Grant: the policy picks among the arrived queries.
+    // 5. Grant: the policy picks among the arrived queries.
     eligibleScratch_.clear();
     for (const sim::QueryId q : waiting) {
         const Query &cand = queries_[q];
@@ -329,7 +320,6 @@ ServingModel::charge(sim::QueryId query, const DispatchDemand &demand)
     const mem::Cycles start = q.issue;
     q.issue += demand.own;
     q.own += demand.own;
-    q.faultSpend += demand.faultEvents;
     if (policy_ == SchedPolicy::Credit)
         q.credit -= static_cast<std::int64_t>(demand.own);
     for (const auto &[vault, cycles] : demand.lanes) {
@@ -396,12 +386,6 @@ mem::Cycles
 ServingModel::deadline(sim::QueryId query) const
 {
     return queries_[query].spec.deadline;
-}
-
-std::uint64_t
-ServingModel::faultSpend(sim::QueryId query) const
-{
-    return queries_[query].faultSpend;
 }
 
 bool

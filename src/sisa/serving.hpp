@@ -11,8 +11,8 @@
  *  - ServingModel: the deterministic single-threaded core -- policy
  *    pick rule, per-query virtual timelines, shared per-vault busy
  *    clocks, the admission log, and the query LIFECYCLE machine
- *    (arrivals, deadlines, overload shedding, fault budgets). Exact-
- *    cycle pins drive it directly.
+ *    (arrivals, deadlines, overload shedding). Exact-cycle pins
+ *    drive it directly.
  *  - QueryScheduler: the thread-safe blocking wrapper the sessions'
  *    host threads park on. Admission is LOCKSTEP: a grant is issued
  *    only when every unfinished query is parked at its admit() point
@@ -22,8 +22,7 @@
  *
  * Query lifecycle (PR 10). Every query walks the state machine
  *
- *   Pending -> Admitted -> Running -> { Completed, TimedOut,
- *                                       Shed, Aborted }
+ *   Pending -> Admitted -> Running -> { Completed, TimedOut, Shed }
  *
  * entirely in VIRTUAL time: a query becomes eligible when the
  * admission clock reaches its arrival offset, enters the bounded
@@ -31,14 +30,13 @@
  * ends Completed -- or is cancelled at an admission boundary:
  * TimedOut when its own virtual timeline passes its deadline, Shed
  * when the overload policy drops it (queue overflow, or an EDF-
- * provably-unreachable deadline), Aborted when its fault budget is
- * exhausted. Cancellation is COOPERATIVE: the model never yanks a
- * dispatch mid-flight; it wakes the parked query with a verdict and
- * the SCU drains that query's async window, pricing the abandoned
- * work (scu.cancel_drains / setops.cancelled_cycles) before the
- * session retires. Because every decision reads only model state,
- * lifecycle verdicts and shed logs are deterministic and host-timing
- * independent.
+ * provably-unreachable deadline). Cancellation is COOPERATIVE: the
+ * model never yanks a dispatch mid-flight; it wakes the parked query
+ * with a verdict and the SCU drains that query's async window,
+ * pricing the abandoned work (scu.cancel_drains /
+ * setops.cancelled_cycles) before the session retires. Because every
+ * decision reads only model state, lifecycle verdicts and shed logs
+ * are deterministic and host-timing independent.
  *
  * Isolation contract: scheduling moves MODELED time only. A query's
  * functional results, result ids, and setops.* work totals are
@@ -80,7 +78,7 @@ std::optional<SchedPolicy> parseSchedPolicy(std::string_view name);
 
 /**
  * Lifecycle states of a served query. Running doubles as the
- * "granted, keep going" admit() verdict; the last four are terminal.
+ * "granted, keep going" admit() verdict; the last three are terminal.
  */
 enum class QueryState : std::uint8_t
 {
@@ -90,12 +88,11 @@ enum class QueryState : std::uint8_t
     Completed, ///< Ran to completion (possibly past its deadline).
     TimedOut,  ///< Cancelled: virtual deadline passed mid-run.
     Shed,      ///< Dropped by the overload policy before running.
-    Aborted,   ///< Cancelled: fault budget exhausted.
 };
 
 const char *queryStateName(QueryState state);
 
-/** Is @p state one of the four terminal verdicts? */
+/** Is @p state one of the three terminal verdicts? */
 bool queryStateTerminal(QueryState state);
 
 /**
@@ -119,13 +116,10 @@ std::optional<ShedPolicy> parseShedPolicy(std::string_view name);
 /** QuerySpec sentinel: no deadline. */
 inline constexpr mem::Cycles no_deadline = ~mem::Cycles{0};
 
-/** QuerySpec sentinel: unlimited fault budget. */
-inline constexpr std::uint64_t no_fault_budget = ~std::uint64_t{0};
-
 /**
  * Per-query admission parameters. The default spec reproduces the
  * pre-lifecycle behaviour exactly: arrive at 0, never time out,
- * never shed, unlimited faults.
+ * never shed.
  */
 struct AdmissionSpec
 {
@@ -133,11 +127,6 @@ struct AdmissionSpec
     mem::Cycles arrival = 0;
     /** Virtual-time completion deadline, or no_deadline. */
     mem::Cycles deadline = no_deadline;
-    /**
-     * Max fault events (retries + lane stalls + quarantines, PR 6's
-     * recovery accounting) before the query is Aborted.
-     */
-    std::uint64_t faultBudget = no_fault_budget;
 };
 
 /**
@@ -149,16 +138,12 @@ struct AdmissionSpec
  *    report) -- advances only that query's virtual timeline;
  *  - `lanes`: per-vault busy cycles the dispatch put on the shared
  *    vaults -- advance the shared vault clocks that co-tenant
- *    dispatches queue behind;
- *  - `faultEvents`: recovery events the dispatch absorbed (retries +
- *    lane stalls + quarantined vaults) -- drawn against the query's
- *    fault budget.
+ *    dispatches queue behind.
  */
 struct DispatchDemand
 {
     mem::Cycles own = 0;
     std::vector<std::pair<std::uint32_t, mem::Cycles>> lanes;
-    std::uint64_t faultEvents = 0;
 
     void
     addLane(std::uint32_t vault, mem::Cycles cycles)
@@ -169,7 +154,7 @@ struct DispatchDemand
 
 /**
  * Thrown out of a gated dispatch when the scheduler cancelled the
- * query at the admission boundary (deadline, shed, fault budget).
+ * query at the admission boundary (deadline, shed).
  * NOT an error of the run: the serving layer catches it, retires the
  * session cleanly, and records the verdict in the query's report.
  */
@@ -249,12 +234,12 @@ class ServingModel
     /**
      * One admission-boundary decision over the parked set @p waiting
      * (non-empty, ascending): either a grant (verdict == Running) or
-     * a cancellation wake (verdict == TimedOut / Shed / Aborted).
-     * The sweep, in order: warp the admission clock, process
-     * arrivals through the bounded queue, time out deadline
-     * violators, abort budget exhaustions, shed EDF-unreachable
-     * queries, then pick a grantee among the eligible. At most one
-     * cancellation per call -- the wake occupies the grant slot.
+     * a cancellation wake (verdict == TimedOut / Shed). The sweep,
+     * in order: warp the admission clock, process arrivals through
+     * the bounded queue, time out deadline violators, shed
+     * EDF-unreachable queries, then pick a grantee among the
+     * eligible. At most one cancellation per call -- the wake
+     * occupies the grant slot.
      */
     struct Decision
     {
@@ -305,9 +290,6 @@ class ServingModel
     /** The query's arrival offset / deadline (spec echo). */
     mem::Cycles arrival(sim::QueryId query) const;
     mem::Cycles deadline(sim::QueryId query) const;
-
-    /** Fault events charged against the query's budget so far. */
-    std::uint64_t faultSpend(sim::QueryId query) const;
 
     /** Completed at or before its deadline (no deadline = met). */
     bool deadlineMet(sim::QueryId query) const;
@@ -361,7 +343,6 @@ class ServingModel
         mem::Cycles tail = 0;  ///< Latest vault time it occupied.
         mem::Cycles own = 0;
         mem::Cycles completionAt = 0;
-        std::uint64_t faultSpend = 0;
         std::int64_t credit = 0;
         bool done = false;
     };
@@ -438,7 +419,7 @@ class QueryScheduler
     /**
      * Block until the policy grants this query a dispatch slot.
      * Returns QueryState::Running on a grant; a cancellation verdict
-     * (TimedOut / Shed / Aborted) means the dispatch must NOT run --
+     * (TimedOut / Shed) means the dispatch must NOT run --
      * the caller drains its in-flight state and unwinds to leave().
      */
     QueryState admit(sim::QueryId query);

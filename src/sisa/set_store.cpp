@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "sisa/faults.hpp"
 #include "support/bits.hpp"
 #include "support/logging.hpp"
 
@@ -57,8 +56,6 @@ SetStore::ownedPayload(SetId id)
 void
 SetStore::refreshMetadata(SetId id)
 {
-    if (checksumValid_.size() > id)
-        checksumValid_[id] = false;
     SetMetadata &md = metadata_[id];
     const Payload &p = payload(id);
     if (std::holds_alternative<SortedArraySet>(p)) {
@@ -124,8 +121,6 @@ SetStore::destroy(SetId id)
     sisa_assert(live(id), "double destroy of set ", id);
     ownedPayload(id) = SortedArraySet();
     metadata_[id] = SetMetadata{};
-    if (checksumValid_.size() > id)
-        checksumValid_[id] = false;
     freeList_.push_back(id);
     --liveCount_;
 }
@@ -268,30 +263,6 @@ SetStore::storageBits() const
         }
     }
     return bits;
-}
-
-std::uint64_t
-SetStore::payloadChecksum(SetId id) const
-{
-    sisa_assert(live(id), "checksum of a dead set ", id);
-    if (checksumValid_.size() <= id) {
-        checksums_.resize(metadata_.size(), 0);
-        checksumValid_.resize(metadata_.size(), false);
-    }
-    if (checksumValid_[id])
-        return checksums_[id];
-    std::uint64_t sum;
-    const Payload &p = payload(id);
-    if (std::holds_alternative<DenseBitset>(p)) {
-        const auto words = std::get<DenseBitset>(p).words();
-        sum = fnvChecksum64(words.data(), words.size());
-    } else {
-        const auto span = std::get<SortedArraySet>(p).elements();
-        sum = fnvChecksum32(span.data(), span.size());
-    }
-    checksums_[id] = sum;
-    checksumValid_[id] = true;
-    return sum;
 }
 
 std::vector<Element>

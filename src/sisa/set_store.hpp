@@ -143,28 +143,6 @@ class SetStore
     /** Collect elements of @p id in sorted order. */
     std::vector<Element> elementsOf(SetId id) const;
 
-    /**
-     * FNV-1a checksum of @p id's payload words -- the per-set
-     * integrity code of the fault model (sisa/faults.hpp): the SCU
-     * compares it against the checksum of data arriving over the
-     * interconnect or out of a vault to detect corruption. Cached
-     * lazily; every payload mutation invalidates the cache, so the
-     * checksum always reflects the current payload. Host-side only:
-     * the modeled verification cycles are charged by the SCU.
-     */
-    std::uint64_t payloadChecksum(SetId id) const;
-
-    /** Invoke @p fn(id) on every live id, ascending (deterministic). */
-    template <typename Fn>
-    void
-    forEachLive(Fn &&fn) const
-    {
-        for (SetId id = 0; id < metadata_.size(); ++id) {
-            if (metadata_[id].live)
-                fn(id);
-        }
-    }
-
   private:
     using Payload = std::variant<SortedArraySet, DenseBitset>;
 
@@ -194,9 +172,6 @@ class SetStore
     std::vector<SetId> freeList_;
     std::uint64_t liveCount_ = 0;
     mem::AddressSpace space_;
-    /** Lazy payloadChecksum cache; 0 in checksums_ = not computed. */
-    mutable std::vector<std::uint64_t> checksums_;
-    mutable std::vector<bool> checksumValid_;
 };
 
 } // namespace sisa::isa

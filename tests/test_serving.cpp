@@ -6,8 +6,7 @@
  * determinism of the QueryScheduler, and the headline isolation
  * differential -- every query's functional result and per-query
  * cycle/counter account is bit-identical solo vs. co-tenant, across
- * routing x placement x faults x async, under every scheduling
- * policy.
+ * routing x placement x async, under every scheduling policy.
  */
 
 #include <gtest/gtest.h>
@@ -249,9 +248,6 @@ expectSoloCoTenantIdentical(const graph::Graph &graph,
         EXPECT_EQ(s.account.busy, c.account.busy);
         EXPECT_EQ(s.account.stall, c.account.stall);
         EXPECT_EQ(s.account.counters, c.account.counters);
-        EXPECT_EQ(s.faults.retries, c.faults.retries);
-        EXPECT_EQ(s.faults.laneStalls, c.faults.laneStalls);
-        EXPECT_EQ(s.faults.recoveryBytes, c.faults.recoveryBytes);
         EXPECT_EQ(s.ownCycles, c.ownCycles);
         // Conservation: no lost or double-charged cycles -- the
         // model's own account IS the session's tagged cycle total.
@@ -276,24 +272,6 @@ TEST(ServingScenario, IsolationAcrossRouting)
     }
 }
 
-TEST(ServingScenario, IsolationUnderFaults)
-{
-    const graph::Graph graph = testGraph();
-    for (isa::Routing routing :
-         {isa::Routing::Primary, isa::Routing::Balanced}) {
-        serve::ScenarioConfig config = baseConfig();
-        config.scu.routing = routing;
-        config.scu.faults.enabled = true;
-        config.scu.faults.seed = 7;
-        config.scu.faults.corruptRate = 0.02;
-        config.scu.faults.stallRate = 0.02;
-        config.scu.faults.dropRate = 0.01;
-        SCOPED_TRACE("routing=" +
-                     std::to_string(static_cast<int>(routing)));
-        expectSoloCoTenantIdentical(graph, config);
-    }
-}
-
 TEST(ServingScenario, IsolationUnderAsyncWindow)
 {
     serve::ScenarioConfig config = baseConfig();
@@ -302,19 +280,15 @@ TEST(ServingScenario, IsolationUnderAsyncWindow)
     expectSoloCoTenantIdentical(testGraph(), config);
 }
 
-TEST(ServingScenario, IsolationUnderAsyncPlusFaults)
+TEST(ServingScenario, IsolationUnderAsyncWithClJac)
 {
-    // The TSan serving smoke's configuration: co-tenant sessions,
-    // async window, and fault injection all on at once.
+    // The TSan serving smoke's configuration: co-tenant sessions
+    // with a cl-jac tenant under the async window.
     const graph::Graph graph = testGraph();
     serve::ScenarioConfig config = baseConfig();
     config.queries.push_back({.problem = "cl-jac", .cutoff = 300});
     config.scu.routing = isa::Routing::Balanced;
     config.scu.asyncDepth = 8;
-    config.scu.faults.enabled = true;
-    config.scu.faults.seed = 7;
-    config.scu.faults.corruptRate = 0.02;
-    config.scu.faults.stallRate = 0.02;
     expectSoloCoTenantIdentical(graph, config);
 }
 
@@ -775,27 +749,6 @@ TEST(LifecycleModel, EdfGrantsEarliestDeadlineFirst)
     EXPECT_EQ(d.verdict, isa::QueryState::Running);
 }
 
-TEST(LifecycleModel, FaultBudgetExhaustionAborts)
-{
-    isa::ServingModel model(isa::SchedPolicy::Fcfs);
-    isa::AdmissionSpec spec;
-    spec.faultBudget = 2;
-    model.enroll(spec);
-
-    EXPECT_EQ(model.decide({0}).verdict, isa::QueryState::Running);
-    // Spending exactly the budget is still within it.
-    model.charge(0, {.own = 10, .lanes = {}, .faultEvents = 2});
-    EXPECT_EQ(model.faultSpend(0), 2u);
-    EXPECT_EQ(model.decide({0}).verdict, isa::QueryState::Running);
-    // One more fault event tips the query over: Aborted, not Shed.
-    model.charge(0, {.own = 10, .lanes = {}, .faultEvents = 1});
-    const isa::ServingModel::Decision d = model.decide({0});
-    EXPECT_EQ(d.query, 0u);
-    EXPECT_EQ(d.verdict, isa::QueryState::Aborted);
-    model.finish(0);
-    EXPECT_EQ(model.state(0), isa::QueryState::Aborted);
-}
-
 TEST(LifecycleModel, PoissonArrivalsAreDeterministic)
 {
     const std::vector<mem::Cycles> a =
@@ -921,42 +874,6 @@ TEST(ServingLifecycle, VerdictsAndShedLogRerunDeterministic)
             EXPECT_EQ(r.queries[i].ownCycles,
                       baseline.queries[i].ownCycles);
         }
-    }
-}
-
-TEST(ServingLifecycle, FaultBudgetConvertsFaultStormToAbort)
-{
-    const graph::Graph graph = testGraph();
-    serve::ScenarioConfig config = baseConfig();
-    config.scu.routing = isa::Routing::Balanced;
-    config.scu.faults.enabled = true;
-    config.scu.faults.seed = 7;
-    config.scu.faults.corruptRate = 0.05;
-    config.scu.faults.stallRate = 0.05;
-    config.scu.faults.dropRate = 0.02;
-    // tc absorbs nothing: its first recovery event aborts it.
-    config.queries[0].faultBudget = 0;
-
-    const serve::ScenarioReport co =
-        serve::serveMixedWorkload(graph, config);
-    ASSERT_EQ(co.queries.size(), 3u);
-    EXPECT_EQ(co.queries[0].state, isa::QueryState::Aborted);
-
-    // The fault-storm tenant's abort must not perturb the others.
-    for (std::size_t i = 1; i < config.queries.size(); ++i) {
-        serve::ScenarioConfig solo_config = config;
-        solo_config.queries = {config.queries[i]};
-        const serve::ScenarioReport solo =
-            serve::serveMixedWorkload(graph, solo_config);
-        const serve::QueryReport &s = solo.queries[0];
-        const serve::QueryReport &c = co.queries[i];
-        SCOPED_TRACE("problem=" + c.problem);
-        EXPECT_EQ(c.state, isa::QueryState::Completed);
-        EXPECT_EQ(s.value, c.value);
-        EXPECT_EQ(s.account.counters, c.account.counters);
-        EXPECT_EQ(s.faults.retries, c.faults.retries);
-        EXPECT_EQ(s.faults.laneStalls, c.faults.laneStalls);
-        EXPECT_EQ(s.ownCycles, c.ownCycles);
     }
 }
 

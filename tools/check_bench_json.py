@@ -41,9 +41,6 @@ REQUIRED_ROWS = (
     # in-flight-window makespan of the same bit-identical kernels.
     "async_tc_rmat9_cycles",
     "async_mc_rmat9_cycles",
-    # The fault-campaign recovery-overhead rows (PR 6).
-    "fault_tc_rmat9_cycles",
-    "fault_tc_rmat9_xvault_bytes",
     # The balanced-scheduling acceptance rows (PR 5).
     "sched_tc_rmat9_xvault_bytes",
     "sched_tc_rmat9_cycles",

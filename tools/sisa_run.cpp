@@ -13,8 +13,8 @@
  * kKeyArgDocs below, and its problem names from the problem registry
  * (algorithms/problem.hpp): a new argument or problem shows up in the
  * help by adding one table entry, so the banner cannot drift from the
- * parser. README.md describes the placement, routing, faults=,
- * async=, serve=, deadline=, arrive= and shed= modes.
+ * parser. README.md describes the placement, routing, async=, serve=,
+ * deadline=, arrive= and shed= modes.
  *
  * Every argument is validated up front: unknown tokens, non-numeric
  * counts, unknown problems and serve lists, unknown datasets, and
@@ -33,7 +33,6 @@
 #include "graph/io.hpp"
 #include "harness.hpp"
 #include "serve/scenario.hpp"
-#include "sisa/faults.hpp"
 #include "sisa/serving.hpp"
 #include "support/stats.hpp"
 
@@ -88,9 +87,6 @@ const ArgDoc kPositionalDocs[] = {
  * first token after [cutoff] that holds '='.
  */
 const ArgDoc kKeyArgDocs[] = {
-    {"faults", "[faults=SPEC]",
-     "faults=key=val,... e.g. faults=seed=7,corrupt=0.02,fail=3@2 "
-     "(sisa mode only)"},
     {"async", "[async=SPEC]",
      "async=on[:DEPTH] | off (sisa mode only; default depth 8)"},
     {"serve", "[serve=SPEC]",
@@ -193,9 +189,9 @@ parseServeList(const std::string &problems, bool cutoff_given,
 /**
  * serve= mode: run the parsed queries co-tenant, and print one row
  * per query -- the algorithm's value, the query's own modeled cycles,
- * its virtual completion under the admission policy, its lifecycle
- * verdict, and its fault summary -- plus completion percentiles and
- * goodput over the query population. Returns an exit code.
+ * its virtual completion under the admission policy, and its
+ * lifecycle verdict -- plus completion percentiles and goodput over
+ * the query population. Returns an exit code.
  */
 int
 runServe(const graph::Graph &g, std::vector<serve::QuerySpec> queries,
@@ -252,21 +248,14 @@ runServe(const graph::Graph &g, std::vector<serve::QuerySpec> queries,
     for (const serve::QueryReport &qr : report.queries) {
         std::printf("query %u: problem=%-6s state=%-9s value=%llu "
                     "own_cycles=%llu completion=%llu arrival=%llu "
-                    "deadline_met=%d retries=%llu lane_stalls=%llu "
-                    "quarantined=%u recovery_bytes=%llu\n",
+                    "deadline_met=%d\n",
                     qr.id, qr.problem.c_str(),
                     isa::queryStateName(qr.state),
                     static_cast<unsigned long long>(qr.value),
                     static_cast<unsigned long long>(qr.ownCycles),
                     static_cast<unsigned long long>(qr.completion),
                     static_cast<unsigned long long>(qr.arrival),
-                    qr.deadlineMet ? 1 : 0,
-                    static_cast<unsigned long long>(qr.faults.retries),
-                    static_cast<unsigned long long>(
-                        qr.faults.laneStalls),
-                    qr.faults.quarantinedVaults,
-                    static_cast<unsigned long long>(
-                        qr.faults.recoveryBytes));
+                    qr.deadlineMet ? 1 : 0);
         if (qr.state != isa::QueryState::Completed)
             continue;
         ++survivors;
@@ -366,7 +355,6 @@ main(int argc, char **argv)
         }
     }
     // Trailing arguments are order-flexible key=value specs.
-    bool have_faults = false;
     bool have_async = false;
     bool have_serve = false;
     bool have_deadline = false;
@@ -375,28 +363,7 @@ main(int argc, char **argv)
     ServeOptions serve_opts;
     for (int i = first_spec; i < argc; ++i) {
         const std::string spec = argv[i];
-        if (spec.rfind("faults=", 0) == 0) {
-            if (have_faults) {
-                std::fprintf(stderr, "duplicate faults= spec\n");
-                return usage(argv[0]);
-            }
-            have_faults = true;
-            if (mode != Mode::Sisa) {
-                std::fprintf(
-                    stderr,
-                    "faults are only meaningful in sisa mode\n");
-                return usage(argv[0]);
-            }
-            std::string error;
-            const auto faults =
-                isa::parseFaultSpec(spec.substr(7), &error);
-            if (!faults) {
-                std::fprintf(stderr, "bad fault spec: %s\n",
-                             error.c_str());
-                return usage(argv[0]);
-            }
-            config.scu.faults = *faults;
-        } else if (spec.rfind("async=", 0) == 0) {
+        if (spec.rfind("async=", 0) == 0) {
             if (have_async) {
                 std::fprintf(stderr, "duplicate async= spec\n");
                 return usage(argv[0]);
