@@ -7,7 +7,7 @@
  * labeled search is usually *faster* despite extra label checks --
  * the same effect Section 9.2 reports.
  *
- *   ./subgraph_match [dataset-name]   (default: int-antCol5-d1)
+ *   ./subgraph_match [dataset-name]   (default: intD-antCol4)
  */
 
 #include <cstdio>

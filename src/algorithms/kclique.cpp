@@ -128,49 +128,4 @@ kCliqueList(OrientedSetGraph &osg, sim::SimContext &ctx, std::uint32_t k,
                       &on_clique);
 }
 
-std::uint64_t
-fourCliqueCount(OrientedSetGraph &osg, sim::SimContext &ctx)
-{
-    SetGraph &sg = *osg.sets;
-    SetEngine &eng = sg.engine();
-    const VertexId n = sg.numVertices();
-
-    std::vector<std::uint64_t> partial(ctx.numThreads(), 0);
-    parallelFor(ctx, n, [&](sim::ThreadId tid, std::uint64_t i) {
-        const auto v1 = static_cast<VertexId>(i);
-        for (VertexId v2 : osg.oriented->neighbors(v1)) {
-            if (ctx.cutoffReached(tid))
-                break;
-            const core::SetId s1 = eng.intersect(
-                ctx, tid, sg.neighborhood(v1), sg.neighborhood(v2));
-            const std::vector<sets::Element> wedge =
-                eng.elements(ctx, tid, s1);
-            if (!wedge.empty()) {
-                // |S1 cap N+(v3)| for all v3 in S1 in one dispatch;
-                // the varying N+(v3) is the vault-routing operand.
-                core::BatchRequest batch;
-                batch.reserve(wedge.size());
-                for (sets::Element v3 : wedge)
-                    batch.intersectCard(sg.neighborhood(v3), s1);
-                const core::BatchResult res = eng.collectBatch(
-                    ctx, tid,
-                    eng.executeBatchAsync(ctx, tid, batch));
-                for (const core::BatchEntry &entry : res.entries) {
-                    const std::uint64_t found = entry.value;
-                    partial[tid] += found;
-                    if (!ctx.countPatterns(tid, found))
-                        break;
-                }
-            }
-            eng.destroy(ctx, tid, s1);
-        }
-    });
-    eng.drainBatches(ctx, 0); // Retire the last thread's window.
-
-    std::uint64_t total = 0;
-    for (std::uint64_t p : partial)
-        total += p;
-    return total;
-}
-
 } // namespace sisa::algorithms

@@ -1,10 +1,9 @@
 /**
  * @file
- * Set-centric k-clique counting/listing (Section 5.1.3, Algorithm 3;
- * the 4-clique specialization of Table 4). The graph is oriented by
- * the degeneracy order, so each candidate set C_i is an intersection
- * of out-neighborhoods of size <= c, giving the Section 7 bound
- * O(k m (c/2)^{k-2}) with merging intersections.
+ * Set-centric k-clique counting/listing (Section 5.1.3, Algorithm 3).
+ * The graph is oriented by the degeneracy order, so each candidate set
+ * C_i is an intersection of out-neighborhoods of size <= c, giving the
+ * Section 7 bound O(k m (c/2)^{k-2}) with merging intersections.
  */
 
 #ifndef SISA_ALGORITHMS_KCLIQUE_HPP
@@ -38,13 +37,6 @@ using CliqueCallback =
 std::uint64_t kCliqueList(OrientedSetGraph &osg, sim::SimContext &ctx,
                           std::uint32_t k,
                           const CliqueCallback &on_clique);
-
-/**
- * The Table 4 specialization: 4-clique counting without recursion
- * (S1 = N+(v1) cap N+(v2); count += |S1 cap N+(v3)| for v3 in S1).
- */
-std::uint64_t fourCliqueCount(OrientedSetGraph &osg,
-                              sim::SimContext &ctx);
 
 } // namespace sisa::algorithms
 

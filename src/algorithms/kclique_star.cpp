@@ -53,58 +53,6 @@ kCliqueStarsJabbour(OrientedSetGraph &osg, sim::SimContext &ctx,
         eng.destroy(ctx, tid, vc);
         eng.destroy(ctx, tid, x);
     });
-    result.distinctStars = result.starCount;
-    result.distinctMemberTotal = result.memberTotal;
-    return result;
-}
-
-KcsResult
-kCliqueStarsViaCliques(OrientedSetGraph &osg, sim::SimContext &ctx,
-                       std::uint32_t k)
-{
-    SetGraph &sg = *osg.sets;
-    SetEngine &eng = sg.engine();
-    KcsResult result;
-
-    // S: map from a k-clique (key) to its k-clique-star set id.
-    std::map<std::vector<VertexId>, core::SetId> stars;
-
-    // First mine (k+1)-cliques; each contributes to k+1 star keys.
-    kCliqueList(osg, ctx, k + 1,
-                [&](sim::ThreadId tid,
-                    const std::vector<VertexId> &clique) {
-        for (std::size_t drop = 0; drop < clique.size(); ++drop) {
-            std::vector<VertexId> key;
-            key.reserve(clique.size() - 1);
-            for (std::size_t i = 0; i < clique.size(); ++i) {
-                if (i != drop)
-                    key.push_back(clique[i]);
-            }
-            std::sort(key.begin(), key.end());
-            auto [it, inserted] = stars.try_emplace(
-                std::move(key), isa::invalid_set);
-            if (inserted) {
-                it->second = eng.createEmpty(
-                    ctx, tid, sets::SetRepr::DenseBitvector);
-            }
-            // S[c setminus {v}] cup= c: one insert per member.
-            for (VertexId u : clique)
-                eng.insert(ctx, tid, it->second, u);
-        }
-    });
-
-    std::map<std::vector<sets::Element>, bool> distinct;
-    for (auto &[key, id] : stars) {
-        result.starCount += 1;
-        result.memberTotal += eng.cardinality(ctx, 0, id);
-        std::vector<sets::Element> members = eng.elements(ctx, 0, id);
-        if (!distinct.contains(members)) {
-            ++result.distinctStars;
-            result.distinctMemberTotal += members.size();
-            distinct.emplace(std::move(members), true);
-        }
-        eng.destroy(ctx, 0, id);
-    }
     return result;
 }
 

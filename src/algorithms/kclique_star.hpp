@@ -1,13 +1,8 @@
 /**
  * @file
- * k-clique-star listing (Section 5.1.4). Two formulations:
- *
- *  - Algorithm 4 (Jabbour et al., enhanced): find k-cliques, then for
- *    each clique intersect all member neighborhoods and union the
- *    result with the clique;
- *  - Algorithm 5 (the paper's own variant): find (k+1)-cliques and
- *    merge each into the k-clique-star keyed by the clique it extends
- *    (S[c setminus {v}] cup= c).
+ * k-clique-star listing (Section 5.1.4, Algorithm 4, Jabbour et al.,
+ * enhanced): find k-cliques, then for each clique intersect all member
+ * neighborhoods and union the result with the clique.
  */
 
 #ifndef SISA_ALGORITHMS_KCLIQUE_STAR_HPP
@@ -22,26 +17,14 @@ namespace sisa::algorithms {
 /** Result of a k-clique-star run. */
 struct KcsResult
 {
-    /**
-     * Entries reported by the formulation: Algorithm 4 deduplicates
-     * ("remove duplicates from S"), so its starCount is already
-     * distinct; Algorithm 5 keys stars by the k-clique they extend,
-     * so equal stars under different keys stay separate entries.
-     */
+    /** Distinct stars ("remove duplicates from S"). */
     std::uint64_t starCount = 0;
-    std::uint64_t memberTotal = 0; ///< Sum over entries (checksum).
-    /** Distinct star vertex-sets (same for both formulations). */
-    std::uint64_t distinctStars = 0;
-    std::uint64_t distinctMemberTotal = 0;
+    std::uint64_t memberTotal = 0; ///< Sum over stars (checksum).
 };
 
 /** Algorithm 4: intersect member neighborhoods per k-clique. */
 KcsResult kCliqueStarsJabbour(OrientedSetGraph &osg,
                               sim::SimContext &ctx, std::uint32_t k);
-
-/** Algorithm 5: via (k+1)-cliques and keyed unions. */
-KcsResult kCliqueStarsViaCliques(OrientedSetGraph &osg,
-                                 sim::SimContext &ctx, std::uint32_t k);
 
 } // namespace sisa::algorithms
 

@@ -13,7 +13,6 @@ exactDegeneracyOrder(const Graph &graph)
     DegeneracyResult result;
     result.order.reserve(n);
     result.rank.assign(n, 0);
-    result.coreNumber.assign(n, 0);
 
     // Bucket queue over current degrees (Matula-Beck smallest-last).
     std::vector<std::uint32_t> degree(n);
@@ -52,7 +51,6 @@ exactDegeneracyOrder(const Graph &graph)
         }
 
         current_core = std::max(current_core, cursor);
-        result.coreNumber[v] = current_core;
         result.rank[v] = static_cast<std::uint32_t>(result.order.size());
         result.order.push_back(v);
         removed[v] = true;
@@ -69,85 +67,6 @@ exactDegeneracyOrder(const Graph &graph)
 
     result.degeneracy = current_core;
     return result;
-}
-
-DegeneracyResult
-approxDegeneracyOrder(const Graph &graph, double eps)
-{
-    sisa_assert(eps > 0.0, "approxDegeneracyOrder requires eps > 0");
-    const VertexId n = graph.numVertices();
-
-    DegeneracyResult result;
-    result.order.reserve(n);
-    result.rank.assign(n, 0);
-    result.coreNumber.assign(n, 0);
-
-    std::vector<std::uint32_t> degree(n);
-    std::vector<bool> removed(n, false);
-    std::uint64_t remaining = n;
-    std::uint64_t degree_sum = 0;
-    for (VertexId v = 0; v < n; ++v) {
-        degree[v] = graph.degree(v);
-        degree_sum += degree[v];
-    }
-
-    std::uint32_t round = 0;
-    std::uint32_t max_threshold = 0;
-    while (remaining > 0) {
-        const double avg =
-            static_cast<double>(degree_sum) /
-            static_cast<double>(remaining);
-        const auto threshold =
-            static_cast<std::uint32_t>((1.0 + eps) * avg);
-
-        // X = { v in V : |N(v)| <= (1+eps) * avg } -- set difference
-        // V \= X and neighborhood updates N(v) \= X follow Algorithm 6.
-        std::vector<VertexId> peeled;
-        for (VertexId v = 0; v < n; ++v) {
-            if (!removed[v] && degree[v] <= threshold)
-                peeled.push_back(v);
-        }
-        sisa_assert(!peeled.empty(),
-                    "Algorithm 6 must peel at least one vertex per round");
-
-        for (VertexId v : peeled) {
-            result.coreNumber[v] = round;
-            result.rank[v] = static_cast<std::uint32_t>(result.order.size());
-            result.order.push_back(v);
-            removed[v] = true;
-        }
-        // Update neighbor degrees after removing the whole batch; the
-        // per-round batching is what makes the scheme parallel.
-        std::uint64_t removed_degree = 0;
-        for (VertexId v : peeled) {
-            removed_degree += degree[v];
-            for (VertexId w : graph.neighbors(v)) {
-                if (!removed[w]) {
-                    --degree[w];
-                    --degree_sum;
-                }
-            }
-        }
-        degree_sum -= removed_degree;
-        remaining -= peeled.size();
-        max_threshold = std::max(max_threshold, threshold);
-        ++round;
-    }
-
-    result.degeneracy = max_threshold;
-    return result;
-}
-
-std::vector<VertexId>
-kCore(const Graph &graph, std::uint32_t k)
-{
-    const DegeneracyResult deg = exactDegeneracyOrder(graph);
-    std::vector<VertexId> core;
-    for (VertexId v = 0; v < graph.numVertices(); ++v) {
-        if (deg.coreNumber[v] >= k)
-            core.push_back(v);
-    }
-    return core;
 }
 
 } // namespace sisa::graph

@@ -1,11 +1,8 @@
 /**
  * @file
- * Degeneracy orderings and k-cores (Sections 5.1.5 and 7.1 of the
- * SISA paper). The exact ordering is the classic Matula-Beck peeling;
- * the approximate parallel ordering is the streaming scheme of
- * Algorithm 6 (Besta et al. / Farach-Colton & Tsai), which SISA also
- * accelerates with set operations. Both are used to orient graphs so
- * out-degrees are bounded by (approximately) the degeneracy c.
+ * Degeneracy ordering (Sections 5.1.5 and 7.1 of the SISA paper): the
+ * classic Matula-Beck peeling, used to orient graphs so out-degrees
+ * are bounded by the degeneracy c.
  */
 
 #ifndef SISA_GRAPH_DEGENERACY_HPP
@@ -25,9 +22,7 @@ struct DegeneracyResult
     std::vector<VertexId> order;
     /** rank[v] = position of v in `order`. */
     std::vector<std::uint32_t> rank;
-    /** Core number of each vertex (exact algorithm only). */
-    std::vector<std::uint32_t> coreNumber;
-    /** The graph degeneracy c (max over rounds for the approximation). */
+    /** The graph degeneracy c. */
     std::uint32_t degeneracy = 0;
 };
 
@@ -36,23 +31,6 @@ struct DegeneracyResult
  * bucket queue; O(n + m) time.
  */
 DegeneracyResult exactDegeneracyOrder(const Graph &graph);
-
-/**
- * Approximate degeneracy ordering (Algorithm 6): repeatedly peel all
- * vertices whose degree is at most (1 + eps) * averageDegree. Runs in
- * O(log n) rounds and gives a (2 + eps)-approximation of the optimal
- * out-degree bound. `coreNumber` holds the peeling round per vertex.
- *
- * @param eps Slack over the average degree (eps > 0).
- */
-DegeneracyResult approxDegeneracyOrder(const Graph &graph,
-                                       double eps = 0.1);
-
-/**
- * The k-core of the graph: vertices whose core number is >= k (via
- * the exact ordering). Returns the surviving vertex ids, sorted.
- */
-std::vector<VertexId> kCore(const Graph &graph, std::uint32_t k);
 
 } // namespace sisa::graph
 

@@ -143,17 +143,6 @@ Graph::inducedSubgraph(const std::vector<VertexId> &vertices) const
     return sub;
 }
 
-std::uint64_t
-Graph::degreeSquareSum() const
-{
-    std::uint64_t sum = 0;
-    for (VertexId v = 0; v < numVertices_; ++v) {
-        const std::uint64_t d = degree(v);
-        sum += d * d;
-    }
-    return sum;
-}
-
 std::string
 Graph::describe() const
 {

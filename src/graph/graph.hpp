@@ -137,9 +137,6 @@ class Graph
     /** Induced subgraph on @p vertices (ids are re-numbered densely). */
     Graph inducedSubgraph(const std::vector<VertexId> &vertices) const;
 
-    /** Sum of deg(v)^2; appears in the Section 7 work bounds. */
-    std::uint64_t degreeSquareSum() const;
-
     /** One-line human-readable description. */
     std::string describe() const;
 

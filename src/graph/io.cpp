@@ -6,8 +6,6 @@
 #include <string_view>
 #include <vector>
 
-#include "support/logging.hpp"
-
 namespace sisa::graph {
 
 namespace {
@@ -108,26 +106,6 @@ readEdgeListFile(const std::string &file_path)
                            "'");
     }
     return readEdgeList(in);
-}
-
-void
-writeEdgeList(const Graph &graph, std::ostream &out)
-{
-    for (VertexId u = 0; u < graph.numVertices(); ++u) {
-        for (VertexId v : graph.neighbors(u)) {
-            if (graph.directed() || u < v)
-                out << u << ' ' << v << '\n';
-        }
-    }
-}
-
-void
-writeEdgeListFile(const Graph &graph, const std::string &file_path)
-{
-    std::ofstream out(file_path);
-    if (!out)
-        sisa_fatal("cannot write graph file '", file_path, "'");
-    writeEdgeList(graph, out);
 }
 
 } // namespace sisa::graph

@@ -1,6 +1,6 @@
 /**
  * @file
- * Plain-text edge-list I/O. The format is the de-facto standard of
+ * Plain-text edge-list input. The format is the de-facto standard of
  * graph repositories: one "u v" pair per line, '#' or '%' comments,
  * 0- or 1-based ids auto-detected from an optional header.
  */
@@ -53,12 +53,6 @@ Graph readEdgeList(std::istream &in);
  * its contents.
  */
 Graph readEdgeListFile(const std::string &file_path);
-
-/** Write "u v" lines (each undirected edge once, u < v). */
-void writeEdgeList(const Graph &graph, std::ostream &out);
-
-/** Write an edge list to the file at @p file_path. */
-void writeEdgeListFile(const Graph &graph, const std::string &file_path);
 
 } // namespace sisa::graph
 

@@ -1,7 +1,5 @@
 #include "sets/dense_bitset.hpp"
 
-#include <algorithm>
-
 #include "sets/kernels.hpp"
 #include "support/bits.hpp"
 #include "support/logging.hpp"
@@ -39,13 +37,6 @@ DenseBitset::full(Element universe)
         db.words_.back() &= (1ULL << tail) - 1;
     db.card_ = universe;
     return db;
-}
-
-void
-DenseBitset::reset()
-{
-    std::fill(words_.begin(), words_.end(), 0);
-    card_ = 0;
 }
 
 std::uint64_t

@@ -83,9 +83,6 @@ class DenseBitset
         word &= ~mask;
     }
 
-    /** Remove all elements. */
-    void reset();
-
     std::span<const std::uint64_t> words() const { return words_; }
     std::uint64_t numWords() const { return words_.size(); }
 

@@ -253,11 +253,13 @@ setUnion(std::span<const Element> a, std::span<const Element> b,
     // out regardless, so a blocked compare tier cannot filter work
     // the way it does for intersection/difference, and a bitonic
     // merge network would trade predicted branches for shuffle
-    // latency at parity (union_kernel_* ~= 1.0x in
-    // BENCH_kernels.json). A branchy merge beats a cmov one here:
-    // speculation across predicted branches buys memory-level
-    // parallelism that a serialized cmov chain cannot. The win over
-    // the seed loop is raw stores plus memcpy tails.
+    // latency. A branchy merge beats a cmov one here: speculation
+    // across predicted branches buys memory-level parallelism that a
+    // serialized cmov chain cannot. Against the seed loop
+    // (ref::setUnion) this loop is at parity, not a win: over 20
+    // runs of bench_microbench --kernels-only (AVX2 tier, 4-vCPU
+    // host) union_kernel_{1k,8k,64k} read medians 1.09x, 1.03x and
+    // 1.02x, each with runs on both sides of 1.0 (0.81x-1.48x).
     while (i < na && j < nb) {
         const Element x = pa[i], y = pb[j];
         if (x < y) {
@@ -477,15 +479,6 @@ andCardWords(const std::uint64_t *a, const std::uint64_t *b, std::size_t n)
     std::uint64_t count = 0;
     for (std::size_t i = 0; i < n; ++i)
         count += static_cast<std::uint64_t>(std::popcount(a[i] & b[i]));
-    return count;
-}
-
-std::uint64_t
-popcountWords(const std::uint64_t *a, std::size_t n)
-{
-    std::uint64_t count = 0;
-    for (std::size_t i = 0; i < n; ++i)
-        count += static_cast<std::uint64_t>(std::popcount(a[i]));
     return count;
 }
 

@@ -157,9 +157,6 @@ std::uint64_t andNotWords(const std::uint64_t *a, const std::uint64_t *b,
 std::uint64_t andCardWords(const std::uint64_t *a, const std::uint64_t *b,
                            std::size_t n);
 
-/** popcount(a). */
-std::uint64_t popcountWords(const std::uint64_t *a, std::size_t n);
-
 // --- Scalar reference kernels -------------------------------------------
 //
 // Textbook two-pointer implementations mirroring the seed's scalar

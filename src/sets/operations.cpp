@@ -276,19 +276,4 @@ differenceDbDb(const DenseBitset &a, const DenseBitset &b, OpWork &work)
     return out;
 }
 
-std::uint64_t
-unionCardMerge(const SortedArraySet &a, const SortedArraySet &b,
-               OpWork &work)
-{
-    const std::uint64_t inter =
-        kernels::intersectCard(a.elements(), b.elements());
-    const std::uint64_t u = a.size() + b.size() - inter;
-    // Charged as one full merge pass over both inputs, matching
-    // unionMerge -- not as the (shorter) fused intersection, so the
-    // fig09b stats stay comparable across variants.
-    work.streamedElements += a.size() + b.size();
-    work.outputElements += u;
-    return u;
-}
-
 } // namespace sisa::sets

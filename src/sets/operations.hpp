@@ -27,7 +27,6 @@
  *   intersect[Card]DbDb 0                 0                 W      k
  *   unionMerge          nA + nB           0                 0      u
  *   unionGallop         nA + nB           bisection steps   0      u
- *   unionCardMerge      nA + nB           0                 0      u
  *   unionSaDb           nA                nA                W      u
  *   unionDbDb           0                 0                 W      u
  *   differenceMerge     nA + |{b<=max A}| 0                 0      d
@@ -40,7 +39,9 @@
  * ceilLog2(range) + 1 per lower-bound call (kernels::lowerBound).
  * Cardinality-only variants charge the same outputElements as their
  * materializing twins (the logical result size) so set-size statistics
- * are comparable across variants.
+ * are comparable across variants. |A cup B| has no row of its own:
+ * both engines compute it as nA + nB - |A cap B| and charge the
+ * intersection-cardinality row.
  *
  * Why unionMerge stays on the scalar kernel while intersection and
  * difference are SIMD (kernels::setUnion): union is STORE-bound, not
@@ -54,9 +55,8 @@
  * step: merging blocks needs a bitonic network (min/max + shuffle
  * per lane pair) plus a cross-block dedup pass, whose shuffle
  * latency replaces perfectly predicted branches and raw stores. The
- * measured union_kernel_* rows in BENCH_kernels.json sit at ~1.0x
- * (store-bound parity, union_kernel_64k ~=0.99) and the branchy loop
- * additionally wins memcpy tails for the exhausted side, so the
+ * union_kernel_* rows of bench_microbench sit at store-bound parity
+ * with the seed loop (medians 1.02-1.09x over 20 runs), so the
  * vectorized merge-network path is deliberately NOT built -- this
  * note gates it off until a workload shows union on the critical
  * path with small outputs (where a gallop copy already applies).
@@ -257,12 +257,6 @@ DenseBitset differenceDbSa(const DenseBitset &a, const SortedArraySet &b,
 /** DB \ DB: bulk bitwise AND-NOT (Section 8.1's A cap B' rule). */
 DenseBitset differenceDbDb(const DenseBitset &a, const DenseBitset &b,
                            OpWork &work);
-
-// --- Cardinality of union (used by Jaccard-style measures) --------------
-
-/** |A cup B| via |A| + |B| - |A cap B| with the merge algorithm. */
-std::uint64_t unionCardMerge(const SortedArraySet &a,
-                             const SortedArraySet &b, OpWork &work);
 
 } // namespace sisa::sets
 

@@ -282,13 +282,6 @@ class SimContext
             activeSlice().counters.add(id, delta);
     }
 
-    /** Accumulate a named statistic (interns @p name; off hot paths). */
-    void
-    bumpCounter(std::string_view name, std::uint64_t delta = 1)
-    {
-        bumpCounter(internCounter(name), delta);
-    }
-
     /**
      * Merge every named counter of @p other into this context -- the
      * step of batched dispatch where the lane-accounting context
@@ -299,8 +292,6 @@ class SimContext
      * each query its share of the makespan directly).
      */
     void absorbCounters(const SimContext &other);
-
-    std::uint64_t counter(CounterId id) const { return counters_.get(id); }
 
     /** Value of @p name (0, without registering it, if never bumped). */
     std::uint64_t counter(std::string_view name) const;

@@ -29,7 +29,6 @@ sisaOpName(SisaOp op)
       case SisaOp::DeleteSet: return "sisa.del";
       case SisaOp::CloneSet: return "sisa.clone";
       case SisaOp::ConvertRepr: return "sisa.conv";
-      case SisaOp::IntersectMany: return "sisa.andn";
     }
     return "sisa.???";
 }

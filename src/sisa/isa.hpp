@@ -58,19 +58,10 @@ enum class SisaOp : std::uint8_t
     DeleteSet = 0x12,
     CloneSet = 0x13,
     ConvertRepr = 0x14, ///< Switch SA <-> DB representation.
-
-    // --- Section 11 extension: CISC-style multi-operand ops ---------------
-    /**
-     * A_1 cap ... cap A_l in one instruction (the paper's proposed
-     * CISC-style extension "to facilitate optimizations such as
-     * vectorization with loop unrolling"). Operands beyond rs1/rs2
-     * come from an in-memory operand list the instruction points at.
-     */
-    IntersectMany = 0x15,
 };
 
 /** Number of defined SISA operations. */
-inline constexpr std::uint8_t num_sisa_ops = 0x16;
+inline constexpr std::uint8_t num_sisa_ops = 0x15;
 
 /** Human-readable mnemonic for an operation. */
 std::string_view sisaOpName(SisaOp op);
@@ -94,7 +85,6 @@ producesSet(SisaOp op)
       case SisaOp::CreateSet:
       case SisaOp::CloneSet:
       case SisaOp::ConvertRepr:
-      case SisaOp::IntersectMany:
         return true;
       default:
         return false;

@@ -216,18 +216,6 @@ Scu::chargePnmRandom(sim::SimContext &ctx, sim::ThreadId tid,
 }
 
 void
-Scu::chargeMixedProbe(sim::SimContext &ctx, sim::ThreadId tid,
-                      std::uint64_t array_size)
-{
-    const MixedPlan plan = mixedProbePlan(array_size);
-    ctx.chargeBusy(tid, plan.cycles);
-    ctx.bumpCounter(plan.backend == Backend::PnmStream
-                        ? ids().pnmStreamOps
-                        : ids().pnmRandomOps);
-    lastBackend_ = plan.backend;
-}
-
-void
 Scu::recordWork(sim::SimContext &ctx, const OpWork &work)
 {
     // Bulk counters from the kernel layer (one O(1) charge per set
@@ -580,77 +568,6 @@ Scu::intersect(sim::SimContext &ctx, sim::ThreadId tid, SetId a, SetId b,
                SisaOp variant)
 {
     return issueSetOp(ctx, tid, BatchOpKind::Intersect, a, b, variant);
-}
-
-SetId
-Scu::intersectMany(sim::SimContext &ctx, sim::ThreadId tid,
-                   const std::vector<SetId> &operands)
-{
-    sisa_assert(!operands.empty(), "intersectMany needs operands");
-    for (SetId id : operands)
-        syncRead(ctx, tid, id); // RAW edges into the async window.
-    // One decode + one metadata round for the whole operand list.
-    ctx.chargeBusy(tid, config_.pim.scuDelay);
-    for (SetId id : operands)
-        chargeMetadata(ctx, tid, id);
-
-    // Process dense operands first: the PUM pass ANDs all of them in
-    // one in-situ sweep (one row op per additional operand).
-    std::vector<SetId> dense, sparse;
-    for (SetId id : operands)
-        (store_.isDense(id) ? dense : sparse).push_back(id);
-    // Fold sparse operands smallest-first so intermediate results
-    // shrink as fast as possible.
-    std::sort(sparse.begin(), sparse.end(),
-              [&](SetId x, SetId y) {
-                  return store_.cardinality(x) < store_.cardinality(y);
-              });
-
-    OpWork work;
-    SetId acc = invalid_set;
-    if (!dense.empty()) {
-        DenseBitset bits = store_.db(dense[0]);
-        for (std::size_t i = 1; i < dense.size(); ++i)
-            bits.andWith(store_.db(dense[i]));
-        chargePum(ctx, tid, store_.universe(),
-                  static_cast<std::uint32_t>(
-                      std::max<std::size_t>(dense.size() - 1, 1)));
-        acc = store_.adopt(std::move(bits));
-        forgetPlacement(acc); // Recycled slots may carry pins.
-    }
-    for (SetId id : sparse) {
-        if (acc == invalid_set) {
-            // Seed the accumulator with a copy of the smallest SA.
-            const auto span = store_.sa(id).elements();
-            acc = store_.adopt(SortedArraySet(
-                std::vector<Element>(span.begin(), span.end())));
-            forgetPlacement(acc);
-            chargePnmStream(ctx, tid, store_.cardinality(id));
-            continue;
-        }
-        const std::uint64_t card_acc = store_.cardinality(acc);
-        const std::uint64_t card_id = store_.cardinality(id);
-        SetId next;
-        if (store_.isDense(acc)) {
-            next = store_.adopt(sets::intersectSaDb(
-                store_.sa(id), store_.db(acc), work));
-            chargeMixedProbe(ctx, tid, card_id);
-        } else {
-            next = store_.adopt(sets::intersectMerge(
-                store_.sa(acc), store_.sa(id), work));
-            chargePnmStream(ctx, tid, std::max(card_acc, card_id));
-        }
-        forgetPlacement(next);
-        store_.destroy(acc);
-        acc = next;
-        if (store_.cardinality(acc) == 0)
-            break; // Empty intersection: later operands are moot.
-    }
-    recordWork(ctx, work);
-    traceOp(SisaOp::IntersectMany, acc,
-            operands.size() > 0 ? operands[0] : invalid_set,
-            operands.size() > 1 ? operands[1] : invalid_set);
-    return acc;
 }
 
 SetId

@@ -141,16 +141,6 @@ class Scu
     SetId intersect(sim::SimContext &ctx, sim::ThreadId tid, SetId a,
                     SetId b, SisaOp variant = SisaOp::IntersectAuto);
 
-    /**
-     * A_1 cap ... cap A_l -> new set, as ONE CISC-style instruction
-     * (the Section 11 extension). The SCU sorts dense operands onto
-     * the PUM path (a single multi-row AND pass) and folds sparse
-     * operands in ascending-cardinality order on the PNM cores, with
-     * one decode/metadata round instead of l - 1.
-     */
-    SetId intersectMany(sim::SimContext &ctx, sim::ThreadId tid,
-                        const std::vector<SetId> &operands);
-
     /** A cup B -> new set. */
     SetId setUnion(sim::SimContext &ctx, sim::ThreadId tid, SetId a,
                    SetId b, SisaOp variant = SisaOp::UnionAuto);
@@ -696,15 +686,6 @@ class Scu
 
     void chargePnmRandom(sim::SimContext &ctx, sim::ThreadId tid,
                          std::uint64_t probes);
-
-    /**
-     * Charge a mixed SA-vs-DB operation over @p array_size elements:
-     * the SCU picks bit-probing (independent random accesses) or
-     * bitvector streaming, whichever the Section 8.3 models predict
-     * to be cheaper.
-     */
-    void chargeMixedProbe(sim::SimContext &ctx, sim::ThreadId tid,
-                          std::uint64_t array_size);
 
     void recordWork(sim::SimContext &ctx, const sets::OpWork &work);
 

@@ -48,14 +48,6 @@ queryStateName(QueryState state)
     return "?";
 }
 
-bool
-queryStateTerminal(QueryState state)
-{
-    return state == QueryState::Completed ||
-           state == QueryState::TimedOut ||
-           state == QueryState::Shed;
-}
-
 const char *
 shedPolicyName(ShedPolicy policy)
 {

@@ -92,9 +92,6 @@ enum class QueryState : std::uint8_t
 
 const char *queryStateName(QueryState state);
 
-/** Is @p state one of the three terminal verdicts? */
-bool queryStateTerminal(QueryState state);
-
 /**
  * Overload shedding policy of the bounded admission queue:
  *

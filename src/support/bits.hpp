@@ -47,13 +47,6 @@ isPowerOfTwo(std::uint64_t x)
     return x != 0 && (x & (x - 1)) == 0;
 }
 
-/** Number of set bits. */
-constexpr unsigned
-popcount(std::uint64_t x)
-{
-    return static_cast<unsigned>(std::popcount(x));
-}
-
 } // namespace sisa::support
 
 #endif // SISA_SUPPORT_BITS_HPP

@@ -7,25 +7,6 @@
 
 namespace sisa::support {
 
-void
-Accumulator::add(double sample)
-{
-    if (count_ == 0) {
-        min_ = max_ = sample;
-    } else {
-        if (sample < min_) min_ = sample;
-        if (sample > max_) max_ = sample;
-    }
-    sum_ += sample;
-    ++count_;
-}
-
-double
-Accumulator::mean() const
-{
-    return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
-}
-
 double
 arithmeticMean(const std::vector<double> &samples)
 {

@@ -4,37 +4,17 @@
  * (Section 9.1, "Performance Measures & Summaries") reports both
  * "speedup-of-avgs" (ratio of average runtimes) and "avg-of-speedups"
  * (geometric mean of per-datapoint speedups); both are implemented
- * here, together with plain accumulators and histogram utilities.
+ * here, together with percentile and histogram utilities.
  */
 
 #ifndef SISA_SUPPORT_STATS_HPP
 #define SISA_SUPPORT_STATS_HPP
 
-#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <vector>
 
 namespace sisa::support {
-
-/** Streaming accumulator for min/max/mean over doubles. */
-class Accumulator
-{
-  public:
-    void add(double sample);
-
-    std::size_t count() const { return count_; }
-    double sum() const { return sum_; }
-    double mean() const;
-    double min() const { return min_; }
-    double max() const { return max_; }
-
-  private:
-    std::size_t count_ = 0;
-    double sum_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
 
 /** Arithmetic mean of @p samples; 0 when empty. */
 double arithmeticMean(const std::vector<double> &samples);

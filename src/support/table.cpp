@@ -66,21 +66,4 @@ TextTable::print(std::ostream &os) const
         emit(row);
 }
 
-void
-TextTable::printCsv(std::ostream &os) const
-{
-    auto emit = [&](const std::vector<std::string> &row) {
-        for (std::size_t c = 0; c < row.size(); ++c) {
-            if (c)
-                os << ',';
-            os << row[c];
-        }
-        os << '\n';
-    };
-    if (!header_.empty())
-        emit(header_);
-    for (const auto &row : rows_)
-        emit(row);
-}
-
 } // namespace sisa::support

@@ -2,8 +2,7 @@
  * @file
  * Plain-text table emitter used by the benchmark binaries to print the
  * rows/series each paper figure or table reports. Columns are sized to
- * their widest cell; an optional CSV dump makes the output easy to
- * post-process into plots.
+ * their widest cell.
  */
 
 #ifndef SISA_SUPPORT_TABLE_HPP
@@ -15,7 +14,7 @@
 
 namespace sisa::support {
 
-/** Column-aligned text table with an optional title and CSV export. */
+/** Column-aligned text table with an optional title. */
 class TextTable
 {
   public:
@@ -32,9 +31,6 @@ class TextTable
 
     /** Render with aligned columns to @p os. */
     void print(std::ostream &os) const;
-
-    /** Render as comma-separated values (header first) to @p os. */
-    void printCsv(std::ostream &os) const;
 
     std::size_t rowCount() const { return rows_.size(); }
 

@@ -110,28 +110,6 @@ refMaximalCliques(const Graph &g)
     return out;
 }
 
-/** Reference BFS depths (invalid_vertex parent when unreachable). */
-inline std::vector<std::int64_t>
-refBfsDepths(const Graph &g, VertexId root)
-{
-    std::vector<std::int64_t> depth(g.numVertices(), -1);
-    depth[root] = 0;
-    std::vector<VertexId> frontier{root};
-    while (!frontier.empty()) {
-        std::vector<VertexId> next;
-        for (VertexId u : frontier) {
-            for (VertexId w : g.neighbors(u)) {
-                if (depth[w] < 0) {
-                    depth[w] = depth[u] + 1;
-                    next.push_back(w);
-                }
-            }
-        }
-        frontier = std::move(next);
-    }
-    return depth;
-}
-
 /** |N(u) cap N(v)| by std::set intersection. */
 inline std::uint64_t
 refCommonNeighbors(const Graph &g, VertexId u, VertexId v)

@@ -10,7 +10,6 @@
 #include "core/set_graph.hpp"
 #include "core/sisa_engine.hpp"
 #include "core/vertex_set.hpp"
-#include "core/wrappers.hpp"
 #include "graph/generators.hpp"
 
 namespace {
@@ -324,41 +323,6 @@ TEST(VertexSetTest, SetAlgebraMethods)
     a.discard(10);
     EXPECT_FALSE(a.contains(10));
     EXPECT_EQ(a.clone().size(), a.size());
-}
-
-TEST(Wrappers, MapToEngineOps)
-{
-    SisaEngine eng(64, isa::ScuConfig{}, 1);
-    sim::SimContext ctx(1);
-    const Element xs[] = {1, 2, 3};
-    const auto a = core::sisa_create(eng, ctx, 0, xs, 3);
-    EXPECT_EQ(core::sisa_cardinality(eng, ctx, 0, a), 3u);
-    const auto b = core::sisa_clone(eng, ctx, 0, a);
-    core::sisa_insert(eng, ctx, 0, b, 40);
-    EXPECT_TRUE(core::sisa_is_member(eng, ctx, 0, b, 40));
-    core::sisa_remove(eng, ctx, 0, b, 40);
-    const auto u = core::sisa_union(eng, ctx, 0, a, b);
-    const auto i = core::sisa_intersect(eng, ctx, 0, a, b);
-    const auto d = core::sisa_difference(eng, ctx, 0, a, b);
-    EXPECT_EQ(core::sisa_cardinality(eng, ctx, 0, u), 3u);
-    EXPECT_EQ(core::sisa_cardinality(eng, ctx, 0, i), 3u);
-    EXPECT_EQ(core::sisa_cardinality(eng, ctx, 0, d), 0u);
-    EXPECT_EQ(core::sisa_intersect_count(eng, ctx, 0, a, b), 3u);
-    EXPECT_EQ(core::sisa_union_count(eng, ctx, 0, a, b), 3u);
-    core::sisa_delete(eng, ctx, 0, d);
-    EXPECT_FALSE(eng.store().live(d));
-}
-
-TEST(Wrappers, DenseCreation)
-{
-    SisaEngine eng(64, isa::ScuConfig{}, 1);
-    sim::SimContext ctx(1);
-    const Element xs[] = {1, 2, 3};
-    const auto a = core::sisa_create(eng, ctx, 0, xs, 3,
-                                     SetRepr::DenseBitvector);
-    EXPECT_EQ(eng.store().elementsOf(a),
-              (std::vector<Element>{1, 2, 3}));
-    EXPECT_TRUE(eng.store().isDense(a));
 }
 
 } // namespace

@@ -238,7 +238,7 @@ TEST(Integration, SetSizeTraceCapturesLargeSets)
     ctx.enableSetSizeTrace(10);
     ctx.setPatternCutoff(200);
     OrientedSetGraph osg(g, eng);
-    fourCliqueCount(osg, ctx);
+    kCliqueCount(osg, ctx, 4);
     std::uint64_t total = 0;
     for (sim::ThreadId t = 0; t < 2; ++t)
         total += ctx.setSizeTrace(t).totalWeight();

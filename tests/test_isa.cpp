@@ -63,9 +63,13 @@ TEST(Encoding, RejectsUndefinedFunct7)
 {
     SisaInst inst;
     inst.op = SisaOp::IntersectAuto;
-    std::uint32_t word = encode(inst);
-    word = (word & 0x01ffffff) | (0x7fu << 25); // funct7 = 127.
-    EXPECT_FALSE(decode(word).has_value());
+    const std::uint32_t base = encode(inst) & 0x01ffffff;
+    // 0x15 is the retired multi-operand intersection: it stays
+    // undefined rather than being reused.
+    for (const std::uint32_t funct7 : {0x15u, 0x7fu}) {
+        EXPECT_FALSE(decode(base | (funct7 << 25)).has_value())
+            << "funct7=" << funct7;
+    }
 }
 
 TEST(Encoding, OpNamesUnique)
@@ -635,120 +639,6 @@ TEST(InstructionTrace, DetachStopsRecording)
 }
 
 } // namespace trace_tests
-
-// --- CISC-style multi-operand intersection (Section 11) -------------------
-
-namespace multi_tests {
-
-using namespace sisa::isa;
-using sisa::sets::SetRepr;
-using sisa::sim::SimContext;
-
-TEST(IntersectMany, MixedOperandsCorrectResult)
-{
-    SetStore store(256);
-    Scu scu(store, ScuConfig{}, 1);
-    SimContext ctx(1);
-    const SetId a = store.createFromSorted({1, 2, 3, 4, 5, 6},
-                                           SetRepr::SparseArray);
-    const SetId b = store.createFromSorted({2, 4, 6, 8},
-                                           SetRepr::DenseBitvector);
-    const SetId c = store.createFromSorted({2, 3, 4, 6, 9},
-                                           SetRepr::DenseBitvector);
-    const SetId d = store.createFromSorted({0, 2, 6, 10},
-                                           SetRepr::SparseArray);
-    const SetId r = scu.intersectMany(ctx, 0, {a, b, c, d});
-    EXPECT_EQ(store.elementsOf(r),
-              (std::vector<sisa::sets::Element>{2, 6}));
-}
-
-TEST(IntersectMany, SingleOperandIsCopy)
-{
-    SetStore store(64);
-    Scu scu(store, ScuConfig{}, 1);
-    SimContext ctx(1);
-    const SetId a = store.createFromSorted({3, 7},
-                                           SetRepr::SparseArray);
-    const SetId r = scu.intersectMany(ctx, 0, {a});
-    EXPECT_EQ(store.elementsOf(r),
-              (std::vector<sisa::sets::Element>{3, 7}));
-    EXPECT_NE(r, a);
-}
-
-TEST(IntersectMany, CheaperThanChainedPairwise)
-{
-    // The point of the CISC extension: one decode/metadata round and
-    // one fused pass instead of l - 1 separate instructions.
-    SetStore store_a(4096), store_b(4096);
-    Scu scu_a(store_a, ScuConfig{}, 1);
-    Scu scu_b(store_b, ScuConfig{}, 1);
-    SimContext ctx_a(1), ctx_b(1);
-
-    std::vector<SetId> ops_a, ops_b;
-    for (int i = 0; i < 5; ++i) {
-        std::vector<sisa::sets::Element> elems;
-        for (sisa::sets::Element e = 0; e < 2048;
-             e += static_cast<sisa::sets::Element>(i + 2))
-            elems.push_back(e);
-        ops_a.push_back(store_a.createFromSorted(
-            elems, SetRepr::DenseBitvector));
-        ops_b.push_back(store_b.createFromSorted(
-            elems, SetRepr::DenseBitvector));
-    }
-
-    const auto before_a = ctx_a.threadCycles(0);
-    const SetId fused_result = scu_a.intersectMany(ctx_a, 0, ops_a);
-    const auto fused = ctx_a.threadCycles(0) - before_a;
-
-    const auto before_b = ctx_b.threadCycles(0);
-    SetId acc = scu_b.intersect(ctx_b, 0, ops_b[0], ops_b[1]);
-    for (std::size_t i = 2; i < 5; ++i) {
-        const SetId next = scu_b.intersect(ctx_b, 0, acc, ops_b[i]);
-        scu_b.destroy(ctx_b, 0, acc);
-        acc = next;
-    }
-    const auto chained = ctx_b.threadCycles(0) - before_b;
-
-    EXPECT_LT(fused, chained);
-    // Both compute the same set.
-    EXPECT_EQ(store_a.elementsOf(fused_result),
-              store_b.elementsOf(acc));
-}
-
-TEST(IntersectMany, EmptyIntersectionShortCircuits)
-{
-    SetStore store(64);
-    Scu scu(store, ScuConfig{}, 1);
-    SimContext ctx(1);
-    const SetId a = store.createFromSorted({1}, SetRepr::SparseArray);
-    const SetId b = store.createFromSorted({2}, SetRepr::SparseArray);
-    const SetId c = store.createFromSorted({1, 2},
-                                           SetRepr::SparseArray);
-    const SetId r = scu.intersectMany(ctx, 0, {a, b, c});
-    EXPECT_EQ(store.cardinality(r), 0u);
-}
-
-TEST(IntersectMany, TracedAsOneInstruction)
-{
-    SetStore store(64);
-    Scu scu(store, ScuConfig{}, 1);
-    InstructionTrace trace;
-    scu.setTrace(&trace);
-    SimContext ctx(1);
-    const SetId a = store.createFromSorted({1, 2},
-                                           SetRepr::SparseArray);
-    const SetId b = store.createFromSorted({2, 3},
-                                           SetRepr::SparseArray);
-    const SetId c = store.createFromSorted({2, 4},
-                                           SetRepr::SparseArray);
-    scu.intersectMany(ctx, 0, {a, b, c});
-    EXPECT_EQ(trace.count(SisaOp::IntersectMany), 1u);
-    EXPECT_EQ(trace.count(SisaOp::IntersectAuto), 0u);
-    EXPECT_NE(trace.disassemble().find("sisa.andn"),
-              std::string::npos);
-}
-
-} // namespace multi_tests
 
 // --- Cost-model regressions (word counts, byte pricing, short circuits) ---
 

@@ -214,7 +214,6 @@ TEST_P(SetOpSweep, UnionVariantsAgree)
     EXPECT_EQ(merge, gallop);
     const auto ref = refUnion(s.ref_a, s.ref_b);
     EXPECT_EQ(std::vector<Element>(merge.begin(), merge.end()), ref);
-    EXPECT_EQ(unionCardMerge(s.a, s.b, w1), ref.size());
 }
 
 TEST_P(SetOpSweep, DifferenceVariantsAgree)
@@ -531,8 +530,6 @@ TEST(SetOpsFuzz, RandomMixedSequencesMatchStdSetOracle)
                                                merge.end()),
                           want_u);
                 ASSERT_EQ(merge, gallop);
-                ASSERT_EQ(unionCardMerge(a.sa, b.sa, work),
-                          want_u.size());
             } else if (a.dense && b.dense) {
                 const auto r = unionDbDb(a.db, b.db, work);
                 std::vector<Element> got;
@@ -580,8 +577,6 @@ TEST(SetOpsFuzz, RandomMixedSequencesMatchStdSetOracle)
                       want_i.size());
             ASSERT_EQ(intersectCardSaDb(saOf(a), dbOf(b), work),
                       want_i.size());
-            ASSERT_EQ(unionCardMerge(saOf(a), saOf(b), work),
-                      want_u.size());
             break;
           }
         }

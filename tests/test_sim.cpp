@@ -145,8 +145,8 @@ TEST(Context, SetSizeTrace)
 TEST(Context, Counters)
 {
     SimContext ctx(1);
-    ctx.bumpCounter("x");
-    ctx.bumpCounter("x", 4);
+    ctx.bumpCounter(internCounter("x"));
+    ctx.bumpCounter(internCounter("x"), 4);
     EXPECT_EQ(ctx.counter("x"), 5u);
     EXPECT_EQ(ctx.counter("missing"), 0u);
 }
@@ -158,12 +158,12 @@ using Counters = std::map<std::string, std::uint64_t>;
 TEST(CounterRegistry, NameReportsIffBumpedEvenByZero)
 {
     SimContext ctx(1);
-    ctx.bumpCounter("reg.zero", 0);
+    ctx.bumpCounter(internCounter("reg.zero"), 0);
     ctx.bumpCounter(internCounter("reg.one"));
     internCounter("reg.interned_only"); // Registered, never bumped.
     EXPECT_EQ(ctx.counters(),
               (Counters{{"reg.one", 1}, {"reg.zero", 0}}));
-    EXPECT_EQ(ctx.counter(internCounter("reg.one")), 1u);
+    EXPECT_EQ(ctx.counter("reg.one"), 1u);
     // Registration is process-wide; presence is per context.
     EXPECT_TRUE(SimContext(1).counters().empty());
 }
@@ -181,18 +181,18 @@ TEST(CounterRegistry, AbsorbAndQuerySlicesEqualSummedBumps)
 {
     SimContext a(1);
     a.bindQuery(7);
-    a.bumpCounter("reg.x", 3);
+    a.bumpCounter(internCounter("reg.x"), 3);
     a.chargeBusy(0, 10);
     a.bindQuery(no_query);
-    a.bumpCounter("reg.x", 5); // Untagged: thread totals only.
+    a.bumpCounter(internCounter("reg.x"), 5); // Untagged: thread totals only.
     a.bindQuery(9);
-    a.bumpCounter("reg.y", 2);
+    a.bumpCounter(internCounter("reg.y"), 2);
     a.chargeStall(0, 4);
 
     SimContext b(2);
     b.bindQuery(7);
-    b.bumpCounter("reg.x", 11);
-    b.bumpCounter("reg.y", 0);
+    b.bumpCounter(internCounter("reg.x"), 11);
+    b.bumpCounter(internCounter("reg.y"), 0);
     b.chargeBusy(1, 6);
 
     // absorbCounters merges counters (thread and per-query), never
@@ -229,15 +229,15 @@ TEST(CounterRegistry, BoundQuerySurvivesCopyAndMove)
 {
     SimContext ctx(1);
     ctx.bindQuery(3);
-    ctx.bumpCounter("reg.c");
+    ctx.bumpCounter(internCounter("reg.c"));
     SimContext copy = ctx;
-    copy.bumpCounter("reg.c", 2);
+    copy.bumpCounter(internCounter("reg.c"), 2);
     copy.chargeBusy(0, 5);
     EXPECT_EQ(ctx.queryAccount(3).counters.at("reg.c"), 1u);
     EXPECT_EQ(ctx.queryAccount(3).busy, 0u);
     EXPECT_EQ(copy.queryAccount(3).counters.at("reg.c"), 3u);
     SimContext moved = std::move(copy);
-    moved.bumpCounter("reg.c");
+    moved.bumpCounter(internCounter("reg.c"));
     EXPECT_EQ(moved.queryAccount(3).counters.at("reg.c"), 4u);
     EXPECT_EQ(moved.queryAccount(3).busy, 5u);
 }

@@ -59,13 +59,6 @@ TEST(Bits, IsPowerOfTwo)
     EXPECT_FALSE(isPowerOfTwo(1023));
 }
 
-TEST(Bits, Popcount)
-{
-    EXPECT_EQ(popcount(0), 0u);
-    EXPECT_EQ(popcount(0xff), 8u);
-    EXPECT_EQ(popcount(~0ull), 64u);
-}
-
 TEST(Rng, SplitMixDeterministic)
 {
     SplitMix64 a(42), b(42);
@@ -116,20 +109,6 @@ TEST(Rng, DoubleInUnitInterval)
         EXPECT_GE(d, 0.0);
         EXPECT_LT(d, 1.0);
     }
-}
-
-TEST(Stats, AccumulatorBasics)
-{
-    Accumulator acc;
-    EXPECT_EQ(acc.count(), 0u);
-    EXPECT_DOUBLE_EQ(acc.mean(), 0.0);
-    acc.add(2.0);
-    acc.add(4.0);
-    acc.add(6.0);
-    EXPECT_EQ(acc.count(), 3u);
-    EXPECT_DOUBLE_EQ(acc.mean(), 4.0);
-    EXPECT_DOUBLE_EQ(acc.min(), 2.0);
-    EXPECT_DOUBLE_EQ(acc.max(), 6.0);
 }
 
 TEST(Stats, GeometricMean)
@@ -253,16 +232,6 @@ TEST(Table, AlignsAndCounts)
     const std::string out = oss.str();
     EXPECT_NE(out.find("demo"), std::string::npos);
     EXPECT_NE(out.find("longer-name"), std::string::npos);
-}
-
-TEST(Table, CsvOutput)
-{
-    TextTable t;
-    t.setHeader({"x", "y"});
-    t.addRow({"1", "2"});
-    std::ostringstream oss;
-    t.printCsv(oss);
-    EXPECT_EQ(oss.str(), "x,y\n1,2\n");
 }
 
 TEST(Table, FormatDouble)
