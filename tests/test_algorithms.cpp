@@ -4,9 +4,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "algorithms/bron_kerbosch.hpp"
 #include "algorithms/clustering.hpp"
@@ -16,6 +19,7 @@
 #include "algorithms/similarity.hpp"
 #include "algorithms/subgraph_iso.hpp"
 #include "algorithms/triangle_count.hpp"
+#include "baselines/clustering_baseline.hpp"
 #include "core/cpu_set_engine.hpp"
 #include "core/sisa_engine.hpp"
 #include "graph/generators.hpp"
@@ -427,6 +431,150 @@ TEST_P(AlgoTest, PatternCutoffBoundsWork)
     for (sim::ThreadId t = 0; t < threads(); ++t)
         EXPECT_LE(ctx.patterns(t), 10u + 30u); // One batch overshoot.
     EXPECT_LT(ctx.totalPatterns(), 3u * 10u * threads() + 100u);
+}
+
+/** FNV-1a over 64-bit words, for the Jarvis-Patrick edge-walk pin. */
+class Digest
+{
+  public:
+    void
+    add(std::uint64_t word)
+    {
+        for (int byte = 0; byte < 8; ++byte) {
+            hash_ ^= (word >> (8 * byte)) & 0xff;
+            hash_ *= 0x100000001b3ULL;
+        }
+    }
+
+    std::uint64_t value() const { return hash_; }
+
+  private:
+    std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+/** Graphs whose upper-edge rows are empty, uneven or one-sided. */
+std::vector<std::pair<const char *, graph::Graph>>
+edgeWalkGraphs()
+{
+    std::vector<std::pair<const char *, graph::Graph>> graphs;
+    // Two triangles, 6 edges: at 7 threads one block is empty.
+    // Vertices 0-2, 6-13, 16, 18 and 19 are isolated.
+    graph::GraphBuilder isolated(20);
+    const graph::VertexId triangles[][3] = {{3, 4, 5}, {14, 15, 17}};
+    for (const auto &t : triangles) {
+        isolated.addEdge(t[0], t[1]);
+        isolated.addEdge(t[0], t[2]);
+        isolated.addEdge(t[1], t[2]);
+    }
+    graphs.emplace_back("isolated", isolated.build());
+    // Vertices 5 and 10-17 see only smaller ids: their rows hold no
+    // edge u < v, in the middle and at the end of the walk.
+    graph::GraphBuilder lower(18);
+    for (graph::VertexId u = 0; u < 4; ++u)
+        lower.addEdge(u, u + 1);
+    lower.addEdge(5, 0);
+    lower.addEdge(5, 2);
+    lower.addEdge(5, 3);
+    for (graph::VertexId v = 10; v < 18; ++v) {
+        lower.addEdge(v, v % 7);
+        lower.addEdge(v, (v * 3) % 9);
+    }
+    graphs.emplace_back("lower", lower.build());
+    graphs.emplace_back("star", graph::star(30));
+    graphs.emplace_back("er", graph::erdosRenyi(60, 300, 17));
+    return graphs;
+}
+
+/** Edges u < v whose endpoints share at least one neighbor. */
+std::uint64_t
+triangleEdges(const graph::Graph &g)
+{
+    std::uint64_t edges = 0;
+    for (graph::VertexId u = 0; u < g.numVertices(); ++u) {
+        for (graph::VertexId v : g.neighbors(u)) {
+            if (u < v && refCommonNeighbors(g, u, v) > 0)
+                ++edges;
+        }
+    }
+    return edges;
+}
+
+TEST(JarvisPatrickPin, EdgeWalkPinned)
+{
+    // Which thread scores which edge, in which order, and where a
+    // cutoff stops it: every modeled thread's busy cycles, on both
+    // engines and the non-set baseline, over graphs that give empty
+    // and uneven thread blocks (2 to 300 edges over 1, 3 or 7
+    // threads). A change to how Jarvis-Patrick enumerates its edges
+    // must reproduce these exactly.
+    struct Measure
+    {
+        SimilarityMeasure measure;
+        baselines::ClusterCoefficient coefficient;
+        double tau;
+    };
+    const Measure measures[] = {
+        {SimilarityMeasure::Jaccard, baselines::ClusterCoefficient::Jaccard,
+         0.0},
+        {SimilarityMeasure::TotalNeighbors,
+         baselines::ClusterCoefficient::TotalNeighbors, 4.0},
+    };
+    const char *const runners[] = {"sisa", "set-based", "non-set"};
+    std::map<std::string, std::uint64_t> digests;
+    for (const auto &[name, g] : edgeWalkGraphs()) {
+        for (const char *runner : runners) {
+            Digest digest;
+            for (const std::uint32_t threads : {1u, 3u, 7u}) {
+                for (const std::uint64_t cutoff : {0u, 5u}) {
+                    for (const Measure &m : measures) {
+                        sim::SimContext ctx(threads);
+                        ctx.setPatternCutoff(cutoff);
+                        ClusteringResult result;
+                        if (std::string(runner) == "non-set") {
+                            sim::CpuModel cpu(sim::CpuParams{}, threads);
+                            baselines::CsrView view(g, cpu);
+                            result.clusterEdges =
+                                baselines::jarvisPatrickBaseline(
+                                    view, ctx, m.coefficient, m.tau);
+                        } else {
+                            auto eng = makeEngine(runner, g.numVertices(),
+                                                  threads);
+                            core::SetGraph sg(g, *eng);
+                            result = jarvisPatrick(sg, ctx, m.measure,
+                                                   m.tau);
+                        }
+                        if (cutoff == 0 &&
+                            m.measure == SimilarityMeasure::Jaccard) {
+                            EXPECT_EQ(result.clusterEdges,
+                                      triangleEdges(g))
+                                << name << " " << runner << " T="
+                                << threads;
+                        }
+                        digest.add(result.clusterEdges);
+                        digest.add(result.clusterCount);
+                        for (sim::ThreadId t = 0; t < threads; ++t)
+                            digest.add(ctx.threadBusy(t));
+                    }
+                }
+            }
+            digests[std::string(name) + "/" + runner] = digest.value();
+        }
+    }
+    const std::map<std::string, std::uint64_t> pinned = {
+        {"er/non-set", 0x1c895b3873aeeb27ULL},
+        {"er/set-based", 0x34cada63515c8747ULL},
+        {"er/sisa", 0xa72d701325c98d72ULL},
+        {"isolated/non-set", 0xa5b5362a4435ffc7ULL},
+        {"isolated/set-based", 0x5bd60ba09f2646deULL},
+        {"isolated/sisa", 0x5c5ef1ca583cf628ULL},
+        {"lower/non-set", 0xe735a5a9e09fbdc8ULL},
+        {"lower/set-based", 0x5736a2c53c644767ULL},
+        {"lower/sisa", 0x72116aa7270abe95ULL},
+        {"star/non-set", 0x1f719fcec8e0de1aULL},
+        {"star/set-based", 0x3965a166c8623f57ULL},
+        {"star/sisa", 0x61d9d08c1e24734fULL},
+    };
+    EXPECT_EQ(digests, pinned);
 }
 
 } // namespace
