@@ -1,7 +1,8 @@
 #include "algorithms/clustering.hpp"
 
-#include <algorithm>
 #include <numeric>
+
+#include "support/logging.hpp"
 
 namespace sisa::algorithms {
 
@@ -45,71 +46,50 @@ ClusteringResult
 jarvisPatrick(SetGraph &sg, sim::SimContext &ctx,
               SimilarityMeasure measure, double tau)
 {
-    const VertexId n = sg.numVertices();
-    const graph::Graph &graph = sg.graph();
-
-    // Edge list (u < v) for the [in par] edge loop.
-    std::vector<std::pair<VertexId, VertexId>> edges;
-    edges.reserve(graph.numEdges());
-    for (VertexId u = 0; u < n; ++u) {
-        for (VertexId v : graph.neighbors(u)) {
-            if (u < v)
-                edges.emplace_back(u, v);
-        }
+    // Edge similarities from the common-neighbor cardinality (plus
+    // O(1) degree lookups) batch cleanly; the weighted measures
+    // (Adamic-Adar, resource allocation) would materialize the common
+    // set per edge, and no clustering problem uses them.
+    if (!similarityBatchable(measure)) {
+        sisa_fatal("jarvisPatrick: similarity measure '",
+                   measureName(measure),
+                   "' does not batch (use jac, ovr, cn or tot)");
     }
+    const VertexId n = sg.numVertices();
+    // The [in par] edge loop runs over the edges u < v.
+    const graph::UpperEdges edges(sg.graph());
 
     ClusteringResult result;
     UnionFind clusters(n);
 
-    // Edge similarities from the common-neighbor cardinality (plus
-    // O(1) degree lookups) batch cleanly; the weighted measures
-    // (Adamic-Adar, resource allocation) materialize the common set
-    // and stay on the serial path.
-    const bool batchable = similarityBatchable(measure);
     constexpr std::uint64_t chunk = 256;
-
-    const auto acceptEdge = [&](sim::ThreadId tid, VertexId u,
-                                VertexId v, double similarity) {
-        if (similarity > tau) {
-            // C = C cup {e}.
-            ++result.clusterEdges;
-            clusters.unite(u, v);
-            ctx.countPattern(tid);
+    SetEngine &eng = sg.engine();
+    core::BatchRequest batch;
+    parallelForChunks(ctx, edges.size(), chunk, [&](
+                          sim::ThreadId tid, std::uint64_t start,
+                          std::uint64_t end) {
+        batch.clear();
+        batch.reserve(end - start);
+        graph::UpperEdges::Walk walk = edges.walkFrom(start);
+        for (std::uint64_t i = start; i < end; ++i) {
+            const graph::Edge e = walk.next();
+            appendSimilarityOp(sg, batch, e.u, e.v, measure);
         }
-    };
-
-    if (!batchable) {
-        parallelFor(ctx, edges.size(), [&](sim::ThreadId tid,
-                                           std::uint64_t i) {
-            const auto [u, v] = edges[i];
-            acceptEdge(tid, u, v,
-                       vertexSimilarity(sg, ctx, tid, u, v, measure));
-        });
-    } else {
-        SetEngine &eng = sg.engine();
-        core::BatchRequest batch;
-        parallelForChunks(ctx, edges.size(), chunk, [&](
-                              sim::ThreadId tid, std::uint64_t start,
-                              std::uint64_t end) {
-            batch.clear();
-            batch.reserve(end - start);
-            for (std::uint64_t i = start; i < end; ++i) {
-                const auto [u, v] = edges[i];
-                appendSimilarityOp(sg, batch, u, v, measure);
+        const core::BatchResult res = eng.executeBatch(ctx, tid, batch);
+        walk = edges.walkFrom(start);
+        for (std::uint64_t i = start; i < end; ++i) {
+            if (ctx.cutoffReached(tid))
+                break;
+            const graph::Edge e = walk.next();
+            if (similarityFromCard(sg, ctx, tid, e.u, e.v, measure,
+                                   res.entries[i - start].value) > tau) {
+                // C = C cup {e}.
+                ++result.clusterEdges;
+                clusters.unite(e.u, e.v);
+                ctx.countPattern(tid);
             }
-            const core::BatchResult res =
-                eng.executeBatch(ctx, tid, batch);
-            for (std::uint64_t i = start; i < end; ++i) {
-                if (ctx.cutoffReached(tid))
-                    break;
-                const auto [u, v] = edges[i];
-                acceptEdge(tid, u, v,
-                           similarityFromCard(
-                               sg, ctx, tid, u, v, measure,
-                               res.entries[i - start].value));
-            }
-        });
-    }
+        }
+    });
 
     // Summarize: non-singleton components of C are the clusters.
     std::vector<std::uint32_t> size(n, 0);

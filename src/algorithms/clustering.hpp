@@ -31,7 +31,8 @@ struct ClusteringResult
  * Jarvis-Patrick clustering over all edges [in par].
  *
  * @param measure Similarity measure (Common Neighbors in the paper's
- *                listing; any Algorithm 9 measure is allowed).
+ *                listing); it must batch (similarityBatchable: jac,
+ *                ovr, cn or tot), any other measure is fatal.
  * @param tau     Similarity threshold.
  */
 ClusteringResult jarvisPatrick(SetGraph &sg, sim::SimContext &ctx,

@@ -9,25 +9,17 @@ jarvisPatrickBaseline(CsrView &csr, sim::SimContext &ctx,
                       ClusterCoefficient coefficient, double tau)
 {
     const Graph &graph = csr.graph();
-    const VertexId n = graph.numVertices();
-
-    std::vector<std::pair<VertexId, VertexId>> edges;
-    edges.reserve(graph.numEdges());
-    for (VertexId u = 0; u < n; ++u) {
-        for (VertexId v : graph.neighbors(u)) {
-            if (u < v)
-                edges.emplace_back(u, v);
-        }
-    }
+    const graph::UpperEdges edges(graph);
 
     std::uint64_t cluster_edges = 0;
     for (sim::ThreadId tid = 0; tid < ctx.numThreads(); ++tid) {
         const sim::Range range =
             sim::blockRange(edges.size(), ctx.numThreads(), tid);
+        graph::UpperEdges::Walk walk = edges.walkFrom(range.begin);
         for (std::uint64_t i = range.begin; i != range.end; ++i) {
             if (ctx.cutoffReached(tid))
                 break;
-            const auto [u, v] = edges[i];
+            const auto [u, v] = walk.next();
             const auto common = static_cast<double>(
                 csr.mergeCountCommon(ctx, tid, u, v));
             const auto du = static_cast<double>(graph.degree(u));

@@ -14,24 +14,27 @@ SetGraph::SetGraph(const graph::Graph &graph, SetEngine &engine,
     sisa_assert(engine.store().universe() >= n,
                 "engine universe smaller than the vertex count");
 
+    auto tables = std::make_shared<Tables>();
     std::vector<std::uint32_t> degrees(n);
     for (VertexId v = 0; v < n; ++v)
         degrees[v] = graph.degree(v);
-    assignment_ = sets::chooseRepresentations(
+    tables->assignment = sets::chooseRepresentations(
         degrees, engine.store().universe(), policy);
 
-    nbr_.reserve(n);
+    tables->nbr.reserve(n);
     for (VertexId v = 0; v < n; ++v) {
         const auto nbrs = graph.neighbors(v);
         std::vector<sets::Element> elems(nbrs.begin(), nbrs.end());
-        nbr_.push_back(engine.store().createFromSorted(
-            std::move(elems), assignment_.repr[v]));
+        tables->nbr.push_back(engine.store().createFromSorted(
+            std::move(elems), tables->assignment.repr[v]));
     }
+    nbr_ = tables->nbr.data();
+    tables_ = std::move(tables);
 }
 
 SetGraph::SetGraph(const SetGraph &built, SetEngine &engine)
-    : graph_(built.graph_), engine_(&engine),
-      assignment_(built.assignment_), nbr_(built.nbr_)
+    : graph_(built.graph_), engine_(&engine), tables_(built.tables_),
+      nbr_(built.nbr_)
 {
     sisa_assert(engine.store().base() == &built.engine_->store(),
                 "SetGraph view: the engine's store does not share the "

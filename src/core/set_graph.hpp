@@ -43,7 +43,9 @@ class SetGraph
      * A view of @p built's sets through @p engine, whose store must
      * have @p built's store as its shared read-only base
      * (SisaEngine's shared-base constructor): same set ids, same
-     * representations, no set built. Panics on any other engine.
+     * representations, no set built and no table copied -- the id
+     * and representation tables are @p built's. Panics on any other
+     * engine.
      */
     SetGraph(const SetGraph &built, SetEngine &engine);
 
@@ -60,17 +62,29 @@ class SetGraph
     /** Representation chosen for N(v). */
     sets::SetRepr representation(VertexId v) const
     {
-        return assignment_.repr[v];
+        return tables_->assignment.repr[v];
     }
 
     /** Outcome of the representation selection (storage accounting). */
-    const sets::ReprAssignment &assignment() const { return assignment_; }
+    const sets::ReprAssignment &
+    assignment() const
+    {
+        return tables_->assignment;
+    }
 
   private:
+    /** What a build computes and its views share read-only. */
+    struct Tables
+    {
+        sets::ReprAssignment assignment;
+        std::vector<SetId> nbr;
+    };
+
     const graph::Graph *graph_;
     SetEngine *engine_;
-    sets::ReprAssignment assignment_;
-    std::vector<SetId> nbr_;
+    std::shared_ptr<const Tables> tables_;
+    /** tables_->nbr.data(), so neighborhood() is one indexed load. */
+    const SetId *nbr_ = nullptr;
 };
 
 /**

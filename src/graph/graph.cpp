@@ -152,6 +152,28 @@ Graph::describe() const
     return oss.str();
 }
 
+UpperEdges::UpperEdges(const Graph &graph) : graph_(&graph)
+{
+    const VertexId n = graph.numVertices();
+    first_.resize(static_cast<std::size_t>(n) + 1);
+    for (VertexId u = 0; u < n; ++u) {
+        const auto row = graph.neighbors(u);
+        const auto tail = std::upper_bound(row.begin(), row.end(), u);
+        first_[u + 1] =
+            first_[u] + static_cast<std::uint64_t>(row.end() - tail);
+    }
+}
+
+UpperEdges::Walk
+UpperEdges::walkFrom(std::uint64_t index) const
+{
+    // The last row whose first edge is at or before index: rows with
+    // no edge u < v share their first_ with the next row.
+    const auto row = std::upper_bound(first_.begin(), first_.end(), index);
+    return {*this, index,
+            static_cast<VertexId>(row - first_.begin() - 1)};
+}
+
 GraphBuilder::GraphBuilder(VertexId num_vertices, bool directed)
     : numVertices_(num_vertices), directed_(directed)
 {

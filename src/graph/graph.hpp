@@ -153,6 +153,62 @@ class Graph
 };
 
 /**
+ * The edges u < v of @p graph (each undirected edge once), numbered
+ * 0, 1, ... in (u, v) order and read straight from the CSR rows: a
+ * sorted row's edges u < v are its tail. The only table kept is where
+ * each row's first such edge falls, O(n), for as long as this lives.
+ */
+class UpperEdges
+{
+  public:
+    explicit UpperEdges(const Graph &graph);
+
+    /** Number of edges u < v (m for an undirected graph). */
+    std::uint64_t size() const { return first_.back(); }
+
+    /** A cursor over the edges, in order. */
+    class Walk
+    {
+      public:
+        /** The edge at the cursor, which then steps to the next. */
+        Edge
+        next()
+        {
+            const std::vector<std::uint64_t> &first = edges_->first_;
+            while (first[u_ + 1] <= index_)
+                ++u_;
+            const auto row = edges_->graph_->neighbors(u_);
+            const VertexId v = row[row.size() - (first[u_ + 1] - index_)];
+            ++index_;
+            return {u_, v};
+        }
+
+      private:
+        friend class UpperEdges;
+
+        Walk(const UpperEdges &edges, std::uint64_t index, VertexId u)
+            : edges_(&edges), index_(index), u_(u)
+        {
+        }
+
+        const UpperEdges *edges_;
+        std::uint64_t index_; ///< Number of the next edge.
+        VertexId u_;          ///< Row holding it (or an earlier one).
+    };
+
+    /**
+     * A walk whose first next() is edge @p index; @p index may be
+     * size(), for a walk that takes no step.
+     */
+    Walk walkFrom(std::uint64_t index) const;
+
+  private:
+    const Graph *graph_;
+    /** first_[u]: number of u's first edge u < v; first_[n] = size(). */
+    std::vector<std::uint64_t> first_;
+};
+
+/**
  * Accumulates edges and materializes a CSR Graph. Duplicate edges and
  * self-loops are dropped; for undirected graphs both directions are
  * stored, so (u, v) and (v, u) are the same edge.

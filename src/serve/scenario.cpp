@@ -26,7 +26,8 @@ using algorithms::Problem;
  * One set graph of a call -- the oriented one (tc, kcc-*) or the
  * undirected one (mc, cl-*) -- built once in the builder's store,
  * which every tenant that needs it reads in place as its shared
- * read-only base, plus the placement policy over its arcs.
+ * read-only base (payloads and Set Metadata alike, nothing copied),
+ * plus the placement policy over its arcs.
  */
 struct SharedSets
 {
@@ -39,11 +40,13 @@ struct SharedSets
 
 /**
  * Everything one tenant owns: its engine (SCU, vault state, and a
- * store holding the sets the query creates), its session, and its
- * view of the call's shared neighborhood sets. The input graph, its
- * degeneracy order, the oriented graph, the neighborhood sets and
- * the placement policy are the call's, read-only and shared by every
- * tenant that needs them.
+ * store holding the sets the query creates and their SM entries),
+ * its session, and its view of the call's shared neighborhood sets.
+ * The input graph, its degeneracy order, the oriented graph, the
+ * neighborhood sets with their SM entries, the view's id and
+ * representation tables and the placement policy are the call's,
+ * read-only and shared by every tenant that needs them, so a
+ * tenant's host memory is what its query creates.
  */
 struct Tenant
 {

@@ -12,8 +12,7 @@ SetStore::SetStore(Element universe) : universe_(universe) {}
 SetStore::SetStore(std::shared_ptr<const SetStore> base)
     : universe_(base->universe_), base_(std::move(base)),
       baseSlots_(static_cast<SetId>(base_->metadata_.size())),
-      metadata_(base_->metadata_), liveCount_(base_->liveCount_),
-      space_(base_->space_)
+      liveCount_(base_->liveCount_), space_(base_->space_)
 {
     sisa_assert(!base_->base_ && base_->freeList_.empty(),
                 "a shared base must have no base and no free slots");
@@ -42,21 +41,21 @@ SetStore::allocateSlot()
     }
     payloads_.emplace_back();
     metadata_.emplace_back();
-    return static_cast<SetId>(metadata_.size() - 1);
+    return slots() - 1;
 }
 
-SetStore::Payload &
-SetStore::ownedPayload(SetId id)
+SetId
+SetStore::ownedIndex(SetId id) const
 {
     sisa_assert(id >= baseSlots_, "set ", id,
                 " belongs to the read-only shared base");
-    return payloads_[id - baseSlots_];
+    return id - baseSlots_;
 }
 
 void
 SetStore::refreshMetadata(SetId id)
 {
-    SetMetadata &md = metadata_[id];
+    SetMetadata &md = ownedMetadata(id);
     const Payload &p = payload(id);
     if (std::holds_alternative<SortedArraySet>(p)) {
         md.repr = SetRepr::SparseArray;
@@ -80,7 +79,7 @@ SetStore::createFromSorted(std::vector<Element> elems, SetRepr repr)
     } else {
         ownedPayload(id) = DenseBitset::fromSorted(elems, universe_);
     }
-    metadata_[id].location = space_.allocate(bytes).base;
+    ownedMetadata(id).location = space_.allocate(bytes).base;
     refreshMetadata(id);
     ++liveCount_;
     return id;
@@ -97,7 +96,7 @@ SetStore::createFull()
 {
     const SetId id = allocateSlot();
     ownedPayload(id) = DenseBitset::full(universe_);
-    metadata_[id].location = space_.allocate(denseBytes()).base;
+    ownedMetadata(id).location = space_.allocate(denseBytes()).base;
     refreshMetadata(id);
     ++liveCount_;
     return id;
@@ -109,7 +108,7 @@ SetStore::clone(SetId id)
     sisa_assert(live(id), "clone of a dead set ", id);
     const SetId copy = allocateSlot();
     ownedPayload(copy) = payload(id);
-    metadata_[copy].location = metadata_[id].location;
+    ownedMetadata(copy).location = entry(id).location;
     refreshMetadata(copy);
     ++liveCount_;
     return copy;
@@ -120,7 +119,7 @@ SetStore::destroy(SetId id)
 {
     sisa_assert(live(id), "double destroy of set ", id);
     ownedPayload(id) = SortedArraySet();
-    metadata_[id] = SetMetadata{};
+    ownedMetadata(id) = SetMetadata{};
     freeList_.push_back(id);
     --liveCount_;
 }
@@ -130,7 +129,7 @@ SetStore::convert(SetId id, SetRepr repr)
 {
     sisa_assert(live(id), "convert of a dead set ", id);
     Payload &p = ownedPayload(id);
-    if (metadata_[id].repr == repr)
+    if (entry(id).repr == repr)
         return;
     if (repr == SetRepr::DenseBitvector) {
         p = DenseBitset::fromSorted(
@@ -144,14 +143,14 @@ SetStore::convert(SetId id, SetRepr repr)
 bool
 SetStore::live(SetId id) const
 {
-    return id < metadata_.size() && metadata_[id].live;
+    return id < slots() && entry(id).live;
 }
 
 const SetMetadata &
 SetStore::metadata(SetId id) const
 {
     sisa_assert(live(id), "metadata of a dead set ", id);
-    return metadata_[id];
+    return entry(id);
 }
 
 bool
@@ -198,7 +197,7 @@ SetId
 SetStore::adopt(SortedArraySet set)
 {
     const SetId id = allocateSlot();
-    metadata_[id].location =
+    ownedMetadata(id).location =
         space_.allocate(set.size() * sizeof(Element)).base;
     ownedPayload(id) = std::move(set);
     refreshMetadata(id);
@@ -211,7 +210,7 @@ SetStore::adopt(DenseBitset set)
 {
     sisa_assert(set.universe() == universe_, "universe mismatch");
     const SetId id = allocateSlot();
-    metadata_[id].location = space_.allocate(denseBytes()).base;
+    ownedMetadata(id).location = space_.allocate(denseBytes()).base;
     ownedPayload(id) = std::move(set);
     refreshMetadata(id);
     ++liveCount_;
@@ -253,13 +252,14 @@ std::uint64_t
 SetStore::storageBits() const
 {
     std::uint64_t bits = 0;
-    for (SetId id = 0; id < metadata_.size(); ++id) {
-        if (!metadata_[id].live)
+    for (SetId id = 0; id < slots(); ++id) {
+        const SetMetadata &md = entry(id);
+        if (!md.live)
             continue;
-        if (metadata_[id].repr == SetRepr::DenseBitvector) {
+        if (md.repr == SetRepr::DenseBitvector) {
             bits += universe_;
         } else {
-            bits += metadata_[id].cardinality * sets::word_bits;
+            bits += md.cardinality * sets::word_bits;
         }
     }
     return bits;

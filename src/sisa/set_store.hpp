@@ -51,11 +51,11 @@ class SetStore
 
     /**
      * A store over @p base: ids [0, base slots) are the base's sets,
-     * read in place and never written (mutating or destroying one
-     * panics). Only the base's metadata is copied. Slot count and
-     * address cursor continue from the base, so every later id and
-     * location equals what a private copy of the base would hand
-     * out. The base must have no recycled slots and no base of its
+     * read in place -- payloads and SM entries alike -- and never
+     * written (mutating or destroying one panics); nothing of the
+     * base is copied. Slot count and address cursor continue from
+     * the base, so every later id and location equals what a
+     * private copy of the base would hand out. The base must have no recycled slots and no base of its
      * own, and must not change while this store lives.
      */
     explicit SetStore(std::shared_ptr<const SetStore> base);
@@ -149,6 +149,21 @@ class SetStore
     SetId allocateSlot();
     void refreshMetadata(SetId id);
 
+    /** Ids handed out so far, the base's included. */
+    SetId
+    slots() const
+    {
+        return baseSlots_ + static_cast<SetId>(metadata_.size());
+    }
+
+    /** @p id's SM entry, in the base for ids below baseSlots_. */
+    const SetMetadata &
+    entry(SetId id) const
+    {
+        return id < baseSlots_ ? base_->metadata_[id]
+                               : metadata_[id - baseSlots_];
+    }
+
     /** @p id's payload, in the base for ids below baseSlots_. */
     const Payload &
     payload(SetId id) const
@@ -157,8 +172,21 @@ class SetStore
                                : payloads_[id - baseSlots_];
     }
 
-    /** @p id's payload for writing; panics on a base id. */
-    Payload &ownedPayload(SetId id);
+    /** Index of @p id in the owned tables; panics on a base id. */
+    SetId ownedIndex(SetId id) const;
+
+    /** @p id's SM entry and payload for writing; panic on a base id. */
+    SetMetadata &
+    ownedMetadata(SetId id)
+    {
+        return metadata_[ownedIndex(id)];
+    }
+
+    Payload &
+    ownedPayload(SetId id)
+    {
+        return payloads_[ownedIndex(id)];
+    }
 
     static constexpr mem::Addr sm_base_ = 0x0800000000ULL;
     static constexpr std::uint32_t sm_entry_bytes = 16;
@@ -166,7 +194,10 @@ class SetStore
     Element universe_;
     std::shared_ptr<const SetStore> base_;
     SetId baseSlots_ = 0; ///< Ids below this live in base_.
-    /** Payloads of ids [baseSlots_, ...), indexed by id - baseSlots_. */
+    /**
+     * Payloads and SM entries of ids [baseSlots_, ...), indexed by
+     * id - baseSlots_.
+     */
     std::vector<Payload> payloads_;
     std::vector<SetMetadata> metadata_;
     std::vector<SetId> freeList_;

@@ -357,6 +357,16 @@ TEST_P(AlgoTest, JarvisPatrickHighThresholdSelectsNothing)
     EXPECT_EQ(result.clusterCount, 0u);
 }
 
+TEST(JarvisPatrickDeathTest, RejectsAMeasureThatDoesNotBatch)
+{
+    const graph::Graph g = graph::erdosRenyi(20, 40, 3);
+    auto eng = makeEngine("sisa", 20, 1);
+    sim::SimContext ctx(1);
+    core::SetGraph sg(g, *eng);
+    EXPECT_EXIT(jarvisPatrick(sg, ctx, SimilarityMeasure::AdamicAdar, 0.5),
+                ::testing::ExitedWithCode(1), "measure 'aa' does not batch");
+}
+
 TEST_P(AlgoTest, SubgraphIsoStarCounts)
 {
     const graph::Graph g = graph::erdosRenyi(25, 60, 37);

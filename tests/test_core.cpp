@@ -217,6 +217,7 @@ TEST(SetGraphTest, ViewOverSharedBaseEqualsPrivateBuild)
     ASSERT_GT(fresh.assignment().denseCount, 0u);
     EXPECT_EQ(&view.engine(), &tenant);
     EXPECT_EQ(&view.graph(), &g);
+    EXPECT_EQ(&view.assignment(), &built.assignment()); // Shared.
     expectSameSetGraph(view, fresh);
 }
 

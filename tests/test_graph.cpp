@@ -5,6 +5,8 @@
 #include <numeric>
 #include <set>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "graph/dataset_registry.hpp"
 #include "graph/degeneracy.hpp"
@@ -256,6 +258,40 @@ TEST(Graph, OrientByRankHalvesArcs)
     EXPECT_TRUE(d.hasEdge(0, 5));
     EXPECT_FALSE(d.hasEdge(5, 0));
     EXPECT_EQ(d.degree(5), 0u); // Last in rank: no out-arcs.
+}
+
+TEST(Graph, UpperEdgesWalkFromAnyIndex)
+{
+    // Isolated vertices, rows with no edge u < v in the middle and at
+    // the end, an empty graph, and a directed graph.
+    GraphBuilder sparse(12);
+    for (const auto &[u, v] : std::vector<std::pair<VertexId, VertexId>>{
+             {1, 4}, {4, 2}, {6, 0}, {6, 3}, {7, 8}, {11, 1}, {11, 8}})
+        sparse.addEdge(u, v);
+    GraphBuilder arcs(5, true);
+    for (const auto &[u, v] : std::vector<std::pair<VertexId, VertexId>>{
+             {0, 3}, {3, 0}, {2, 1}, {2, 4}, {4, 3}})
+        arcs.addEdge(u, v);
+    for (const Graph &g : {sparse.build(), arcs.build(), Graph(),
+                           erdosRenyi(50, 300, 3), star(9)}) {
+        std::vector<Edge> expected;
+        for (VertexId u = 0; u < g.numVertices(); ++u) {
+            for (VertexId v : g.neighbors(u)) {
+                if (u < v)
+                    expected.push_back({u, v});
+            }
+        }
+        const UpperEdges edges(g);
+        ASSERT_EQ(edges.size(), expected.size());
+        if (!g.directed()) {
+            EXPECT_EQ(edges.size(), g.numEdges());
+        }
+        for (std::uint64_t from = 0; from <= expected.size(); ++from) {
+            UpperEdges::Walk walk = edges.walkFrom(from);
+            for (std::uint64_t i = from; i < expected.size(); ++i)
+                ASSERT_EQ(walk.next(), expected[i]) << from << " " << i;
+        }
+    }
 }
 
 TEST(Graph, InducedSubgraphRenumbers)

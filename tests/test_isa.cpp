@@ -223,6 +223,7 @@ TEST(SharedBaseStore, ReadsBaseSetsInPlace)
     EXPECT_EQ(tenant.storageBits(), base->storageBits());
     for (SetId id = 0; id < 4; ++id) {
         expectSameSet(tenant, *base, id);
+        EXPECT_EQ(&tenant.metadata(id), &base->metadata(id)); // In place.
         EXPECT_EQ(tenant.payloadBytes(id), base->payloadBytes(id));
         if (tenant.isDense(id))
             EXPECT_EQ(&tenant.db(id), &base->db(id)); // Not a copy.
